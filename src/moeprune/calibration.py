@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import read_container, write_container
-from .errors import InputError, ShapeError
-from .model import MoEModel, ModelConfig, model_forward
+from .errors import ConfigError, FormatError, InputError, ShapeError
+from .model import LayerTrace, MoEModel, ModelConfig, model_forward
 from .numerics import SeededRng
 
 __all__ = [
@@ -26,6 +26,8 @@ __all__ = [
     "FrequencyTable",
     "CalibrationStats",
     "build_calibration_set",
+    "empty_accumulators",
+    "accumulate_layer",
     "collect",
     "export_stats",
     "import_stats",
@@ -132,9 +134,6 @@ class FrequencyTable:
             raise InputError(f"unknown frequency mode {mode!r}")
         return cls(counts=np.zeros((n_layers, n_experts), dtype=np.int64), mode=mode)
 
-    def layer_frequencies(self, i: int) -> np.ndarray:
-        return self.counts[i]
-
 
 @dataclass
 class CalibrationStats:
@@ -144,10 +143,6 @@ class CalibrationStats:
     hessians: dict[str, HessianAccumulator]
     frequencies: FrequencyTable
     sequences: list[np.ndarray]
-    # X^T X over gate-weighted inputs: the non-paper hybrid behind the
-    # --gate-scaled-hessian flag
-    scaled_hessians: dict[str, HessianAccumulator] | None = None
-    captured: dict[str, np.ndarray] | None = None
 
     def validate_for_model(self, model: MoEModel) -> None:
         mc, sc = model.config, self.model_config
@@ -163,15 +158,46 @@ class CalibrationStats:
             )
 
 
-def _expert_targets(cfg: ModelConfig) -> list[tuple[str, int]]:
-    """(target name, input width) for every expert matrix."""
-    out = []
-    for i in range(cfg.n_layers):
+Accumulators = tuple[
+    dict[str, ScaledNormAccumulator], dict[str, ScaledNormAccumulator], dict[str, HessianAccumulator]
+]
+
+
+def empty_accumulators(cfg: ModelConfig, layers: range) -> Accumulators:
+    """Empty (scaled, unscaled, Hessian) accumulators for every expert matrix
+    of `layers`."""
+    targets = []
+    for i in layers:
         for e in range(cfg.n_experts):
             base = f"layers.{i}.experts.{e}"
-            out += [(f"{base}.w_gate", cfg.d_model), (f"{base}.w_up", cfg.d_model),
-                    (f"{base}.w_down", cfg.d_ff)]
-    return out
+            targets += [(f"{base}.w_gate", cfg.d_model), (f"{base}.w_up", cfg.d_model),
+                        (f"{base}.w_down", cfg.d_ff)]
+    return (
+        {n: ScaledNormAccumulator.empty(n, d) for n, d in targets},
+        {n: ScaledNormAccumulator.empty(n, d) for n, d in targets},
+        {n: HessianAccumulator.empty(n, d) for n, d in targets},
+    )
+
+
+def accumulate_layer(
+    acc: Accumulators, i: int, layer: LayerTrace, gate_override: float | None = None
+) -> None:
+    """Add one forward's routed inputs at layer i into that layer's accumulators."""
+    scaled, unscaled, hessians = acc
+    for e, idx in layer.expert_tokens.items():
+        if idx.size == 0:
+            continue
+        g = layer.gates.values[idx, e]
+        if gate_override is not None:
+            g = np.full(idx.size, float(gate_override))
+        ones = np.ones(idx.size)
+        x_in = layer.moe_input[idx]
+        base = f"layers.{i}.experts.{e}"
+        for tgt, x in ((f"{base}.w_gate", x_in), (f"{base}.w_up", x_in),
+                       (f"{base}.w_down", layer.expert_hidden[e])):
+            scaled[tgt].add(x, g)
+            unscaled[tgt].add(x, ones)
+            hessians[tgt].add(x)
 
 
 def collect(
@@ -179,23 +205,16 @@ def collect(
     cal: CalibrationSet,
     freq_mode: str = "argmax",
     gate_override: float | None = None,
-    capture_inputs: bool = False,
 ) -> CalibrationStats:
     """One streaming pass over the calibration set, fixed sequence order.
 
     gate_override forces every gate weight to a constant (router bypass test
     hook: with override 1.0 the scaled statistic degenerates to the plain
-    input-norm statistic). capture_inputs retains the stacked routed inputs
-    per target, for verification only.
+    input-norm statistic).
     """
     cfg = model.config
-    targets = _expert_targets(cfg)
-    scaled = {n: ScaledNormAccumulator.empty(n, d) for n, d in targets}
-    unscaled = {n: ScaledNormAccumulator.empty(n, d) for n, d in targets}
-    hessians = {n: HessianAccumulator.empty(n, d) for n, d in targets}
-    scaled_hessians = {n: HessianAccumulator.empty(n, d) for n, d in targets}
+    acc = empty_accumulators(cfg, range(cfg.n_layers))
     freq = FrequencyTable.empty(cfg.n_layers, cfg.n_experts, freq_mode)
-    caught: dict[str, list[np.ndarray]] | None = {n: [] for n, _ in targets} if capture_inputs else None
 
     for seq in cal.sequences:
         res = model_forward(model, seq)
@@ -206,35 +225,12 @@ def collect(
                 np.add.at(freq.counts[i], np.argmax(gm.probs, axis=1), 1)
             else:
                 np.add.at(freq.counts[i], gm.selected.ravel(), 1)
-            for e in range(cfg.n_experts):
-                idx = layer.expert_tokens[e]
-                if idx.size == 0:
-                    continue
-                g = gm.values[idx, e]
-                if gate_override is not None:
-                    g = np.full(idx.size, float(gate_override))
-                ones = np.ones(idx.size)
-                x_in = layer.moe_input[idx]
-                hid = layer.expert_hidden[e]
-                base = f"layers.{i}.experts.{e}"
-                for tgt, x in ((f"{base}.w_gate", x_in), (f"{base}.w_up", x_in),
-                               (f"{base}.w_down", hid)):
-                    scaled[tgt].add(x, g)
-                    unscaled[tgt].add(x, ones)
-                    hessians[tgt].add(x)
-                    scaled_hessians[tgt].add(x * g[:, None])
-                    if caught is not None:
-                        caught[tgt].append(x)
+            accumulate_layer(acc, i, layer, gate_override)
 
-    captured = None
-    if caught is not None:
-        captured = {
-            n: (np.vstack(parts) if parts else np.zeros((0, d)))
-            for (n, d), parts in zip(targets, caught.values())
-        }
+    scaled, unscaled, hessians = acc
     return CalibrationStats(
         model_config=cfg, scaled=scaled, unscaled=unscaled, hessians=hessians,
-        frequencies=freq, sequences=list(cal.sequences), captured=captured,
+        frequencies=freq, sequences=list(cal.sequences),
     )
 
 
@@ -306,9 +302,7 @@ def import_stats(path) -> CalibrationStats:
             total_tokens=int(manifest["freq_total_tokens"]),
         )
         sequences = [np.asarray(s, dtype=np.intp) for s in manifest["sequences"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        from .errors import FormatError
-
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed stats manifest: {exc}") from exc
     return CalibrationStats(
         model_config=cfg, scaled=scaled, unscaled=unscaled, hessians=hessians,

@@ -223,11 +223,14 @@ def cmd_sweep(args) -> int:
         unique.append(s)
 
     rows = []
+    stats = None
     for kind, value in unique:
         nsamples = value if kind == "nsamples" else args.nsamples
         sparsity = value if kind == "sparsity" else (args.sparsity or 0.5)
-        cal = build_calibration_set(calib_corpus, int(nsamples), model.config.seq_len, seed)
-        stats = collect(model, cal)
+        # a sparsity sweep holds nsamples and the seed fixed: collect once
+        if stats is None or kind == "nsamples":
+            cal = build_calibration_set(calib_corpus, int(nsamples), model.config.seq_len, seed)
+            stats = collect(model, cal)
         target = SparsityTarget.unstructured(float(sparsity))
         pruned, _, _ = prune_model(model, stats, args.method, target,
                                    propagate=args.propagate)

@@ -83,7 +83,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: int(v) for k, v in d.items()})
+        known = cls.__dataclass_fields__
+        for k, v in d.items():
+            if k not in known:
+                raise ConfigError(f"unknown model config key {k!r}; known keys: {', '.join(known)}")
+            if type(v) is not int:
+                raise ConfigError(f"model config key {k!r} must be an integer, got {v!r}")
+        return cls(**d)
 
 
 @dataclass

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     ChecksumError,
+    ConfigError,
     FormatError,
     MaskConsistencyError,
     StorageError,
@@ -143,7 +144,7 @@ def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
             if len(raw) != length or length != 8 * int(np.prod(shape)):
                 raise FormatError(f"{name}: tensor bytes truncated")
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{mpath}: malformed manifest: {exc}") from exc
 
     model = MoEModel(config, params)
@@ -151,18 +152,33 @@ def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
     masks = None
     if "masks" in manifest:
         mask_blob = _read_file(d / "masks.bin", int(manifest["masks_crc32"]))
-        masks = {}
-        for name, entry in manifest["masks"].items():
-            rows, cols = entry["shape"]
-            raw = mask_blob[entry["byte_offset"] : entry["byte_offset"] + entry["byte_length"]]
-            if len(raw) != entry["byte_length"]:
-                raise FormatError(f"mask {name}: bytes truncated")
-            masks[name] = _unpack_mask(raw, rows, cols).astype(np.uint8)
-        for name, bits in masks.items():
-            if name not in model.params:
-                raise FormatError(f"mask {name!r} has no matching parameter")
-            if not (model.params[name][bits == 0] == 0.0).all():
-                raise MaskConsistencyError(
-                    f"mask {name!r} marks pruned positions holding nonzero weights"
-                )
+        try:
+            masks = {name: _read_mask(name, entry, mask_blob, model)
+                     for name, entry in manifest["masks"].items()}
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise FormatError(f"{mpath}: malformed mask index: {exc}") from exc
     return model, masks
+
+
+def _read_mask(name: str, entry: dict, blob: bytes, model: MoEModel) -> np.ndarray:
+    """Check one mask index entry against its parameter before unpacking it,
+    then check that every pruned position stores an exact zero."""
+    if name not in model.params:
+        raise FormatError(f"mask {name!r} has no matching parameter")
+    shape, off, length = entry["shape"], entry["byte_offset"], entry["byte_length"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(v) is int for v in shape)):
+        raise FormatError(f"mask {name!r}: shape {shape!r} is not two integers")
+    want = model.params[name].shape
+    if tuple(shape) != want:
+        raise FormatError(f"mask {name!r} shape {tuple(shape)} != parameter shape {want}")
+    rows, cols = want
+    if type(off) is not int or off < 0 or length != rows * ((cols + 7) // 8):
+        raise FormatError(f"mask {name!r}: {length} bytes at offset {off!r} do not fit shape {want}")
+    raw = blob[off : off + length]
+    if len(raw) != length:
+        raise FormatError(f"mask {name}: bytes truncated")
+    bits = _unpack_mask(raw, rows, cols).astype(np.uint8)
+    if not (model.params[name][bits == 0] == 0.0).all():
+        raise MaskConsistencyError(f"mask {name!r} marks pruned positions holding nonzero weights")
+    return bits

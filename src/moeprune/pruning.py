@@ -20,6 +20,8 @@ from .calibration import (
     CalibrationStats,
     HessianAccumulator,
     ScaledNormAccumulator,
+    accumulate_layer,
+    empty_accumulators,
 )
 from .errors import ConfigError, ContractError, NumericalError, ShapeError
 from .model import MoEModel, model_forward
@@ -27,7 +29,6 @@ from .numerics import spd_inverse
 
 __all__ = [
     "SparsityTarget",
-    "SparsityMask",
     "PruneReport",
     "score_magnitude",
     "score_wanda",
@@ -79,14 +80,6 @@ class SparsityTarget:
 
     def describe(self) -> str:
         return f"{self.n_keep}:{self.m_group}" if self.p is None else f"p={self.p}"
-
-
-@dataclass
-class SparsityMask:
-    """Binary keep-mask (1 = kept, 0 = pruned) aligned to one weight matrix."""
-
-    target: str
-    bits: np.ndarray
 
 
 def score_magnitude(w: np.ndarray) -> np.ndarray:
@@ -181,7 +174,10 @@ def obs_update(w: np.ndarray, mask: np.ndarray, h_inv: np.ndarray) -> np.ndarray
 
 
 def reconstruction_error(w: np.ndarray, w_pruned: np.ndarray, x: np.ndarray) -> float:
-    """Frobenius norm of (W - W_pruned) X^T over calibration inputs x (tokens, d_in)."""
+    """Frobenius norm of (W - W_pruned) X^T over calibration inputs x (tokens, d_in).
+
+    The reference form; `prune_model` computes the same value from H = X^T X.
+    """
     if w.shape != w_pruned.shape:
         raise ShapeError(f"weight shapes differ: {w.shape} vs {w_pruned.shape}")
     if x.shape[1] != w.shape[1]:
@@ -189,6 +185,12 @@ def reconstruction_error(w: np.ndarray, w_pruned: np.ndarray, x: np.ndarray) -> 
     if x.shape[0] == 0:
         return 0.0
     return float(np.linalg.norm((w - w_pruned) @ x.T))
+
+
+def _hessian_error(dw: np.ndarray, h: np.ndarray) -> float:
+    """||dW X^T||_F from H = X^T X alone: sqrt(tr(dW H dW^T)), clamped at 0
+    against rounding. H = 0 (no tokens seen) gives 0.0."""
+    return math.sqrt(max(0.0, float(np.sum((dw @ h) * dw))))
 
 
 # ---------------------------------------------------------------------------
@@ -224,39 +226,6 @@ class PruneReport:
             "totals": self.totals,
             "targets": self.targets,
         }
-
-
-def _layer_pass(model: MoEModel, sequences, layer: int):
-    """One pass over the calibration sequences capturing layer `layer` only:
-    accumulators plus stacked routed inputs per target of that layer."""
-    cfg = model.config
-    names = []
-    for e in range(cfg.n_experts):
-        base = f"layers.{layer}.experts.{e}"
-        names += [(f"{base}.w_gate", cfg.d_model), (f"{base}.w_up", cfg.d_model),
-                  (f"{base}.w_down", cfg.d_ff)]
-    scaled = {n: ScaledNormAccumulator.empty(n, d) for n, d in names}
-    unscaled = {n: ScaledNormAccumulator.empty(n, d) for n, d in names}
-    hess = {n: HessianAccumulator.empty(n, d) for n, d in names}
-    parts: dict[str, list[np.ndarray]] = {n: [] for n, _ in names}
-    for seq in sequences:
-        lt = model_forward(model, seq).layers[layer]
-        for e in range(cfg.n_experts):
-            idx = lt.expert_tokens[e]
-            if idx.size == 0:
-                continue
-            g = lt.gates.values[idx, e]
-            ones = np.ones(idx.size)
-            base = f"layers.{layer}.experts.{e}"
-            for tgt, x in ((f"{base}.w_gate", lt.moe_input[idx]),
-                           (f"{base}.w_up", lt.moe_input[idx]),
-                           (f"{base}.w_down", lt.expert_hidden[e])):
-                scaled[tgt].add(x, g)
-                unscaled[tgt].add(x, ones)
-                hess[tgt].add(x)
-                parts[tgt].append(x)
-    captured = {n: (np.vstack(p) if p else np.zeros((0, d))) for (n, d), p in zip(names, parts.values())}
-    return scaled, unscaled, hess, captured
 
 
 def _score_target(
@@ -295,9 +264,12 @@ def prune_model(
 ) -> tuple[MoEModel, dict[str, np.ndarray], PruneReport]:
     """Prune every expert matrix, layer by layer.
 
-    propagate="dense" scores each layer from activations of the unpruned
-    model (the calibration pass feeding `stats`); "recompute" re-runs the
-    calibration inputs through the already-pruned layers before scoring.
+    propagate="dense" scores each layer from `stats` alone, the activations
+    of the unpruned model, and runs no forward; "recompute" re-runs the
+    calibration sequences through the partly pruned model before scoring each
+    layer. Reconstruction errors come from the same (undamped) X^T X that the
+    layer was scored from.
+
     Attention and router matrices are untouched. Returns the pruned model, the
     keep-masks aligned to the stored weights, and a report.
     """
@@ -315,29 +287,23 @@ def prune_model(
     masks: dict[str, np.ndarray] = {}
     report = PruneReport(method=method, sparsity=target.describe(), propagate=propagate)
 
+    scaled, unscaled, hess = stats.scaled, stats.unscaled, stats.hessians
     for i in range(cfg.n_layers):
-        source = model if propagate == "dense" else pruned
-        layer_scaled, layer_unscaled, layer_hess, captured = _layer_pass(
-            source, stats.sequences, i
-        )
-        if propagate == "dense":
-            layer_scaled, layer_unscaled, layer_hess = stats.scaled, stats.unscaled, stats.hessians
+        if propagate == "recompute":
+            acc = empty_accumulators(cfg, range(i, i + 1))
+            for seq in stats.sequences:
+                accumulate_layer(acc, i, model_forward(pruned, seq).layers[i])
+            scaled, unscaled, hess = acc
         for e in range(cfg.n_experts):
             for part in ("w_gate", "w_up", "w_down"):
                 name = f"layers.{i}.experts.{e}.{part}"
                 wp = pruned.params[name].T.copy()  # (out, in) pruning orientation
                 scores, h_inv, method_used = _score_target(
-                    method, wp, name, layer_scaled, layer_unscaled, layer_hess, damp_frac
+                    method, wp, name, scaled, unscaled, hess, damp_frac
                 )
                 keep = select_mask(scores, target)
-                x = captured[name]
                 zeroed = wp * keep
-                before = reconstruction_error(wp, zeroed, x)
-                if h_inv is not None:
-                    updated = obs_update(wp, keep, h_inv)
-                else:
-                    updated = zeroed
-                after = reconstruction_error(wp, updated, x)
+                updated = obs_update(wp, keep, h_inv) if h_inv is not None else zeroed
                 pruned.params[name] = np.ascontiguousarray(updated.T)
                 masks[name] = np.ascontiguousarray(keep.T.astype(np.uint8))
                 report.targets.append({
@@ -348,8 +314,8 @@ def prune_model(
                     "weights": int(wp.size),
                     "zeros": int(keep.size - int(keep.sum())),
                     "sparsity_achieved": 1.0 - float(keep.sum()) / keep.size,
-                    "tokens_seen": int(layer_scaled[name].tokens_seen),
-                    "recon_error_before_update": before,
-                    "recon_error_after_update": after,
+                    "tokens_seen": int(scaled[name].tokens_seen),
+                    "recon_error_before_update": _hessian_error(wp - zeroed, hess[name].h),
+                    "recon_error_after_update": _hessian_error(wp - updated, hess[name].h),
                 })
     return pruned, masks, report.finalize()

@@ -21,9 +21,29 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
-def stats(tiny_model, corpus):
-    cal = build_calibration_set(corpus, nsamples=16, seq_len=TINY.seq_len, seed=5)
-    return collect(tiny_model, cal, capture_inputs=True)
+def cal(corpus):
+    return build_calibration_set(corpus, nsamples=16, seq_len=TINY.seq_len, seed=5)
+
+
+@pytest.fixture(scope="module")
+def stats(tiny_model, cal):
+    return collect(tiny_model, cal)
+
+
+@pytest.fixture(scope="module")
+def stacked_inputs(tiny_model, cal):
+    """Oracle: the routed inputs of every expert matrix, stacked over the
+    calibration set from plain forwards."""
+    parts = {}
+    for seq in cal.sequences:
+        for i, lt in enumerate(model_forward(tiny_model, seq).layers):
+            for e, idx in lt.expert_tokens.items():
+                base = f"layers.{i}.experts.{e}"
+                for tgt, x in ((f"{base}.w_gate", lt.moe_input[idx]),
+                               (f"{base}.w_up", lt.moe_input[idx]),
+                               (f"{base}.w_down", lt.expert_hidden[e])):
+                    parts.setdefault(tgt, []).append(x)
+    return {name: np.vstack(xs) for name, xs in parts.items()}
 
 
 class TestBuildCalibrationSet:
@@ -91,15 +111,16 @@ class TestCollect:
         for name in st.scaled:
             assert np.array_equal(st.scaled[name].sum_sq, st.unscaled[name].sum_sq)
 
-    def test_hessian_equals_xtx_of_captured(self, stats):
-        for name, x in stats.captured.items():
+    def test_hessian_equals_xtx_of_captured(self, stats, stacked_inputs):
+        assert set(stacked_inputs) == set(stats.hessians)
+        for name, x in stacked_inputs.items():
             h = stats.hessians[name].h
             assert np.abs(h - x.T @ x).max() < 1e-10
             assert np.abs(h - h.T).max() < 1e-9
             assert (np.diag(h) >= 0).all()
 
-    def test_unscaled_matches_batch_computation(self, stats):
-        for name, x in stats.captured.items():
+    def test_unscaled_matches_batch_computation(self, stats, stacked_inputs):
+        for name, x in stacked_inputs.items():
             batch = np.sqrt((x * x).sum(axis=0))
             assert np.abs(stats.unscaled[name].norms() - batch).max() < 1e-10
 

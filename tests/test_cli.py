@@ -56,6 +56,22 @@ class TestTrain:
         assert log[-1]["loss"] < log[0]["loss"]
 
 
+    @pytest.mark.parametrize("model_section", [{"bogus": 1}, {"d_model": "16"},
+                                               {"d_model": 16.5}, {"n_layers": True}])
+    def test_bad_model_config_is_one_line_error(self, workdir, tmp_path, capsys,
+                                                model_section):
+        (tmp_path / "bad.json").write_text(json.dumps({"model": model_section}))
+        capsys.readouterr()
+        rc = run(["train", "--config", tmp_path / "bad.json",
+                  "--corpus", workdir / "corpus.txt", "--steps", "0",
+                  "--out", tmp_path / "never"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert next(iter(model_section)) in err
+
+
 class TestPrune:
     def test_usage_error_on_no_sparsity_flag(self, workdir):
         rc = run(["prune", "--ckpt", workdir / "init_ckpt",
@@ -220,6 +236,31 @@ class TestSweep:
                   "--eval-corpus", workdir / "corpus.txt", "--out", out])
         assert rc == 0
         assert len(list(csv.DictReader(out.open()))) == 2
+
+    def test_sparsity_sweep_collects_once(self, workdir, monkeypatch):
+        import moeprune.cli
+
+        def sweep(sparsities, out):
+            return run(["sweep", "--ckpt", workdir / "init_ckpt", "--method", "wanda",
+                        "--sparsities", sparsities, "--calib", workdir / "corpus.txt",
+                        "--eval-corpus", workdir / "corpus.txt", "--nsamples", "2",
+                        "--out", out])
+
+        # reference: each point as its own sweep, with its own calibration pass
+        assert sweep("0.3", workdir / "one_a.csv") == 0
+        assert sweep("0.6", workdir / "one_b.csv") == 0
+        calls = []
+        original = moeprune.cli.collect
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(moeprune.cli, "collect", counting)
+        assert sweep("0.3,0.6", workdir / "two.csv") == 0
+        assert len(calls) == 1
+        a, b = ((workdir / f).read_text().splitlines() for f in ("one_a.csv", "one_b.csv"))
+        assert (workdir / "two.csv").read_text().splitlines() == a + b[1:]
 
     def test_requires_exactly_one_list(self, workdir):
         rc = run(["sweep", "--ckpt", workdir / "init_ckpt",

@@ -5,6 +5,7 @@ import pytest
 
 from moeprune.errors import (
     ChecksumError,
+    FormatError,
     MaskConsistencyError,
     StorageError,
     VersionError,
@@ -77,6 +78,42 @@ def test_mask_marking_nonzero_weight_rejected(tiny_model, tmp_path):
     masks[name][0, 0] = 0  # claims pruned, but the weight is nonzero
     save_checkpoint(model, tmp_path / "ckpt", masks=masks)
     with pytest.raises(MaskConsistencyError):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_bad_model_config_in_manifest_is_format_error(tiny_model, tmp_path):
+    save_checkpoint(tiny_model, tmp_path / "ckpt")
+    mpath = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["model_config"]["bogus"] = 1
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="bogus"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def _rename_mask(masks, name):
+    masks["layers.0.experts.0.w_bogus"] = masks.pop(name)
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda masks, name: masks[name]["shape"].reverse(), id="swapped-shape"),
+    pytest.param(lambda masks, name: masks[name]["shape"].append(1), id="three-element-shape"),
+    pytest.param(lambda masks, name: masks[name].update(shape=[16.0, 32]), id="float-shape"),
+    pytest.param(lambda masks, name: masks[name].update(byte_length=1), id="short-length"),
+    pytest.param(lambda masks, name: masks[name].pop("byte_offset"), id="missing-offset"),
+    pytest.param(_rename_mask, id="unknown-name"),
+])
+def test_bad_mask_index_is_format_error(tiny_model, tmp_path, mutate):
+    name = tiny_model.expert_param_names()[0]
+    rows, cols = tiny_model.params[name].shape
+    assert rows != cols  # a swapped shape must disagree with the parameter
+    save_checkpoint(tiny_model, tmp_path / "ckpt",
+                    masks={name: np.ones((rows, cols), dtype=np.uint8)})
+    mpath = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    mutate(manifest["masks"], name)
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError):
         load_checkpoint(tmp_path / "ckpt")
 
 

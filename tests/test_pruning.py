@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import moeprune.pruning
 from moeprune.calibration import ScaledNormAccumulator, build_calibration_set, collect
 from moeprune.errors import ConfigError, ContractError, NumericalError, ShapeError
-from moeprune.model import ModelConfig, MoEModel
+from moeprune.model import ModelConfig, MoEModel, model_forward
 from moeprune.numerics import SeededRng
 from moeprune.pruning import (
+    METHODS,
     SparsityTarget,
+    _hessian_error,
     obs_update,
     prune_model,
     reconstruction_error,
@@ -234,6 +237,43 @@ class TestReconstructionError:
         assert reconstruction_error(w, wp, x) == pytest.approx(2.0, abs=1e-15)
 
 
+class TestHessianError:
+    """The X^T X form prune reports use against the direct ||dW X^T||_F oracle."""
+
+    @pytest.mark.parametrize("tokens", [0, 1, 5, 40])
+    def test_matches_oracle_zeroed_and_updated(self, tokens):
+        rng = SeededRng(17 + tokens)
+        for _ in range(10):
+            w = rng.normal_matrix(6, 8)
+            x = rng.normal_matrix(tokens, 8) if tokens else np.zeros((0, 8))
+            h = x.T @ x
+            s, h_inv = score_sparsegpt(w, h + np.eye(8), damp_frac=0.01)
+            mask = select_mask(s, SparsityTarget.unstructured(0.5))
+            for w_pruned in (w * mask, obs_update(w, mask, h_inv)):
+                want = reconstruction_error(w, w_pruned, x)
+                got = _hessian_error(w - w_pruned, h)
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+                if tokens == 0:
+                    assert got == want == 0.0
+
+    def test_prune_report_matches_stacked_inputs(self):
+        cfg = ModelConfig(d_model=8, n_heads=2, n_layers=2, n_experts=4, top_k=2,
+                          d_ff=8, seq_len=16, vocab_size=256, seed=31)
+        model = MoEModel.init(cfg)
+        cal = build_calibration_set(synth_corpus(seed=7, size=1 << 14), 4, 16, seed=2)
+        pruned, _, report = prune_model(model, collect(model, cal), "sparsegpt",
+                                        SparsityTarget.unstructured(0.5))
+        traces = [model_forward(model, seq).layers for seq in cal.sequences]
+        for t in report.targets:
+            _, i, _, e, part = t["name"].split(".")
+            i, e = int(i), int(e)
+            x = np.vstack([(lt[i].expert_hidden[e] if part == "w_down"
+                            else lt[i].moe_input[lt[i].expert_tokens[e]]) for lt in traces])
+            w = model.params[t["name"]].T
+            want = reconstruction_error(w, pruned.params[t["name"]].T, x)
+            assert t["recon_error_after_update"] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
 @pytest.fixture(scope="module")
 def model_and_stats():
     model = MoEModel.init(TINY)
@@ -296,6 +336,50 @@ class TestPruneModel:
             for r in range(scores.shape[0]):
                 kept = tuple(np.nonzero(masks[name].T[r])[0])
                 assert kept == oracle_keep_set(scores[r], scores.shape[1] // 2)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_dense_prune_runs_no_forward(self, model_and_stats, monkeypatch, method):
+        model, stats, _ = model_and_stats
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a dense prune must not run the model")
+
+        monkeypatch.setattr(moeprune.pruning, "model_forward", forbidden)
+        prune_model(model, stats, method, SparsityTarget.unstructured(0.5))
+
+    def test_recompute_runs_one_forward_per_layer_and_sequence(self, model_and_stats,
+                                                               monkeypatch):
+        model, stats, _ = model_and_stats
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return model_forward(*args, **kwargs)
+
+        monkeypatch.setattr(moeprune.pruning, "model_forward", counting)
+        prune_model(model, stats, "wanda", SparsityTarget.unstructured(0.5),
+                    propagate="recompute")
+        assert len(calls) == TINY.n_layers * len(stats.sequences)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_layer_recompute_equals_dense(self, method):
+        # with nothing pruned upstream, recompute's fresh accumulators must
+        # repeat collect's additions exactly
+        cfg = ModelConfig(d_model=16, n_heads=2, n_layers=1, n_experts=4, top_k=2,
+                          d_ff=16, seq_len=32, vocab_size=256, seed=32)
+        model = MoEModel.init(cfg)
+        cal = build_calibration_set(synth_corpus(seed=8, size=1 << 14), 6, 32, seed=3)
+        stats = collect(model, cal)
+        t = SparsityTarget.semi_structured(2, 4)
+        pd, md, rd = prune_model(model, stats, method, t, propagate="dense")
+        pr, mr, rr = prune_model(model, stats, method, t, propagate="recompute")
+        assert md.keys() == mr.keys()
+        for name in md:
+            assert np.array_equal(md[name], mr[name])
+        for name in model.param_names():
+            assert pd.params[name].tobytes() == pr.params[name].tobytes()
+        assert rd.targets == rr.targets
+        assert rd.totals == rr.totals
 
     def test_recompute_propagation_runs(self, model_and_stats):
         model, stats, _ = model_and_stats
