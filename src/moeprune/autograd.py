@@ -4,6 +4,9 @@ The op vocabulary is fixed and small: exactly the kinds the toy MoE model
 needs, each with a hand-written backward rule (no general closures from user
 code). Scalars are 1x1 matrices. Gradients accumulate across reuses of a Var;
 training code builds a fresh tape per step, so there is nothing to zero.
+`backward` sweeps its tape: the recorded nodes (and the closures holding
+their operands) are dropped, so a step's graph is freed by reference
+counting rather than left to the cycle collector.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .errors import ContractError, InputError, ShapeError
 __all__ = [
     "Tape",
     "Var",
-    "record",
     "backward",
     "grad_check",
     "matmul",
@@ -32,6 +34,7 @@ __all__ = [
     "mse",
     "scale",
     "masked_assign",
+    "causal_attention",
 ]
 
 
@@ -64,6 +67,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[tuple[Var, Callable[[np.ndarray], None]]] = []
+        self.swept = False
 
     def var(self, value) -> Var:
         """Register a leaf (parameter or input)."""
@@ -90,8 +94,12 @@ class Tape:
     def backward(self, loss: Var) -> None:
         if loss.value.shape != (1, 1):
             raise ContractError(f"backward needs a scalar (1x1) loss, got {loss.value.shape}")
+        if self.swept:
+            raise ContractError("this tape was swept by an earlier backward; build a new graph")
         loss.grad[...] = 1.0
-        for out, bwd in reversed(self.nodes):
+        nodes, self.nodes, self.swept = self.nodes, [], True
+        while nodes:
+            out, bwd = nodes.pop()
             if out._grad is not None:
                 bwd(out._grad)
 
@@ -301,29 +309,52 @@ def masked_assign(a: Var, mask: np.ndarray) -> Var:
     return a.tape._emit(a.value * m, bwd, a)
 
 
-_OPS: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "elementwise-multiply": mul,
-    "silu": silu,
-    "row_softmax": row_softmax,
-    "rmsnorm": rmsnorm,
-    "embedding-gather": gather_rows,
-    "scatter-rows": scatter_rows,
-    "cross-entropy": cross_entropy,
-    "mean-squared-error": mse,
-    "scalar-scale": scale,
-    "masked-assign": masked_assign,
-}
+def causal_attention(q: Var, k: Var, v: Var, batch: int, n_heads: int) -> Var:
+    """Multi-head causal self-attention over `batch` equal-length windows.
 
+    q, k and v hold (batch*T, d) rows, window-major; head h owns columns
+    [h*dh, (h+1)*dh) with dh = d / n_heads. Each row attends to the rows of
+    its own window at or before it with softmax(q k^T / sqrt(dh)), and each
+    head's output goes back into its columns. The causal mask is structure,
+    not a differentiable operand.
+    """
+    t = _same_tape(q, k, v)
+    n, d = q.value.shape
+    if k.value.shape != (n, d) or v.value.shape != (n, d):
+        raise ShapeError(f"attention q/k/v shapes differ: {q.value.shape}, "
+                         f"{k.value.shape}, {v.value.shape}")
+    if batch <= 0 or n % batch or n_heads <= 0 or d % n_heads:
+        raise ShapeError(f"{n} rows x {d} columns do not split into {batch} windows "
+                         f"and {n_heads} heads")
+    T, dh = n // batch, d // n_heads
+    c = 1.0 / np.sqrt(dh)
 
-def record(kind: str, *operands, **attrs) -> Var:
-    """Dispatch by op-kind name; the uniform entry point over the fixed vocabulary."""
-    try:
-        op = _OPS[kind]
-    except KeyError:
-        raise ShapeError(f"unsupported op kind {kind!r}; supported: {sorted(_OPS)}") from None
-    return op(*operands, **attrs)
+    def split(x: np.ndarray) -> np.ndarray:  # (B*T, d) -> (B, H, T, dh)
+        return x.reshape(batch, T, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # (B, H, T, dh) -> (B*T, d)
+        return x.transpose(0, 2, 1, 3).reshape(n, d)
+
+    qs, ks, vs = split(q.value), split(k.value), split(v.value)
+    causal = np.tril(np.ones((T, T), dtype=bool))
+    scores = (qs @ ks.transpose(0, 1, 3, 2)) * c
+    shifted = scores - np.where(causal, scores, -np.inf).max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        e = np.where(causal, np.exp(shifted), 0.0)
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g: np.ndarray) -> None:
+        gs = split(g)
+        dp = gs @ vs.transpose(0, 1, 3, 2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        if q.requires_grad:
+            q.grad[...] += merge(ds @ ks)
+        if k.requires_grad:
+            k.grad[...] += merge(ds.transpose(0, 1, 3, 2) @ qs)
+        if v.requires_grad:
+            v.grad[...] += merge(p.transpose(0, 1, 3, 2) @ gs)
+
+    return t._emit(merge(p @ vs), bwd, q, k, v)
 
 
 def grad_check(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .container import read_container, write_container
 from .errors import ConfigError, FormatError, InputError, ShapeError
-from .model import LayerTrace, MoEModel, ModelConfig, model_forward
+from .model import LayerTrace, MoEModel, ModelConfig, model_forward, window_batches
 from .numerics import SeededRng
 
 __all__ = [
@@ -206,7 +206,8 @@ def collect(
     freq_mode: str = "argmax",
     gate_override: float | None = None,
 ) -> CalibrationStats:
-    """One streaming pass over the calibration set, fixed sequence order.
+    """One streaming pass over the calibration set, fixed sequence order, in
+    batches of windows.
 
     gate_override forces every gate weight to a constant (router bypass test
     hook: with override 1.0 the scaled statistic degenerates to the plain
@@ -216,9 +217,9 @@ def collect(
     acc = empty_accumulators(cfg, range(cfg.n_layers))
     freq = FrequencyTable.empty(cfg.n_layers, cfg.n_experts, freq_mode)
 
-    for seq in cal.sequences:
-        res = model_forward(model, seq)
-        freq.total_tokens += len(seq)
+    for batch in window_batches(cal.sequences):
+        res = model_forward(model, batch)
+        freq.total_tokens += batch.size
         for i, layer in enumerate(res.layers):
             gm = layer.gates
             if freq.mode == "argmax":

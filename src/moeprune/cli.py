@@ -19,6 +19,7 @@ from .analysis import analyze_model, ingest_frequencies
 from .calibration import build_calibration_set, collect
 from .distill import KDConfig, distill
 from .errors import (
+    ConfigError,
     ContractError,
     FormatError,
     InputError,
@@ -35,6 +36,8 @@ from .training import evaluate_perplexity, train_model
 
 TRAIN_DEFAULTS = {"steps": 2000, "batch_size": 8, "learning_rate": 1e-3, "seed": 0}
 CALIB_DEFAULTS = {"nsamples": 128, "seed": 0}
+KD_DEFAULTS = {"lambda_mode": "auto", "epochs": 3, "learning_rate": 2e-5, "batch_size": 8,
+               "samples": 1000, "seed": 0, "router_frozen": True}
 
 
 def _read_corpus(path: str) -> bytes:
@@ -58,11 +61,27 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _merge(defaults: dict, file_section: dict, overrides: dict) -> dict:
-    out = dict(defaults)
-    out.update({k: v for k, v in file_section.items()})
-    out.update({k: v for k, v in overrides.items() if v is not None})
-    return out
+def _merge(section: str, defaults: dict, file_cfg: dict, overrides: dict) -> dict:
+    """A config section: its defaults, then the file's values, then the flags
+    given. A file value must have its default's type; an integer stands for
+    a float, and kd.lambda_mode is "auto" or a number."""
+    given = file_cfg.get(section, {})
+    if not isinstance(given, dict):
+        raise FormatError(f"config section {section!r} must be a JSON object, "
+                          f"got {json.dumps(given)}")
+    for key, value in given.items():
+        if key not in defaults or (key == "lambda_mode" and value == "auto"):
+            continue
+        default = defaults[key]
+        if isinstance(default, float) or key == "lambda_mode":
+            ok, want = type(value) in (int, float), "a number"
+        else:
+            ok = type(value) is type(default)
+            want = {bool: "true or false", int: "an integer"}[type(default)]
+        if not ok:
+            raise ConfigError(f"config key {section}.{key} must be {want}, "
+                              f"got {json.dumps(value)}")
+    return {**defaults, **given, **{k: v for k, v in overrides.items() if v is not None}}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -79,9 +98,8 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
 
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    model_cfg = _merge(ModelConfig().to_dict(), file_cfg.get("model", {}),
-                       {"seed": args.seed})
-    train_cfg = _merge(TRAIN_DEFAULTS, file_cfg.get("train", {}),
+    model_cfg = _merge("model", ModelConfig().to_dict(), file_cfg, {"seed": args.seed})
+    train_cfg = _merge("train", TRAIN_DEFAULTS, file_cfg,
                        {"steps": args.steps, "seed": args.seed,
                         "learning_rate": args.lr, "batch_size": args.batch_size})
     config = ModelConfig.from_dict(model_cfg)
@@ -108,7 +126,7 @@ def cmd_prune(args) -> int:
     target = (SparsityTarget.unstructured(args.sparsity) if args.sparsity is not None
               else SparsityTarget.parse(args.pattern))
     file_cfg = _load_config_file(args.config)
-    calib_cfg = _merge(CALIB_DEFAULTS, file_cfg.get("calibration", {}),
+    calib_cfg = _merge("calibration", CALIB_DEFAULTS, file_cfg,
                        {"nsamples": args.nsamples, "seed": args.seed})
     model, _ = load_checkpoint(args.ckpt)
     corpus = _read_corpus(args.calib)
@@ -138,9 +156,7 @@ def cmd_prune(args) -> int:
 def cmd_distill(args) -> int:
     file_cfg = _load_config_file(args.config)
     kd_cfg = _merge(
-        {"lambda_mode": "auto", "epochs": 3, "learning_rate": 2e-5, "batch_size": 8,
-         "samples": 1000, "seed": 0, "router_frozen": True},
-        file_cfg.get("kd", {}),
+        "kd", KD_DEFAULTS, file_cfg,
         {"epochs": args.epochs, "learning_rate": args.lr, "samples": args.samples,
          "batch_size": args.batch_size, "seed": args.seed,
          "lambda_mode": args.lam,

@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from .calibration import build_calibration_set
 from .errors import ContractError, NumericalError
-from .model import MoEModel, forward_pass, make_param_vars, model_forward
+from .model import MoEModel, forward_pass, make_param_vars, model_forward, next_token_targets
 from .numerics import SeededRng
 from .optim import Adam, cosine_lr
 
@@ -78,49 +78,25 @@ def _kd_graph(
 ):
     """Build the differentiable KD loss for one batch.
 
-    Returns (total Var, breakdown, student leaf Vars, tape). Teacher forwards
-    run off-tape; per-expert MSE terms from different sequences are combined
-    with token-count weights so the 1/N normalization spans the whole batch.
+    Returns (total Var, breakdown, student leaf Vars, tape). One teacher
+    forward runs off-tape and one student forward on it, both over the whole
+    batch; each (layer, expert) contributes one MSE over the rows the teacher
+    routed to it anywhere in the batch.
     """
-    cfg = student.config
-    teacher_traces = [model_forward(teacher, seq) for seq in batch]
-
-    # total dispatched tokens per (layer, expert) across the batch
-    counts = np.zeros((cfg.n_layers, cfg.n_experts), dtype=np.int64)
-    for tr in teacher_traces:
-        for i, lt in enumerate(tr.layers):
-            for e, idx in lt.expert_tokens.items():
-                counts[i, e] += idx.size
-
+    teacher_trace = model_forward(teacher, batch)
     tape = ag.Tape()
-    ce_terms: list[ag.Var] = []
-    expert_terms: list[ag.Var] = []
     params = make_param_vars(student, tape, masks)
-    student_leaves = params[0]
+    dispatch = [lt.expert_tokens for lt in teacher_trace.layers]
+    strace = forward_pass(student, batch, tape=tape, forced_dispatch=dispatch, params=params)
+    rows, targets = next_token_targets(strace.tokens)
+    l_ce = ag.cross_entropy(ag.gather_rows(strace.logits, rows), targets)
+    expert_terms = [ag.mse(strace.forced_outputs[i][e], tape.const(t_out))
+                    for i, lt in enumerate(teacher_trace.layers)
+                    for e, t_out in lt.expert_outputs.items() if t_out.shape[0]]
 
-    for seq, ttr in zip(batch, teacher_traces):
-        dispatch = [lt.expert_tokens for lt in ttr.layers]
-        strace = forward_pass(student, seq, tape=tape, forced_dispatch=dispatch, params=params)
-        ce_terms.append(ag.scale(
-            ag.cross_entropy(ag.gather_rows(strace.logits, np.arange(len(seq) - 1)),
-                             np.asarray(seq[1:], dtype=np.intp)),
-            1.0 / len(batch)))
-        for i in range(cfg.n_layers):
-            for e, t_out in ttr.layers[i].expert_outputs.items():
-                if t_out.shape[0] == 0 or counts[i, e] == 0:
-                    continue
-                s_out = strace.forced_outputs[i][e]
-                weight = t_out.shape[0] / counts[i, e]
-                expert_terms.append(ag.scale(ag.mse(s_out, tape.const(t_out)), weight))
-
-    def _sum(terms: list[ag.Var]) -> ag.Var:
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = ag.add(acc, t)
-        return acc
-
-    l_ce = _sum(ce_terms)
-    l_expert = _sum(expert_terms) if expert_terms else tape.var(np.zeros((1, 1)))
+    l_expert = expert_terms[0] if expert_terms else tape.var(np.zeros((1, 1)))
+    for term in expert_terms[1:]:
+        l_expert = ag.add(l_expert, term)
     total = ag.add(l_ce, ag.scale(l_expert, lam))
     breakdown = KDLossBreakdown(
         l_ce=float(l_ce.value[0, 0]),
@@ -128,7 +104,7 @@ def _kd_graph(
         lam=float(lam),
         total=float(total.value[0, 0]),
     )
-    return total, breakdown, student_leaves, tape
+    return total, breakdown, params[0], tape
 
 
 def kd_loss(

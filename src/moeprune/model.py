@@ -10,6 +10,7 @@ are never pruned; only expert matrices are.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,10 @@ __all__ = [
 ]
 
 INIT_STD = 0.02
+# Rows (tokens) one batched forward of stacked windows may hold: callers
+# that stream a corpus cut it into batches of at most this many, so memory
+# stays bounded for any corpus length.
+ROWS_PER_FORWARD = 4096
 
 
 @dataclass(frozen=True)
@@ -279,15 +284,15 @@ def ce_loss(logits: np.ndarray, targets) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Full forward pass (tape-based; also the evaluation path, minus backward)
+# Batched forward pass (tape-based; with constant parameters nothing is taped)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class LayerTrace:
-    moe_input: np.ndarray                    # (T, d_model) input to the MoE layer
+    moe_input: np.ndarray                    # (B*T, d_model) input to the MoE layer
     gates: GateMatrix
-    expert_tokens: dict[int, np.ndarray]     # expert -> token indices routed to it
+    expert_tokens: dict[int, np.ndarray]     # expert -> flattened rows routed to it
     expert_outputs: dict[int, np.ndarray]    # expert -> (t_e, d_model) outputs
     expert_hidden: dict[int, np.ndarray]     # expert -> (t_e, d_ff) SwiGLU intermediate
 
@@ -303,10 +308,9 @@ class _TapeTrace:
     """Internal forward handle: Var references for loss building."""
 
     logits: Var
-    param_vars: dict[str, Var]
+    tokens: np.ndarray                       # (B, T) validated batch
     layers: list[LayerTrace]
     layer_input_vars: list[Var]
-    gate_vars: list[Var]
     tape: Tape
     forced_outputs: list[dict[int, Var]] | None = None
     result: ForwardResult = field(init=False)
@@ -316,32 +320,48 @@ class _TapeTrace:
 
 
 def _validate_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
-    toks = np.asarray(tokens, dtype=np.intp)
-    if toks.ndim != 1 or toks.size == 0:
-        raise InputError("token sequence must be a nonempty 1-D sequence")
-    if toks.size > cfg.seq_len:
-        raise InputError(f"sequence length {toks.size} exceeds seq_len {cfg.seq_len}")
+    """The (B, T) batch of B equal-length windows; a 1-D sequence is B = 1."""
+    try:
+        toks = np.asarray(tokens, dtype=np.intp)
+    except (TypeError, ValueError):
+        raise InputError("a batch must hold integer windows of equal length") from None
+    if toks.ndim == 1:
+        toks = toks[None]
+    if toks.ndim != 2 or toks.size == 0:
+        raise InputError("tokens must be a nonempty sequence or a (batch, length) array")
+    if toks.shape[1] > cfg.seq_len:
+        raise InputError(f"sequence length {toks.shape[1]} exceeds seq_len {cfg.seq_len}")
     if toks.min() < 0 or toks.max() >= cfg.vocab_size:
         raise InputError(f"token out of vocabulary range [0, {cfg.vocab_size})")
     return toks
 
 
-def _head_selectors(cfg: ModelConfig) -> list[np.ndarray]:
-    dh = cfg.d_model // cfg.n_heads
-    sels = []
-    for h in range(cfg.n_heads):
-        s = np.zeros((cfg.d_model, dh))
-        s[h * dh + np.arange(dh), np.arange(dh)] = 1.0
-        sels.append(s)
-    return sels
+def window_batches(windows: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """Consecutive equal-length windows stacked into (B, T) batches of at most
+    ROWS_PER_FORWARD rows (one window at least), in order."""
+    if not windows:
+        return
+    T = len(windows[0])
+    if any(len(w) != T for w in windows):
+        raise InputError("calibration and evaluation windows must have equal length")
+    per_batch = max(1, ROWS_PER_FORWARD // max(T, 1))
+    for b0 in range(0, len(windows), per_batch):
+        yield np.stack(windows[b0 : b0 + per_batch])
+
+
+def next_token_targets(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a (B, T) batch: the flattened rows that have a next token, and
+    those next tokens."""
+    B, T = tokens.shape
+    rows = (np.arange(B)[:, None] * T + np.arange(T - 1)).ravel()
+    return rows, tokens[:, 1:].ravel()
 
 
 def make_param_vars(
     model: MoEModel, tape: Tape, masks: dict[str, np.ndarray] | None = None
 ) -> tuple[dict[str, Var], dict[str, Var]]:
     """(leaf, effective) parameter Vars; masked parameters flow through
-    masked-assign so pruned positions carry zero value and zero gradient.
-    Share one pair across every sequence of a batch so gradients accumulate."""
+    masked-assign so pruned positions carry zero value and zero gradient."""
     leaf = {n: tape.var(p) for n, p in model.params.items()}
     pv: dict[str, Var] = dict(leaf)
     if masks:
@@ -352,6 +372,14 @@ def make_param_vars(
     return leaf, pv
 
 
+def _expert(pv: dict[str, Var], i: int, e: int, x: Var) -> tuple[Var, Var]:
+    """SwiGLU expert e of layer i on rows x: (intermediate, output)."""
+    base = f"layers.{i}.experts.{e}"
+    hid = ag.mul(ag.silu(ag.matmul(x, pv[f"{base}.w_gate"])),
+                 ag.matmul(x, pv[f"{base}.w_up"]))
+    return hid, ag.matmul(hid, pv[f"{base}.w_down"])
+
+
 def forward_pass(
     model: MoEModel,
     tokens,
@@ -360,49 +388,38 @@ def forward_pass(
     forced_dispatch: list[dict[int, np.ndarray]] | None = None,
     params: tuple[dict[str, Var], dict[str, Var]] | None = None,
 ) -> _TapeTrace:
-    """Build the causal forward graph; returns Vars plus a plain trace.
+    """Build the causal forward graph of a (B, T) batch of equal-length
+    windows (a 1-D sequence is B = 1); returns Vars plus a plain trace.
 
+    The batch is flattened to B*T rows, window-major: logits, MoE inputs and
+    every token index (expert_tokens, forced_dispatch) address those rows.
     masks: sparsity masks applied in-graph (masked-assign), so pruned weights
     contribute nothing and receive zero gradient.
-    forced_dispatch: per layer, expert -> token indices; additionally evaluates
-    those experts on those tokens (the teacher-forced sets distillation needs).
-    params: (leaf, effective) Vars from make_param_vars, for batched reuse.
+    forced_dispatch: per layer, expert -> row indices; additionally evaluates
+    those experts on those rows (the teacher-forced sets distillation needs).
+    params: (leaf, effective) Vars from make_param_vars, or constants.
     """
     cfg = model.config
     toks = _validate_tokens(tokens, cfg)
-    T = toks.size
+    B, T = toks.shape
     if tape is None:
         tape = Tape()
 
     if params is None:
-        leaf, pv = make_param_vars(model, tape, masks)
-    else:
-        leaf, pv = params
+        params = make_param_vars(model, tape, masks)
+    pv = params[1]
 
-    causal = np.tril(np.ones((T, T), dtype=bool))
-    sels = [tape.const(s) for s in _head_selectors(cfg)]
-    dh = cfg.d_model // cfg.n_heads
-    att_scale = 1.0 / np.sqrt(dh)
-
-    h = ag.gather_rows(pv["token_embedding"], toks)
+    h = ag.gather_rows(pv["token_embedding"], toks.ravel())
     layers: list[LayerTrace] = []
     layer_input_vars: list[Var] = []
-    gate_vars: list[Var] = []
 
     for i in range(cfg.n_layers):
         # attention block
         a = ag.rmsnorm(h)
-        q = ag.matmul(a, pv[f"layers.{i}.attn.wq"])
-        kk = ag.matmul(a, pv[f"layers.{i}.attn.wk"])
-        v = ag.matmul(a, pv[f"layers.{i}.attn.wv"])
-        attn_out: Var | None = None
-        for s in sels:
-            qh, kh, vh = ag.matmul(q, s), ag.matmul(kk, s), ag.matmul(v, s)
-            scores = ag.scale(ag.matmul(qh, kh, transpose_b=True), att_scale)
-            p = ag.row_softmax(scores, mask=causal)
-            oh = ag.matmul(ag.matmul(p, vh), s, transpose_b=True)
-            attn_out = oh if attn_out is None else ag.add(attn_out, oh)
-        h = ag.add(h, ag.matmul(attn_out, pv[f"layers.{i}.attn.wo"]))
+        attn = ag.causal_attention(ag.matmul(a, pv[f"layers.{i}.attn.wq"]),
+                                   ag.matmul(a, pv[f"layers.{i}.attn.wk"]),
+                                   ag.matmul(a, pv[f"layers.{i}.attn.wv"]), B, cfg.n_heads)
+        h = ag.add(h, ag.matmul(attn, pv[f"layers.{i}.attn.wo"]))
 
         # MoE block
         m = ag.rmsnorm(h)
@@ -413,7 +430,6 @@ def forward_pass(
         gm = GateMatrix(values=gates.value, selected=selected,
                         probs=_full_softmax(logits.value))
         gm.validate(cfg.top_k)
-        gate_vars.append(gates)
 
         expert_tokens: dict[int, np.ndarray] = {}
         expert_outputs: dict[int, np.ndarray] = {}
@@ -426,16 +442,12 @@ def forward_pass(
                 expert_outputs[e] = np.zeros((0, cfg.d_model))
                 expert_hidden[e] = np.zeros((0, cfg.d_ff))
                 continue
-            xe = ag.gather_rows(m, idx)
-            hid = ag.mul(ag.silu(ag.matmul(xe, pv[f"layers.{i}.experts.{e}.w_gate"])),
-                         ag.matmul(xe, pv[f"layers.{i}.experts.{e}.w_up"]))
-            out = ag.matmul(hid, pv[f"layers.{i}.experts.{e}.w_down"])
+            hid, out = _expert(pv, i, e, ag.gather_rows(m, idx))
             expert_outputs[e] = out.value
             expert_hidden[e] = hid.value
             gcol = ag.matmul(ag.gather_rows(gates, idx),
                              tape.const(np.eye(cfg.n_experts)[:, [e]]))
-            weighted = ag.mul(out, gcol)
-            scattered = ag.scatter_rows(weighted, idx, T)
+            scattered = ag.scatter_rows(ag.mul(out, gcol), idx, B * T)
             moe_out = scattered if moe_out is None else ag.add(moe_out, scattered)
         h = ag.add(h, moe_out)
 
@@ -445,40 +457,21 @@ def forward_pass(
         ))
 
     logits = ag.matmul(ag.rmsnorm(h), pv["lm_head"])
-    trace = _TapeTrace(logits=logits, param_vars=leaf, layers=layers,
-                       layer_input_vars=layer_input_vars, gate_vars=gate_vars,
-                       tape=tape)
+    trace = _TapeTrace(logits=logits, tokens=toks, layers=layers,
+                       layer_input_vars=layer_input_vars, tape=tape)
     if forced_dispatch is not None:
-        trace.forced_outputs = _forced_expert_outputs(
-            cfg, pv, layer_input_vars, forced_dispatch)
+        trace.forced_outputs = [
+            {e: _expert(pv, i, e, ag.gather_rows(m, idx))[1]
+             for e, idx in forced_dispatch[i].items() if len(idx)}
+            for i, m in enumerate(layer_input_vars)
+        ]
     return trace
 
 
-def _forced_expert_outputs(cfg, pv, layer_inputs, dispatch) -> list[dict[int, Var]]:
-    outs: list[dict[int, Var]] = []
-    for i, m in enumerate(layer_inputs):
-        per_expert: dict[int, Var] = {}
-        for e, idx in dispatch[i].items():
-            if len(idx) == 0:
-                continue
-            xe = ag.gather_rows(m, np.asarray(idx, dtype=np.intp))
-            hid = ag.mul(ag.silu(ag.matmul(xe, pv[f"layers.{i}.experts.{e}.w_gate"])),
-                         ag.matmul(xe, pv[f"layers.{i}.experts.{e}.w_up"]))
-            per_expert[e] = ag.matmul(hid, pv[f"layers.{i}.experts.{e}.w_down"])
-        outs.append(per_expert)
-    return outs
-
-
 def model_forward(model: MoEModel, tokens) -> ForwardResult:
-    """Causal next-token logits plus the per-layer trace calibration and
-    distillation consume (MoE inputs, gates, per-expert outputs)."""
-    return forward_pass(model, tokens).result
-
-
-def sequence_ce(model: MoEModel, tokens) -> float:
-    """Mean next-token CE of one window (predicting tokens[1:])."""
-    toks = np.asarray(tokens, dtype=np.intp)
-    if toks.size < 2:
-        raise InputError("need at least 2 tokens to score next-token prediction")
-    res = model_forward(model, toks)
-    return ce_loss(res.logits[:-1], toks[1:])
+    """Causal next-token logits of a (B, T) batch, one row per token, plus the
+    per-layer trace calibration and distillation consume (MoE inputs, gates,
+    per-expert outputs). Parameters enter as constants, so nothing is taped."""
+    tape = Tape()
+    consts = {n: tape.const(p) for n, p in model.params.items()}
+    return forward_pass(model, tokens, tape=tape, params=(consts, consts)).result

@@ -14,27 +14,12 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from .errors import NumericalError, ShapeError
 
 __all__ = [
-    "as_matrix",
     "matmul",
     "row_softmax",
     "silu",
     "spd_inverse",
     "SeededRng",
 ]
-
-
-def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a 2-D C-contiguous float64 array, validating finiteness."""
-    m = np.ascontiguousarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if rows is not None and m.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ShapeError(f"expected {cols} columns, got {m.shape[1]}")
-    if not np.isfinite(m).all():
-        raise NumericalError("matrix contains NaN or Inf entries")
-    return m
 
 
 def _check_finite(m: np.ndarray, op: str) -> np.ndarray:

@@ -24,7 +24,7 @@ from .calibration import (
     empty_accumulators,
 )
 from .errors import ConfigError, ContractError, NumericalError, ShapeError
-from .model import MoEModel, model_forward
+from .model import MoEModel, model_forward, window_batches
 from .numerics import spd_inverse
 
 __all__ = [
@@ -291,8 +291,8 @@ def prune_model(
     for i in range(cfg.n_layers):
         if propagate == "recompute":
             acc = empty_accumulators(cfg, range(i, i + 1))
-            for seq in stats.sequences:
-                accumulate_layer(acc, i, model_forward(pruned, seq).layers[i])
+            for batch in window_batches(stats.sequences):
+                accumulate_layer(acc, i, model_forward(pruned, batch).layers[i])
             scaled, unscaled, hess = acc
         for e in range(cfg.n_experts):
             for part in ("w_gate", "w_up", "w_down"):

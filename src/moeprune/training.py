@@ -10,7 +10,15 @@ import numpy as np
 from . import autograd as ag
 from .calibration import corpus_tokens, nonoverlapping_windows
 from .errors import InputError, NumericalError
-from .model import MoEModel, ce_loss, forward_pass, make_param_vars, model_forward
+from .model import (
+    MoEModel,
+    ce_loss,
+    forward_pass,
+    make_param_vars,
+    model_forward,
+    next_token_targets,
+    window_batches,
+)
 from .numerics import SeededRng
 from .optim import Adam, cosine_lr
 
@@ -19,20 +27,13 @@ __all__ = ["train_model", "evaluate_perplexity", "batch_ce_graph"]
 
 def batch_ce_graph(model: MoEModel, batch: list[np.ndarray],
                    masks: dict[str, np.ndarray] | None = None):
-    """Mean next-token CE over a batch of equal-length windows, on one tape."""
+    """Mean next-token CE over a batch of equal-length windows: one forward
+    and one cross-entropy over every row that has a next token."""
     tape = ag.Tape()
     params = make_param_vars(model, tape, masks)
-    terms = []
-    for seq in batch:
-        tr = forward_pass(model, seq, tape=tape, params=params)
-        ce = ag.cross_entropy(
-            ag.gather_rows(tr.logits, np.arange(len(seq) - 1)),
-            np.asarray(seq[1:], dtype=np.intp),
-        )
-        terms.append(ag.scale(ce, 1.0 / len(batch)))
-    loss = terms[0]
-    for t in terms[1:]:
-        loss = ag.add(loss, t)
+    tr = forward_pass(model, batch, tape=tape, params=params)
+    rows, targets = next_token_targets(tr.tokens)
+    loss = ag.cross_entropy(ag.gather_rows(tr.logits, rows), targets)
     return loss, params[0], tape
 
 
@@ -72,13 +73,22 @@ def train_model(
 
 def evaluate_perplexity(model: MoEModel, corpus: bytes | str) -> tuple[float, int]:
     """exp(mean next-token CE) over non-overlapping seq_len windows (tail
-    dropped). Returns (perplexity, predicted token count)."""
+    dropped), forwarded in batches of windows. Returns (perplexity, predicted
+    token count); a model with a non-finite weight or perplexity raises
+    NumericalError."""
+    for name, p in model.params.items():
+        if not np.isfinite(p).all():
+            raise NumericalError(f"parameter {name} holds a non-finite value")
     windows = nonoverlapping_windows(corpus, model.config.seq_len)
     total_ce = 0.0
     total_tokens = 0
-    for w in windows:
-        res = model_forward(model, w)
-        n = w.size - 1
-        total_ce += ce_loss(res.logits[:-1], w[1:]) * n
-        total_tokens += n
-    return math.exp(total_ce / total_tokens), total_tokens
+    for batch in window_batches(windows):
+        rows, targets = next_token_targets(batch)
+        logits = model_forward(model, batch).logits
+        total_ce += ce_loss(logits[rows], targets) * rows.size
+        total_tokens += rows.size
+    mean_ce = total_ce / total_tokens
+    ppl = math.exp(mean_ce) if mean_ce < 709.0 else math.inf  # math.exp raises past ~709.78
+    if not math.isfinite(ppl):
+        raise NumericalError(f"perplexity is not finite (mean cross-entropy {mean_ce})")
+    return ppl, total_tokens

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,27 +14,24 @@ def scalar(tape, x):
 
 
 class TestRecord:
+    """Ops record their forward values on the tape."""
+
     def test_add_identity(self):
         t = ag.Tape()
         a = t.var(np.arange(6.0).reshape(2, 3))
-        out = ag.record("add", a, t.var(np.zeros((2, 3))))
+        out = ag.add(a, t.var(np.zeros((2, 3))))
         assert np.array_equal(out.value, a.value)
 
     def test_matmul_identity(self):
         t = ag.Tape()
         a = t.var(np.arange(4.0).reshape(2, 2))
-        out = ag.record("matmul", a, t.var(np.eye(2)))
+        out = ag.matmul(a, t.var(np.eye(2)))
         assert np.array_equal(out.value, a.value)
 
     def test_chained_square(self):
         t = ag.Tape()
         x = scalar(t, 3.0)
-        assert ag.record("elementwise-multiply", x, x).value[0, 0] == 9.0
-
-    def test_unsupported_kind(self):
-        t = ag.Tape()
-        with pytest.raises(ShapeError, match="unsupported op kind"):
-            ag.record("convolve", t.var(np.zeros((2, 2))))
+        assert ag.mul(x, x).value[0, 0] == 9.0
 
 
 class TestBackward:
@@ -83,6 +83,34 @@ class TestBackward:
 
         assert np.abs(grads("sum") - (grads("l1") + grads("l2"))).max() < 1e-12
 
+    def test_second_backward_on_swept_tape_rejected(self):
+        gc.disable()
+        try:
+            t = ag.Tape()
+            x = scalar(t, 3.0)
+            loss = ag.mul(x, x)
+            t.backward(loss)
+            assert t.nodes == []
+            with pytest.raises(ContractError, match="swept"):
+                t.backward(loss)
+            assert x.grad[0, 0] == 6.0
+        finally:
+            gc.enable()
+
+    def test_graph_freed_without_cycle_collector(self):
+        gc.disable()
+        try:
+            t = ag.Tape()
+            x = t.var(SeededRng(1).normal_matrix(3, 3))
+            hidden = ag.silu(ag.matmul(x, x))
+            alive = weakref.ref(hidden.value)
+            t.backward(ag.mse(hidden, t.const(np.zeros((3, 3)))))
+            del hidden
+            assert alive() is None
+            assert np.isfinite(x.grad).all()
+        finally:
+            gc.enable()
+
     def test_unreachable_var_keeps_zero_grad(self):
         t = ag.Tape()
         x = t.var(np.ones((2, 2)))
@@ -114,6 +142,8 @@ MASK01 = (RNG.normal_matrix(4, 4) > 0).astype(np.uint8)
 TARGETS = np.array([1, 3, 0, 2])
 OTHER = RNG.normal_matrix(4, 4)
 COL = RNG.normal_matrix(4, 1)
+# two windows of two rows, two heads of two columns
+QK = RNG.normal_matrix(4, 4), RNG.normal_matrix(4, 4)
 
 
 def _to_scalar(t, v):
@@ -137,6 +167,14 @@ OP_CASES = {
     "mean-squared-error": lambda t, x: ag.mse(x, t.var(OTHER)),
     "scalar-scale": lambda t, x: _to_scalar(t, ag.scale(x, -1.7)),
     "masked-assign": lambda t, x: _to_scalar(t, ag.masked_assign(x, MASK01)),
+    "causal_attention_q": lambda t, x: ag.mse(
+        ag.causal_attention(x, t.var(QK[0]), t.var(QK[1]), 2, 2), t.var(OTHER)),
+    "causal_attention_k": lambda t, x: ag.mse(
+        ag.causal_attention(t.var(QK[0]), x, t.var(QK[1]), 2, 2), t.var(OTHER)),
+    "causal_attention_v": lambda t, x: ag.mse(
+        ag.causal_attention(t.var(QK[0]), t.var(QK[1]), x, 2, 2), t.var(OTHER)),
+    "causal_attention_shared": lambda t, x: ag.mse(
+        ag.causal_attention(x, x, x, 2, 2), t.var(OTHER)),
 }
 
 

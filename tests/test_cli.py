@@ -6,7 +6,7 @@ import pytest
 
 from moeprune.cli import main
 from moeprune.model import ModelConfig, MoEModel
-from moeprune.persistence import load_checkpoint
+from moeprune.persistence import load_checkpoint, save_checkpoint
 
 from conftest import synth_corpus
 
@@ -70,6 +70,41 @@ class TestTrain:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
         assert next(iter(model_section)) in err
+
+
+BAD_SECTIONS = [
+    ("train", {"model": 5}, "'model'"),
+    ("train", {"train": [1, 2]}, "'train'"),
+    ("prune", {"calibration": "x"}, "'calibration'"),
+    ("distill", {"kd": None}, "'kd'"),
+    ("train", {"train": {"steps": "10"}}, "train.steps"),
+    ("train", {"train": {"learning_rate": "fast"}}, "train.learning_rate"),
+    ("train", {"train": {"batch_size": 2.5}}, "train.batch_size"),
+    ("prune", {"calibration": {"nsamples": "x"}}, "calibration.nsamples"),
+    ("prune", {"calibration": {"seed": True}}, "calibration.seed"),
+    ("distill", {"kd": {"lambda_mode": "big"}}, "kd.lambda_mode"),
+    ("distill", {"kd": {"router_frozen": 1}}, "kd.router_frozen"),
+    ("distill", {"kd": {"epochs": 1.0}}, "kd.epochs"),
+]
+
+
+@pytest.mark.parametrize("command,config,named", BAD_SECTIONS)
+def test_bad_config_value_is_one_line_error(workdir, tmp_path, capsys, command, config, named):
+    (tmp_path / "bad.json").write_text(json.dumps(config))
+    args = {
+        "train": ["--corpus", workdir / "corpus.txt", "--steps", "0"],
+        "prune": ["--ckpt", workdir / "init_ckpt", "--sparsity", "0.5",
+                  "--calib", workdir / "corpus.txt"],
+        "distill": ["--teacher", workdir / "init_ckpt", "--student", workdir / "init_ckpt",
+                    "--corpus", workdir / "corpus.txt"],
+    }[command]
+    capsys.readouterr()
+    rc = run([command, "--config", tmp_path / "bad.json", *args, "--out", tmp_path / "never"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert named in err
 
 
 class TestPrune:
@@ -139,6 +174,18 @@ class TestEval:
         run(["eval", "--ckpt", workdir / "pruned0", "--corpus", workdir / "corpus.txt"])
         p_noop = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["perplexity"]
         assert abs(p_orig - p_noop) < 1e-10
+
+    def test_non_finite_weight_is_numerical_error(self, workdir, tmp_path, capsys):
+        model, _ = load_checkpoint(workdir / "init_ckpt")
+        model.params["lm_head"][0, 0] = np.nan
+        save_checkpoint(model, tmp_path / "nan_ckpt")
+        capsys.readouterr()
+        rc = run(["eval", "--ckpt", tmp_path / "nan_ckpt", "--corpus", workdir / "corpus.txt"])
+        out, err = capsys.readouterr()
+        assert rc == 4
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert "lm_head" in err
+        assert out == ""
 
     def test_empty_corpus_is_input_error(self, workdir, tmp_path):
         empty = tmp_path / "empty.txt"

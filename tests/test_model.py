@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
+import moeprune.model
+
 from moeprune.errors import ConfigError, InputError
 from moeprune.model import (
     ExpertWeights,
@@ -17,7 +19,7 @@ from moeprune.model import (
     route,
 )
 from moeprune.numerics import SeededRng
-from moeprune.training import evaluate_perplexity
+from moeprune.training import batch_ce_graph, evaluate_perplexity
 
 from conftest import TINY, random_bytes_corpus
 
@@ -292,3 +294,71 @@ class TestModelForward:
             base = model.params[f"layers.{i}.experts.0.w_gate"]
             for e in range(1, TINY.n_experts):
                 assert np.array_equal(model.params[f"layers.{i}.experts.{e}.w_gate"], base)
+
+
+class TestBatchedForward:
+    @staticmethod
+    def batch(seed=4, B=3, T=12):
+        return np.random.default_rng(seed).integers(0, 256, size=(B, T))
+
+    def test_batch_matches_per_window_forwards(self, tiny_model):
+        toks = self.batch()
+        B, T = toks.shape
+        res = model_forward(tiny_model, toks)
+        assert res.logits.shape == (B * T, TINY.vocab_size)
+        for b in range(B):
+            one = model_forward(tiny_model, toks[b])
+            rows = slice(b * T, (b + 1) * T)
+            assert np.abs(res.logits[rows] - one.logits).max() < 1e-12
+            for lb, lo in zip(res.layers, one.layers):
+                assert np.abs(lb.moe_input[rows] - lo.moe_input).max() < 1e-12
+                for e, idx in lb.expert_tokens.items():
+                    own = idx[(idx >= b * T) & (idx < (b + 1) * T)] - b * T
+                    assert np.array_equal(own, lo.expert_tokens[e])
+
+    def test_batch_ce_gradients_are_mean_of_per_window(self, tiny_model):
+        toks = self.batch(seed=5, B=4, T=10)
+        loss, leaves, tape = batch_ce_graph(tiny_model, list(toks))
+        tape.backward(loss)
+        singles = []
+        for w in toks:
+            l1, lv1, t1 = batch_ce_graph(tiny_model, [w])
+            t1.backward(l1)
+            singles.append((float(l1.value[0, 0]), lv1))
+        assert float(loss.value[0, 0]) == pytest.approx(
+            np.mean([v for v, _ in singles]), abs=1e-12)
+        for name, leaf in leaves.items():
+            mean = sum(lv[name].grad for _, lv in singles) / len(singles)
+            assert np.abs(leaf.grad - mean).max() < 1e-12, name
+
+    def test_model_forward_records_no_tape(self, tiny_model, monkeypatch):
+        traces = []
+        original = moeprune.model.forward_pass
+
+        def keep(*args, **kwargs):
+            traces.append(original(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(moeprune.model, "forward_pass", keep)
+        model_forward(tiny_model, self.batch())
+        assert len(traces) == 1 and traces[0].tape.nodes == []
+
+    @pytest.mark.parametrize("tokens", [
+        np.zeros((2, TINY.seq_len + 1), dtype=int),   # window too long
+        np.array([[1, 2, 3], [4, 256, 5]]),           # out of vocabulary
+        np.zeros((0, 8), dtype=int),                  # no windows
+        np.zeros((2, 0), dtype=int),                  # empty windows
+        [np.arange(4), np.arange(5)],                 # unequal lengths
+        np.zeros((2, 2, 2), dtype=int),               # not a batch
+    ])
+    def test_batch_validation(self, tiny_model, tokens):
+        with pytest.raises(InputError):
+            model_forward(tiny_model, tokens)
+
+    def test_perplexity_independent_of_row_budget(self, tiny_model, monkeypatch):
+        corpus = random_bytes_corpus(6, 1 << 12)
+        whole = evaluate_perplexity(tiny_model, corpus)
+        monkeypatch.setattr(moeprune.model, "ROWS_PER_FORWARD", 3 * TINY.seq_len)
+        chunked = evaluate_perplexity(tiny_model, corpus)
+        assert chunked[1] == whole[1]
+        assert chunked[0] == pytest.approx(whole[0], rel=1e-12)
