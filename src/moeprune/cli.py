@@ -63,14 +63,18 @@ def _load_config_file(path: str | None) -> dict:
 
 def _merge(section: str, defaults: dict, file_cfg: dict, overrides: dict) -> dict:
     """A config section: its defaults, then the file's values, then the flags
-    given. A file value must have its default's type; an integer stands for
-    a float, and kd.lambda_mode is "auto" or a number."""
+    given. A file key must be one of the defaults' and its value must have
+    the default's type; an integer stands for a float, and kd.lambda_mode is
+    "auto" or a number."""
     given = file_cfg.get(section, {})
     if not isinstance(given, dict):
         raise FormatError(f"config section {section!r} must be a JSON object, "
                           f"got {json.dumps(given)}")
     for key, value in given.items():
-        if key not in defaults or (key == "lambda_mode" and value == "auto"):
+        if key not in defaults:
+            raise ConfigError(f"config key {section}.{key} is not known; "
+                              f"expected one of {', '.join(defaults)}")
+        if key == "lambda_mode" and value == "auto":
             continue
         default = defaults[key]
         if isinstance(default, float) or key == "lambda_mode":

@@ -9,7 +9,7 @@ Public operations validate shapes and leave only finite entries behind.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import NumericalError, ShapeError
 
@@ -54,27 +54,29 @@ def silu(m: np.ndarray) -> np.ndarray:
 
 
 def spd_inverse(h: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky.
+    """Inverse of a symmetric positive definite matrix via Cholesky (LAPACK
+    potrf, then potri on the factor).
 
     The full inverse is materialized because the OBS weight update consumes
-    whole rows of H^-1. Raises NumericalError for non-PD input (the caller
-    should add dampening and retry).
+    its diagonal and upper triangle. Raises NumericalError for non-PD input
+    (the caller should add dampening and retry).
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeError(f"spd_inverse needs a square matrix, got {h.shape}")
     asym = np.abs(h - h.T).max() if h.size else 0.0
     if asym > 1e-9 * max(1.0, float(np.abs(h).max())):
         raise ShapeError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    try:
-        factor = cho_factor(h, lower=True, check_finite=False)
-    except LinAlgError as exc:
+    factor, info = dpotrf(h, lower=1, clean=0)
+    if info == 0:
+        inv, info = dpotri(factor, lower=1)
+    if info != 0:
         raise NumericalError(
             "Cholesky factorization failed (matrix not positive definite); "
             "increase dampening"
-        ) from exc
-    inv = cho_solve(factor, np.eye(h.shape[0]), check_finite=False)
-    # Enforce exact symmetry; cho_solve leaves ~1 ulp of asymmetry.
-    inv = (inv + inv.T) / 2.0
+        )
+    # potri fills the lower triangle only; mirroring it makes the result
+    # exactly symmetric.
+    inv = np.tril(inv) + np.tril(inv, -1).T
     return _check_finite(np.ascontiguousarray(inv), "spd_inverse")
 
 

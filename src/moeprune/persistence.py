@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     FormatError,
     MaskConsistencyError,
+    NumericalError,
     StorageError,
     VersionError,
 )
@@ -117,8 +118,9 @@ def _read_file(path: Path, expected_crc: int) -> bytes:
 
 
 def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
-    """Reconstruct the model (and masks, if present). Verifies checksums and
-    that every mask-pruned position stores an exact zero."""
+    """Reconstruct the model (and masks, if present). Verifies checksums,
+    that every weight is finite (NumericalError naming the first parameter
+    that is not) and that every mask-pruned position stores an exact zero."""
     d = Path(directory)
     mpath = d / "manifest.json"
     try:
@@ -144,6 +146,8 @@ def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
             if len(raw) != length or length != 8 * int(np.prod(shape)):
                 raise FormatError(f"{name}: tensor bytes truncated")
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(params[name]).all():
+                raise NumericalError(f"{d}: parameter {name} holds a non-finite value")
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{mpath}: malformed manifest: {exc}") from exc
 

@@ -1,5 +1,5 @@
 """One-shot weight pruning: four scoring metrics, per-output-neuron mask
-selection under unstructured or N:M sparsity, the OBS compensation sweep, and
+selection under unstructured or N:M sparsity, the OBS compensation update, and
 the layer-by-layer orchestration over a model.
 
 Scoring/masking operate in (output neuron x input feature) orientation: each
@@ -153,23 +153,26 @@ def select_mask(scores: np.ndarray, target: SparsityTarget) -> np.ndarray:
 
 
 def obs_update(w: np.ndarray, mask: np.ndarray, h_inv: np.ndarray) -> np.ndarray:
-    """Sequential column sweep: zero each pruned weight and compensate the
-    surviving weights to its right using rows of H^-1."""
+    """Zero each pruned weight and compensate the kept weights to its right,
+    as the left-to-right OBS column sweep does. With U = triu(H^-1, 1) and
+    d = diag(H^-1), row r's error at a pruned column j is (W[r, j] -
+    err[r, :j] @ U[:j, j]) / d[j], 0 where kept: one mat-vec per column.
+    The update is then W - err @ U, one matmul; pruned entries are exactly 0.0."""
     if mask.shape != w.shape:
         raise ShapeError(f"mask shape {mask.shape} != weight shape {w.shape}")
     if h_inv.shape != (w.shape[1], w.shape[1]):
         raise ShapeError(f"H^-1 shape {h_inv.shape} != ({w.shape[1]}, {w.shape[1]})")
-    out = w.copy()
-    for j in range(w.shape[1]):
-        d = h_inv[j, j]
-        if d <= 0:
-            raise NumericalError(f"H^-1 diagonal entry {j} is {d}; not positive")
-        pruned = mask[:, j] == 0
-        if not pruned.any():
-            continue
-        err = out[pruned, j] / d
-        out[np.ix_(pruned, np.arange(j + 1, w.shape[1]))] -= np.outer(err, h_inv[j, j + 1 :])
-        out[pruned, j] = 0.0
+    d = np.diag(h_inv)
+    bad = np.flatnonzero(d <= 0)
+    if bad.size:
+        raise NumericalError(f"H^-1 diagonal entry {bad[0]} is {d[bad[0]]}; not positive")
+    u = np.triu(h_inv, 1)
+    pruned = mask == 0
+    err = np.zeros((w.shape[1], w.shape[0]))  # (cols, rows): err[:j] is contiguous
+    for j in np.flatnonzero(pruned.any(axis=0)):
+        err[j] = np.where(pruned[:, j], (w[:, j] - u[:j, j] @ err[:j]) / d[j], 0.0)
+    out = w - err.T @ u
+    out[pruned] = 0.0
     return out
 
 

@@ -85,6 +85,10 @@ BAD_SECTIONS = [
     ("distill", {"kd": {"lambda_mode": "big"}}, "kd.lambda_mode"),
     ("distill", {"kd": {"router_frozen": 1}}, "kd.router_frozen"),
     ("distill", {"kd": {"epochs": 1.0}}, "kd.epochs"),
+    ("train", {"train": {"step": 10}}, "train.step"),
+    ("prune", {"calibration": {"nsample": 2}}, "calibration.nsample"),
+    ("distill", {"kd": {"lambda": 0.5}}, "kd.lambda"),
+    ("train", {"model": {"d_modle": 16}}, "model.d_modle"),
 ]
 
 
@@ -105,6 +109,37 @@ def test_bad_config_value_is_one_line_error(workdir, tmp_path, capsys, command, 
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert named in err
+
+
+NAN_LOADS = {
+    "prune": lambda nan, ok, corpus, out: [
+        "prune", "--ckpt", nan, "--sparsity", "0.5", "--calib", corpus, "--out", out],
+    "analyze": lambda nan, ok, corpus, out: [
+        "analyze", "--ckpt", nan, "--corpus", corpus, "--nsamples", "2"],
+    "distill-teacher": lambda nan, ok, corpus, out: [
+        "distill", "--teacher", nan, "--student", ok, "--corpus", corpus, "--out", out],
+    "distill-student": lambda nan, ok, corpus, out: [
+        "distill", "--teacher", ok, "--student", nan, "--corpus", corpus, "--out", out],
+    "sweep": lambda nan, ok, corpus, out: [
+        "sweep", "--ckpt", nan, "--sparsities", "0.5", "--calib", corpus,
+        "--eval-corpus", corpus, "--out", out],
+}
+
+
+@pytest.mark.parametrize("command", list(NAN_LOADS))
+def test_non_finite_weight_at_load_is_numerical_error(workdir, tmp_path, capsys, command):
+    model, _ = load_checkpoint(workdir / "init_ckpt")
+    model.params["layers.0.router"][0, 0] = np.nan
+    save_checkpoint(model, tmp_path / "nan_ckpt")
+    capsys.readouterr()
+    rc = run(NAN_LOADS[command](tmp_path / "nan_ckpt", workdir / "init_ckpt",
+                                workdir / "corpus.txt", tmp_path / "never"))
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert "layers.0.router" in err
+    assert out == "" and not (tmp_path / "never").exists()
 
 
 class TestPrune:

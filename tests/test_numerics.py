@@ -96,8 +96,9 @@ class TestSpdInverse:
             n = 2 + i % 31  # dims up to 32
             a = rng.normal_matrix(n, n)
             h = a.T @ a + np.eye(n)
-            resid = np.abs(h @ spd_inverse(h) - np.eye(n)).max()
-            assert resid < 1e-8
+            inv = spd_inverse(h)
+            assert np.abs(h @ inv - np.eye(n)).max() < 1e-8
+            assert np.array_equal(inv, inv.T)
 
 
 class TestSeededRng:

@@ -8,7 +8,7 @@ import moeprune.pruning
 from moeprune.calibration import ScaledNormAccumulator, build_calibration_set, collect
 from moeprune.errors import ConfigError, ContractError, NumericalError, ShapeError
 from moeprune.model import ModelConfig, MoEModel, model_forward
-from moeprune.numerics import SeededRng
+from moeprune.numerics import SeededRng, spd_inverse
 from moeprune.pruning import (
     METHODS,
     SparsityTarget,
@@ -195,7 +195,75 @@ class TestSelectMask:
                     assert kept == oracle_keep_set(grp, 2)
 
 
+def obs_sweep_oracle(w: np.ndarray, mask: np.ndarray, h_inv: np.ndarray) -> np.ndarray:
+    """The sequential OBS column sweep: for each column holding a pruned
+    weight, divide the pruned rows' values by the diagonal, subtract the
+    outer product with H^-1's row from every column to the right, and zero
+    the column's pruned entries."""
+    out = w.copy()
+    for j in range(w.shape[1]):
+        d = h_inv[j, j]
+        if d <= 0:
+            raise NumericalError(f"H^-1 diagonal entry {j} is {d}; not positive")
+        pruned = mask[:, j] == 0
+        if not pruned.any():
+            continue
+        err = out[pruned, j] / d
+        out[np.ix_(pruned, np.arange(j + 1, w.shape[1]))] -= np.outer(err, h_inv[j, j + 1 :])
+        out[pruned, j] = 0.0
+    return out
+
+
+def _random_spd_inverse(rng: SeededRng, n: int) -> np.ndarray:
+    a = rng.normal_matrix(n + 3, n)
+    return spd_inverse(a.T @ a + 0.1 * np.eye(n))
+
+
+def _obs_cases():
+    """(weight, keep-mask, H^-1) triples over the mask kinds the sweep meets."""
+    rng = SeededRng(40)
+    for rows, cols in [(1, 8), (8, 1), (5, 8), (16, 12), (3, 16), (24, 32)]:
+        w = rng.normal_matrix(rows, cols)
+        h_inv = _random_spd_inverse(rng, cols)
+        scores = np.abs(rng.normal_matrix(rows, cols))
+        masks = [select_mask(scores, SparsityTarget.unstructured(p)) for p in (0.25, 0.5, 0.75)]
+        if cols % 4 == 0:
+            masks += [select_mask(scores, SparsityTarget.semi_structured(n, 4)) for n in (1, 2)]
+        masks.append(rng.integers(0, 2, size=(rows, cols)).astype(np.uint8))
+        column_pruned = np.ones((rows, cols), dtype=np.uint8)
+        column_pruned[:, cols // 2] = 0
+        masks += [column_pruned, np.ones((rows, cols), dtype=np.uint8),
+                  np.zeros((rows, cols), dtype=np.uint8)]
+        for mask in masks:
+            yield w, mask, h_inv
+
+
 class TestObsUpdate:
+    def test_matches_column_sweep_oracle(self):
+        for w, mask, h_inv in _obs_cases():
+            got, want = obs_update(w, mask, h_inv), obs_sweep_oracle(w, mask, h_inv)
+            scale = max(1.0, float(np.abs(want).max()))
+            assert np.abs(got - want).max() <= 1e-12 * scale
+            assert (got[mask == 0] == 0.0).all()
+            if mask.all():
+                assert np.array_equal(got, w)
+
+    @pytest.mark.parametrize("bad", [(3,), (0, 5), (6, 2)])
+    def test_non_positive_diagonal_matches_oracle_error(self, bad):
+        rng = SeededRng(41)
+        w = rng.normal_matrix(4, 8)
+        h_inv = _random_spd_inverse(rng, 8)
+        mask = select_mask(np.abs(w), SparsityTarget.semi_structured(2, 4))
+        mask[:, bad[0]] = 1  # column bad[0] is kept in every row
+        for j in bad:
+            h_inv[j, j] = -0.5 if j % 2 else 0.0
+        with pytest.raises(NumericalError) as want:
+            obs_sweep_oracle(w, mask, h_inv)
+        with pytest.raises(NumericalError) as got:
+            obs_update(w, mask, h_inv)
+        assert str(got.value) == str(want.value)
+        assert f"entry {min(bad)} " in str(got.value)
+
     def test_identity_hinv_is_plain_zeroing(self):
         w = SeededRng(10).normal_matrix(3, 4)
         mask = select_mask(score_magnitude(w), SparsityTarget.unstructured(0.5))
