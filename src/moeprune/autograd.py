@@ -1,9 +1,11 @@
 """Tape-based reverse-mode autodiff over 2-D float64 arrays.
 
-The op vocabulary is fixed and small: exactly the kinds the toy MoE model
-needs, each with a hand-written backward rule (no general closures from user
-code). Scalars are 1x1 matrices. Gradients accumulate across reuses of a Var;
-training code builds a fresh tape per step, so there is nothing to zero.
+The op vocabulary is fixed and small: exactly the kinds the toy MoE model needs
+(matmul, add, mul, silu, row_softmax, rmsnorm, gather_rows, scatter_rows,
+cross_entropy, mse, scale, masked_assign, causal_attention, moe_combine), each
+with a hand-written backward rule (no general closures from user code). Scalars
+are 1x1 matrices. Gradients accumulate across reuses of a Var; training code
+builds a fresh tape per step, so there is nothing to zero.
 `backward` sweeps its tape: the recorded nodes (and the closures holding
 their operands) are dropped, so a step's graph is freed by reference
 counting rather than left to the cycle collector.
@@ -35,6 +37,7 @@ __all__ = [
     "scale",
     "masked_assign",
     "causal_attention",
+    "moe_combine",
 ]
 
 
@@ -170,10 +173,19 @@ def mul(a: Var, b: Var) -> Var:
 
 def silu(a: Var) -> Var:
     x = a.value
-    sig = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    sig = np.clip(x, -60.0, 60.0)  # sigmoid(x), built in this one buffer
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
 
     def bwd(g: np.ndarray) -> None:
-        a.grad[...] += g * (sig * (1.0 + x * (1.0 - sig)))
+        d = np.subtract(1.0, sig)  # g * sig * (1 + x * (1 - sig))
+        d *= x
+        d += 1.0
+        d *= sig
+        d *= g
+        a.grad[...] += d
 
     return a.tape._emit(x * sig, bwd, a)
 
@@ -229,13 +241,18 @@ def gather_rows(a: Var, idx: np.ndarray) -> Var:
         raise InputError(f"gather index out of range [0, {a.value.shape[0]})")
 
     def bwd(g: np.ndarray) -> None:
-        np.add.at(a.grad, idx, g)
+        if (np.diff(idx) > 0).all():  # distinct rows (expert dispatch): plain +=
+            a.grad[idx] += g
+        else:  # repeated rows (embedding lookup) must accumulate
+            np.add.at(a.grad, idx, g)
 
     return a.tape._emit(a.value[idx], bwd, a)
 
 
 def scatter_rows(a: Var, idx: np.ndarray, n_rows: int) -> Var:
-    """Place rows of a at positions idx of an (n_rows, d) zero matrix (duplicates add)."""
+    """Place rows of a at positions idx of an (n_rows, d) zero matrix (duplicates add).
+    Unused by the forward pass (see moe_combine); kept because bench/tracer.py
+    wraps every op kind by name, so deleting it breaks traced bench runs."""
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim != 1 or idx.size != a.value.shape[0]:
         raise ShapeError(f"scatter index shape {idx.shape} != row count {a.value.shape[0]}")
@@ -336,17 +353,21 @@ def causal_attention(q: Var, k: Var, v: Var, batch: int, n_heads: int) -> Var:
         return x.transpose(0, 2, 1, 3).reshape(n, d)
 
     qs, ks, vs = split(q.value), split(k.value), split(v.value)
-    causal = np.tril(np.ones((T, T), dtype=bool))
-    scores = (qs @ ks.transpose(0, 1, 3, 2)) * c
-    shifted = scores - np.where(causal, scores, -np.inf).max(axis=-1, keepdims=True)
-    with np.errstate(over="ignore"):
-        e = np.where(causal, np.exp(shifted), 0.0)
-    p = e / e.sum(axis=-1, keepdims=True)
+    causal = np.tri(T)  # 0/1 floats; masked scores are zeroed before exp (no overflow) and after
+    p = qs @ ks.transpose(0, 1, 3, 2)
+    p *= c
+    p -= np.max(p, axis=-1, keepdims=True, where=np.tri(T, dtype=bool), initial=-np.inf)
+    p *= causal
+    np.exp(p, out=p)
+    p *= causal
+    p /= p.sum(axis=-1, keepdims=True)
 
     def bwd(g: np.ndarray) -> None:
         gs = split(g)
-        dp = gs @ vs.transpose(0, 1, 3, 2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        ds = gs @ vs.transpose(0, 1, 3, 2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= c
         if q.requires_grad:
             q.grad[...] += merge(ds @ ks)
         if k.requires_grad:
@@ -355,6 +376,37 @@ def causal_attention(q: Var, k: Var, v: Var, batch: int, n_heads: int) -> Var:
             v.grad[...] += merge(p.transpose(0, 1, 3, 2) @ gs)
 
     return t._emit(merge(p @ vs), bwd, q, k, v)
+
+
+def moe_combine(gates: Var, outs: dict[int, Var], rows: dict[int, np.ndarray]) -> Var:
+    """Gate-weighted sum of expert outputs: each expert e adds
+    gates[r, e] * outs[e] into the rows r of rows[e] (strictly increasing,
+    within gates' n rows) of an (n, d) zero matrix, in ascending e."""
+    t = _same_tape(gates, *outs.values())
+    n, n_experts = gates.value.shape
+    if not outs:
+        raise ShapeError("moe_combine needs at least one expert output")
+    order = sorted(outs)
+    out = np.zeros((n, outs[order[0]].value.shape[1]))
+    for e in order:
+        idx, o = rows[e], outs[e].value
+        if not 0 <= e < n_experts or o.shape != (len(idx), out.shape[1]):
+            raise ShapeError(f"expert {e} of {n_experts}: output shape {o.shape} does not "
+                             f"match {len(idx)} rows x {out.shape[1]}")
+        if len(idx) and (idx[0] < 0 or idx[-1] >= n or (np.diff(idx) <= 0).any()):
+            raise InputError(f"expert {e}: rows must be strictly increasing in [0, {n})")
+        out[idx] += o * gates.value[idx, e][:, None]
+
+    def bwd(g: np.ndarray) -> None:
+        for e in order:
+            idx, o = rows[e], outs[e]
+            ge = g[idx]
+            if o.requires_grad:
+                o.grad[...] += ge * gates.value[idx, e][:, None]
+            if gates.requires_grad:
+                gates.grad[idx, e] += (ge * o.value).sum(axis=1)
+
+    return t._emit(out, bwd, gates, *outs.values())
 
 
 def grad_check(

@@ -12,7 +12,7 @@ import struct
 import zlib
 from pathlib import Path
 
-from .errors import ChecksumError, FormatError, VersionError
+from .errors import ChecksumError, FormatError, StorageError, VersionError
 
 FORMAT_VERSION = 1
 
@@ -30,8 +30,11 @@ def write_container(path, magic: bytes, manifest: dict, payload: bytes) -> None:
     )
     blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
     tmp = Path(str(path) + ".tmp")
-    tmp.write_bytes(blob)
-    tmp.replace(path)
+    try:
+        tmp.write_bytes(blob)
+        tmp.replace(path)
+    except OSError as exc:
+        raise StorageError(f"cannot write {path}: {exc}") from exc
 
 
 def read_container(path, magic: bytes) -> tuple[dict, bytes]:

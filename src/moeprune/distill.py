@@ -73,7 +73,7 @@ def _kd_graph(
     teacher: MoEModel,
     student: MoEModel,
     batch: list[np.ndarray],
-    lam: float,
+    lam: float | None,
     masks: dict[str, np.ndarray] | None = None,
 ):
     """Build the differentiable KD loss for one batch.
@@ -81,7 +81,8 @@ def _kd_graph(
     Returns (total Var, breakdown, student leaf Vars, tape). One teacher
     forward runs off-tape and one student forward on it, both over the whole
     batch; each (layer, expert) contributes one MSE over the rows the teacher
-    routed to it anywhere in the batch.
+    routed to it anywhere in the batch. lam None takes lambda = l_ce /
+    l_expert from this batch; a zero l_expert falls back to 1 with a warning.
     """
     teacher_trace = model_forward(teacher, batch)
     tape = ag.Tape()
@@ -97,6 +98,13 @@ def _kd_graph(
     l_expert = expert_terms[0] if expert_terms else tape.var(np.zeros((1, 1)))
     for term in expert_terms[1:]:
         l_expert = ag.add(l_expert, term)
+    if lam is None:
+        l_e = float(l_expert.value[0, 0])
+        if l_e == 0.0:
+            warnings.warn("expert distillation loss is zero on the probe batch (student "
+                          "identical to teacher?); falling back to lambda = 1.0",
+                          RuntimeWarning, stacklevel=3)
+        lam = float(l_ce.value[0, 0]) / l_e if l_e else 1.0
     total = ag.add(l_ce, ag.scale(l_expert, lam))
     breakdown = KDLossBreakdown(
         l_ce=float(l_ce.value[0, 0]),
@@ -124,16 +132,7 @@ def init_lambda(teacher: MoEModel, student: MoEModel, batch: list[np.ndarray]) -
     """lambda = l_ce / l_expert measured once on the probe batch; an identical
     student (l_expert == 0) falls back to 1 with a warning."""
     _check_same_architecture(teacher, student)
-    b = kd_loss(teacher, student, batch, lam=1.0)
-    if b.l_expert == 0.0:
-        warnings.warn(
-            "expert distillation loss is zero on the probe batch (student "
-            "identical to teacher?); falling back to lambda = 1.0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1.0
-    return b.l_ce / b.l_expert
+    return _kd_graph(teacher, student, batch, None)[1].lam
 
 
 @dataclass
@@ -182,10 +181,9 @@ def distill(
         perm = order_rng.permutation(len(cal.sequences))
         for b0 in range(0, len(perm), cfg.batch_size):
             batch = [cal.sequences[j] for j in perm[b0 : b0 + cfg.batch_size]]
-            if lam is None:
-                lam = init_lambda(teacher, out, batch)
-                result.lam = lam
+            # an "auto" lambda comes from the first batch (masked weights are zero)
             total, breakdown, leaves, tape = _kd_graph(teacher, out, batch, lam, masks)
+            lam = breakdown.lam
             if not np.isfinite(breakdown.total):
                 raise NumericalError(f"non-finite KD loss at step {step}: {breakdown.total}")
             tape.backward(total)

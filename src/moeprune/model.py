@@ -278,9 +278,9 @@ def ce_loss(logits: np.ndarray, targets) -> float:
     if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
         raise InputError(f"target out of vocabulary range [0, {logits.shape[1]})")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
-    return float(-logp[np.arange(targets.size), targets].mean())
+    picked = shifted[np.arange(targets.size), targets]
+    logz = np.log(np.exp(shifted, out=shifted).sum(axis=1))
+    return float((logz - picked).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ def forward_pass(
     """
     cfg = model.config
     toks = _validate_tokens(tokens, cfg)
-    B, T = toks.shape
+    B = toks.shape[0]
     if tape is None:
         tape = Tape()
 
@@ -434,7 +434,7 @@ def forward_pass(
         expert_tokens: dict[int, np.ndarray] = {}
         expert_outputs: dict[int, np.ndarray] = {}
         expert_hidden: dict[int, np.ndarray] = {}
-        moe_out: Var | None = None
+        outs: dict[int, Var] = {}
         for e in range(cfg.n_experts):
             idx = np.nonzero(gm.values[:, e])[0]
             expert_tokens[e] = idx
@@ -442,14 +442,10 @@ def forward_pass(
                 expert_outputs[e] = np.zeros((0, cfg.d_model))
                 expert_hidden[e] = np.zeros((0, cfg.d_ff))
                 continue
-            hid, out = _expert(pv, i, e, ag.gather_rows(m, idx))
-            expert_outputs[e] = out.value
+            hid, outs[e] = _expert(pv, i, e, ag.gather_rows(m, idx))
+            expert_outputs[e] = outs[e].value
             expert_hidden[e] = hid.value
-            gcol = ag.matmul(ag.gather_rows(gates, idx),
-                             tape.const(np.eye(cfg.n_experts)[:, [e]]))
-            scattered = ag.scatter_rows(ag.mul(out, gcol), idx, B * T)
-            moe_out = scattered if moe_out is None else ag.add(moe_out, scattered)
-        h = ag.add(h, moe_out)
+        h = ag.add(h, ag.moe_combine(gates, outs, expert_tokens))
 
         layers.append(LayerTrace(
             moe_input=m.value, gates=gm, expert_tokens=expert_tokens,

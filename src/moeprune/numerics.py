@@ -61,9 +61,9 @@ def spd_inverse(h: np.ndarray) -> np.ndarray:
     its diagonal and upper triangle. Raises NumericalError for non-PD input
     (the caller should add dampening and retry).
     """
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ShapeError(f"spd_inverse needs a square matrix, got {h.shape}")
-    asym = np.abs(h - h.T).max() if h.size else 0.0
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
+        raise ShapeError(f"spd_inverse needs a non-empty square matrix, got {h.shape}")
+    asym = np.abs(h - h.T).max()
     if asym > 1e-9 * max(1.0, float(np.abs(h).max())):
         raise ShapeError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     factor, info = dpotrf(h, lower=1, clean=0)

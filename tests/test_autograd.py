@@ -144,6 +144,18 @@ OTHER = RNG.normal_matrix(4, 4)
 COL = RNG.normal_matrix(4, 1)
 # two windows of two rows, two heads of two columns
 QK = RNG.normal_matrix(4, 4), RNG.normal_matrix(4, 4)
+# moe_combine over 4 rows and 4 experts: expert 1 takes no row, expert 3 every row
+ROWS = {0: np.array([0, 2]), 1: np.array([], dtype=np.intp), 2: np.array([1, 2, 3]),
+        3: np.arange(4)}
+EXPERT_OUTS = {e: RNG.normal_matrix(len(r), 4) for e, r in ROWS.items()}
+
+
+def _combine(t, gates=None, out3=None):
+    """moe_combine of fixed leaves, with the gates or expert 3's output replaced."""
+    outs = {e: t.var(o) for e, o in EXPERT_OUTS.items()}
+    if out3 is not None:
+        outs[3] = out3
+    return ag.moe_combine(t.var(np.abs(X0)) if gates is None else gates, outs, ROWS)
 
 
 def _to_scalar(t, v):
@@ -175,6 +187,9 @@ OP_CASES = {
         ag.causal_attention(t.var(QK[0]), t.var(QK[1]), x, 2, 2), t.var(OTHER)),
     "causal_attention_shared": lambda t, x: ag.mse(
         ag.causal_attention(x, x, x, 2, 2), t.var(OTHER)),
+    "moe_combine_gates": lambda t, x: ag.mse(_combine(t, gates=x), t.var(OTHER)),
+    "moe_combine_expert_output": lambda t, x: ag.mse(_combine(t, out3=x), t.var(OTHER)),
+    "moe_combine_shared": lambda t, x: ag.mse(_combine(t, gates=x, out3=x), t.var(OTHER)),
 }
 
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from moeprune.model import (
     expert_forward,
     model_forward,
 )
+from moeprune.numerics import SeededRng
 from moeprune.optim import cosine_lr
 from moeprune.pruning import SparsityTarget, prune_model
 from moeprune.calibration import build_calibration_set, collect
@@ -179,6 +182,32 @@ class TestDistill:
             assert set(rec) == {"step", "lr", "l_ce", "l_expert", "lambda", "total"}
             assert rec["total"] == pytest.approx(
                 rec["l_ce"] + rec["lambda"] * rec["l_expert"], abs=1e-12)
+
+    def test_first_batch_graph_also_sets_auto_lambda(self, kd_corpus, monkeypatch):
+        kd = importlib.import_module("moeprune.distill")
+        teacher, student, masks = pruned_pair(kd_corpus)
+        cfg = KDConfig(epochs=1, samples=8, batch_size=4, learning_rate=1e-3, seed=4)
+        cal = build_calibration_set(kd_corpus, cfg.samples, CFG.seq_len, cfg.seed)
+        first = [cal.sequences[j] for j in SeededRng(cfg.seed).child(1).permutation(8)[:4]]
+        probe_lam = init_lambda(teacher, student, first)
+        teacher_forwards = []
+
+        def counting_forward(model, batch):
+            teacher_forwards.append(len(batch))
+            return model_forward(model, batch)
+
+        monkeypatch.setattr(kd, "model_forward", counting_forward)
+        res = distill(teacher, student, masks, kd_corpus, cfg)
+        assert teacher_forwards == [4, 4]  # one per step, no separate probe
+        assert res.lam == probe_lam
+        assert [rec["lambda"] for rec in res.log] == [probe_lam, probe_lam]
+
+    def test_identical_student_auto_lambda_falls_back_with_warning(self, kd_corpus):
+        teacher = MoEModel.init(CFG)
+        with pytest.warns(RuntimeWarning, match="lambda = 1"):
+            res = distill(teacher, teacher.copy(), {}, kd_corpus,
+                          KDConfig(epochs=1, samples=4, batch_size=4))
+        assert res.lam == 1.0 and res.log[0]["lambda"] == 1.0
 
     def test_nan_loss_aborts_naming_step(self, kd_corpus):
         teacher, student, masks = pruned_pair(kd_corpus)

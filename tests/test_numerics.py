@@ -86,6 +86,10 @@ class TestSpdInverse:
         with pytest.raises(NumericalError, match="dampening"):
             spd_inverse(np.diag([1.0, -1.0]))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ShapeError, match="non-empty"):
+            spd_inverse(np.zeros((0, 0)))
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ShapeError, match="symmetric"):
             spd_inverse(np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -10,6 +10,7 @@ from moeprune.errors import (
     StorageError,
     VersionError,
 )
+from moeprune.container import write_container
 from moeprune.model import MoEModel
 from moeprune.persistence import load_checkpoint, save_checkpoint
 
@@ -122,6 +123,11 @@ def test_unwritable_target_raises_storage_error(tiny_model, tmp_path):
     blocker.write_text("a file, not a directory")
     with pytest.raises(StorageError):
         save_checkpoint(tiny_model, blocker)
+
+
+def test_container_write_to_missing_directory_raises_storage_error(tmp_path):
+    with pytest.raises(StorageError, match="cannot write"):
+        write_container(tmp_path / "missing" / "stats.bin", b"MOEPSTAT", {}, b"")
 
 
 def test_no_temp_files_left_behind(tiny_model, tmp_path):
