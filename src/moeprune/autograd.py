@@ -4,8 +4,9 @@ The op vocabulary is fixed and small: exactly the kinds the toy MoE model needs
 (matmul, add, mul, silu, row_softmax, rmsnorm, gather_rows, scatter_rows,
 cross_entropy, mse, scale, masked_assign, causal_attention, moe_combine), each
 with a hand-written backward rule (no general closures from user code). Scalars
-are 1x1 matrices. Gradients accumulate across reuses of a Var; training code
-builds a fresh tape per step, so there is nothing to zero.
+are 1x1 matrices. Gradients accumulate across reuses of a Var
+(`Var.accumulate`: the first write takes the backward rule's fresh array);
+training code builds a fresh tape per step, so there is nothing to zero.
 `backward` sweeps its tape: the recorded nodes (and the closures holding
 their operands) are dropped, so a step's graph is freed by reference
 counting rather than left to the cycle collector.
@@ -59,6 +60,14 @@ class Var:
         if self._grad is None:
             self._grad = np.zeros_like(self.value)
         return self._grad
+
+    def accumulate(self, g: np.ndarray) -> None:
+        """Add g into the gradient. The first write keeps g itself instead of
+        adding it to zeros, so g must be a fresh array that nothing else holds."""
+        if self._grad is None:
+            self._grad = g
+        else:
+            self._grad += g
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -130,10 +139,10 @@ def matmul(a: Var, b: Var, transpose_a: bool = False, transpose_b: bool = False)
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
             ga = g @ bv.T
-            a.grad[...] += ga.T if transpose_a else ga
+            a.accumulate(ga.T if transpose_a else ga)
         if b.requires_grad:
             gb = av.T @ g
-            b.grad[...] += gb.T if transpose_b else gb
+            b.accumulate(gb.T if transpose_b else gb)
 
     return t._emit(out, bwd, a, b)
 
@@ -143,11 +152,11 @@ def add(a: Var, b: Var) -> Var:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray) -> None:  # g is out's buffer: each operand takes a copy
         if a.requires_grad:
-            a.grad[...] += g
+            a.accumulate(g.copy())
         if b.requires_grad:
-            b.grad[...] += g
+            b.accumulate(g.copy())
 
     return t._emit(a.value + b.value, bwd, a, b)
 
@@ -161,12 +170,12 @@ def mul(a: Var, b: Var) -> Var:
 
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.grad[...] += g * b.value
+            a.accumulate(g * b.value)
         if b.requires_grad:
             if bshape == a.value.shape:
-                b.grad[...] += g * a.value
+                b.accumulate(g * a.value)
             else:
-                b.grad[...] += (g * a.value).sum(axis=1, keepdims=True)
+                b.accumulate((g * a.value).sum(axis=1, keepdims=True))
 
     return t._emit(a.value * b.value, bwd, a, b)
 
@@ -185,7 +194,7 @@ def silu(a: Var) -> Var:
         d += 1.0
         d *= sig
         d *= g
-        a.grad[...] += d
+        a.accumulate(d)
 
     return a.tape._emit(x * sig, bwd, a)
 
@@ -214,7 +223,7 @@ def row_softmax(a: Var, mask: np.ndarray | None = None) -> Var:
 
     def bwd(g: np.ndarray) -> None:
         dot = (g * s).sum(axis=1, keepdims=True)
-        a.grad[...] += s * (g - dot)
+        a.accumulate(s * (g - dot))
 
     return a.tape._emit(s, bwd, a)
 
@@ -227,7 +236,7 @@ def rmsnorm(a: Var, eps: float = 1e-5) -> Var:
 
     def bwd(g: np.ndarray) -> None:
         xg = (x * g).sum(axis=1, keepdims=True)
-        a.grad[...] += r * (g - (r * r / n) * x * xg)
+        a.accumulate(r * (g - (r * r / n) * x * xg))
 
     return a.tape._emit(x * r, bwd, a)
 
@@ -282,7 +291,7 @@ def cross_entropy(logits: Var, targets: np.ndarray) -> Var:
     def bwd(g: np.ndarray) -> None:
         p = np.exp(logp)
         p[np.arange(n), targets] -= 1.0
-        logits.grad[...] += (g[0, 0] / n) * p
+        logits.accumulate((g[0, 0] / n) * p)
 
     return logits.tape._emit(np.array([[loss]]), bwd, logits)
 
@@ -298,9 +307,9 @@ def mse(a: Var, b: Var) -> Var:
     def bwd(g: np.ndarray) -> None:
         d = (2.0 * g[0, 0] / n) * diff
         if a.requires_grad:
-            a.grad[...] += d
+            a.accumulate(d)
         if b.requires_grad:
-            b.grad[...] -= d
+            b.accumulate(-d)  # a fresh array: a and b never share d
 
     return t._emit(np.array([[(diff * diff).sum() / n]]), bwd, a, b)
 
@@ -309,7 +318,7 @@ def scale(a: Var, c: float) -> Var:
     c = float(c)
 
     def bwd(g: np.ndarray) -> None:
-        a.grad[...] += c * g
+        a.accumulate(c * g)
 
     return a.tape._emit(c * a.value, bwd, a)
 
@@ -321,7 +330,7 @@ def masked_assign(a: Var, mask: np.ndarray) -> Var:
     m = mask.astype(np.float64)
 
     def bwd(g: np.ndarray) -> None:
-        a.grad[...] += g * m
+        a.accumulate(g * m)
 
     return a.tape._emit(a.value * m, bwd, a)
 
@@ -369,11 +378,11 @@ def causal_attention(q: Var, k: Var, v: Var, batch: int, n_heads: int) -> Var:
         ds *= p
         ds *= c
         if q.requires_grad:
-            q.grad[...] += merge(ds @ ks)
+            q.accumulate(merge(ds @ ks))
         if k.requires_grad:
-            k.grad[...] += merge(ds.transpose(0, 1, 3, 2) @ qs)
+            k.accumulate(merge(ds.transpose(0, 1, 3, 2) @ qs))
         if v.requires_grad:
-            v.grad[...] += merge(p.transpose(0, 1, 3, 2) @ gs)
+            v.accumulate(merge(p.transpose(0, 1, 3, 2) @ gs))
 
     return t._emit(merge(p @ vs), bwd, q, k, v)
 
@@ -402,7 +411,7 @@ def moe_combine(gates: Var, outs: dict[int, Var], rows: dict[int, np.ndarray]) -
             idx, o = rows[e], outs[e]
             ge = g[idx]
             if o.requires_grad:
-                o.grad[...] += ge * gates.value[idx, e][:, None]
+                o.accumulate(ge * gates.value[idx, e][:, None])
             if gates.requires_grad:
                 gates.grad[idx, e] += (ge * o.value).sum(axis=1)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -38,6 +39,17 @@ TRAIN_DEFAULTS = {"steps": 2000, "batch_size": 8, "learning_rate": 1e-3, "seed":
 CALIB_DEFAULTS = {"nsamples": 128, "seed": 0}
 KD_DEFAULTS = {"lambda_mode": "auto", "epochs": 3, "learning_rate": 2e-5, "batch_size": 8,
                "samples": 1000, "seed": 0, "router_frozen": True}
+# Value ranges of the train, calibration and kd keys (file values and flags
+# alike): key -> (test, what the message asks for).
+LIMITS = {
+    "batch_size": (lambda v: v >= 1, "at least 1"),
+    "samples": (lambda v: v >= 1, "at least 1"),
+    "nsamples": (lambda v: v >= 1, "at least 1"),
+    "steps": (lambda v: v >= 0, "at least 0"),
+    "epochs": (lambda v: v >= 0, "at least 0"),
+    "learning_rate": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "lambda_mode": (lambda v: math.isfinite(v) and v > 0, '"auto" or finite and > 0'),
+}
 
 
 def _read_corpus(path: str) -> bytes:
@@ -65,7 +77,7 @@ def _merge(section: str, defaults: dict, file_cfg: dict, overrides: dict) -> dic
     """A config section: its defaults, then the file's values, then the flags
     given. A file key must be one of the defaults' and its value must have
     the default's type; an integer stands for a float, and kd.lambda_mode is
-    "auto" or a number."""
+    "auto" or a number. File values and flags must lie in their LIMITS."""
     given = file_cfg.get(section, {})
     if not isinstance(given, dict):
         raise FormatError(f"config section {section!r} must be a JSON object, "
@@ -85,7 +97,12 @@ def _merge(section: str, defaults: dict, file_cfg: dict, overrides: dict) -> dic
         if not ok:
             raise ConfigError(f"config key {section}.{key} must be {want}, "
                               f"got {json.dumps(value)}")
-    return {**defaults, **given, **{k: v for k, v in overrides.items() if v is not None}}
+    flags = {k: v for k, v in overrides.items() if v is not None}
+    for key, value in [*given.items(), *flags.items()]:
+        if key in LIMITS and value != "auto" and not LIMITS[key][0](value):
+            raise ConfigError(f"config key {section}.{key} must be {LIMITS[key][1]}, "
+                              f"got {json.dumps(value)}")
+    return {**defaults, **given, **flags}
 
 
 def _write_json(path: Path, payload: dict) -> None:

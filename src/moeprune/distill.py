@@ -4,7 +4,9 @@ the student's output for that expert.
 
 Pairing is teacher-forced: expert i's MSE is evaluated on the token set the
 teacher's router dispatched to expert i, with each model using its own hidden
-state at that layer. Sparsity masks are enforced inside the graph
+state at that layer. The frozen teacher is forwarded once over all windows
+before the first step; each step reads its batch's dispatch and expert
+outputs from that pass. Sparsity masks are enforced inside the graph
 (masked-assign) and re-zeroed after each optimizer step, so pruned weights
 stay exactly zero.
 """
@@ -19,9 +21,16 @@ import numpy as np
 from . import autograd as ag
 from .calibration import build_calibration_set
 from .errors import ContractError, NumericalError
-from .model import MoEModel, forward_pass, make_param_vars, model_forward, next_token_targets
+from .model import (
+    MoEModel,
+    forward_pass,
+    make_param_vars,
+    model_forward,
+    next_token_targets,
+    window_batches,
+)
 from .numerics import SeededRng
-from .optim import Adam, cosine_lr
+from .optim import Adam, cosine_lr, finite_step
 
 __all__ = ["KDConfig", "KDLossBreakdown", "kd_loss", "init_lambda", "distill"]
 
@@ -69,31 +78,70 @@ def _check_same_architecture(teacher: MoEModel, student: MoEModel) -> None:
             )
 
 
+TeacherTargets = tuple[list[dict[int, np.ndarray]], list[dict[int, np.ndarray]]]
+
+
+def _teacher_windows(teacher: MoEModel, windows) -> list[list[dict[int, tuple]]]:
+    """One teacher forward over the windows, stacked by window_batches. Per
+    window, per layer, expert -> (positions in the window the teacher routed
+    to that expert, the expert's outputs there): all that KD reads."""
+    cache = []
+    for batch in window_batches(list(windows)):
+        B, T = batch.shape
+        layers = model_forward(teacher, batch).layers
+        cuts = [{e: np.searchsorted(rows, np.arange(B + 1) * T)
+                 for e, rows in lt.expert_tokens.items()} for lt in layers]
+        for b in range(B):
+            cache.append([{e: (lt.expert_tokens[e][c[b]:c[b + 1]] - b * T,
+                               lt.expert_outputs[e][c[b]:c[b + 1]]) for e, c in cut.items()}
+                          for lt, cut in zip(layers, cuts)])
+    return cache
+
+
+def _batch_targets(cache: list, picks, T: int) -> TeacherTargets:
+    """The forced rows and teacher outputs of the batch that stacks the cached
+    windows `picks` in order (window b's positions offset by b*T): per layer,
+    expert -> rows, and expert -> outputs."""
+    dispatch: list[dict[int, np.ndarray]] = []
+    outputs: list[dict[int, np.ndarray]] = []
+    for i in range(len(cache[picks[0]])):
+        parts = [cache[j][i] for j in picks]
+        dispatch.append({e: np.concatenate([p[e][0] + b * T for b, p in enumerate(parts)])
+                         for e in parts[0]})
+        outputs.append({e: np.concatenate([p[e][1] for p in parts]) for e in parts[0]})
+    return dispatch, outputs
+
+
 def _kd_graph(
     teacher: MoEModel,
     student: MoEModel,
     batch: list[np.ndarray],
     lam: float | None,
     masks: dict[str, np.ndarray] | None = None,
+    targets: TeacherTargets | None = None,
 ):
     """Build the differentiable KD loss for one batch.
 
-    Returns (total Var, breakdown, student leaf Vars, tape). One teacher
-    forward runs off-tape and one student forward on it, both over the whole
-    batch; each (layer, expert) contributes one MSE over the rows the teacher
-    routed to it anywhere in the batch. lam None takes lambda = l_ce /
-    l_expert from this batch; a zero l_expert falls back to 1 with a warning.
+    Returns (total Var, breakdown, student leaf Vars, tape). targets are the
+    teacher's forced rows and expert outputs for this batch (_batch_targets);
+    without them the teacher is forwarded over the batch here, off-tape. One
+    student forward runs on the tape over the whole batch; each (layer,
+    expert) contributes one MSE over the rows the teacher routed to it
+    anywhere in the batch. lam None takes lambda = l_ce / l_expert from this
+    batch; a zero l_expert falls back to 1 with a warning.
     """
-    teacher_trace = model_forward(teacher, batch)
+    if targets is None:
+        targets = _batch_targets(_teacher_windows(teacher, batch), range(len(batch)),
+                                 len(batch[0]))
+    dispatch, t_outs = targets
     tape = ag.Tape()
     params = make_param_vars(student, tape, masks)
-    dispatch = [lt.expert_tokens for lt in teacher_trace.layers]
     strace = forward_pass(student, batch, tape=tape, forced_dispatch=dispatch, params=params)
-    rows, targets = next_token_targets(strace.tokens)
-    l_ce = ag.cross_entropy(ag.gather_rows(strace.logits, rows), targets)
+    rows, next_tokens = next_token_targets(strace.tokens)
+    l_ce = ag.cross_entropy(ag.gather_rows(strace.logits, rows), next_tokens)
     expert_terms = [ag.mse(strace.forced_outputs[i][e], tape.const(t_out))
-                    for i, lt in enumerate(teacher_trace.layers)
-                    for e, t_out in lt.expert_outputs.items() if t_out.shape[0]]
+                    for i, layer in enumerate(t_outs)
+                    for e, t_out in layer.items() if t_out.shape[0]]
 
     l_expert = expert_terms[0] if expert_terms else tape.var(np.zeros((1, 1)))
     for term in expert_terms[1:]:
@@ -176,21 +224,27 @@ def distill(
     opt = Adam({n: out.params[n] for n in trainable})
 
     lam: float | None = None if cfg.lambda_mode == "auto" else float(cfg.lambda_mode)
+    # the frozen teacher runs once over every window, not once per epoch
+    cache = _teacher_windows(teacher, cal.sequences)
+    T = len(cal.sequences[0])
     step = 0
     for _ in range(cfg.epochs):
         perm = order_rng.permutation(len(cal.sequences))
         for b0 in range(0, len(perm), cfg.batch_size):
-            batch = [cal.sequences[j] for j in perm[b0 : b0 + cfg.batch_size]]
-            # an "auto" lambda comes from the first batch (masked weights are zero)
-            total, breakdown, leaves, tape = _kd_graph(teacher, out, batch, lam, masks)
-            lam = breakdown.lam
-            if not np.isfinite(breakdown.total):
-                raise NumericalError(f"non-finite KD loss at step {step}: {breakdown.total}")
-            tape.backward(total)
-            lr = cosine_lr(step, total_steps, cfg.learning_rate)
-            opt.step({n: leaves[n].grad for n in trainable}, lr)
-            for name, m in masks.items():
-                out.params[name] *= m
+            picks = perm[b0 : b0 + cfg.batch_size]
+            batch = [cal.sequences[j] for j in picks]
+            with finite_step("KD", step):
+                # an "auto" lambda comes from the first batch (masked weights are zero)
+                total, breakdown, leaves, tape = _kd_graph(
+                    teacher, out, batch, lam, masks, _batch_targets(cache, picks, T))
+                lam = breakdown.lam
+                if not np.isfinite(breakdown.total):
+                    raise NumericalError(f"non-finite KD loss at step {step}: {breakdown.total}")
+                tape.backward(total)
+                lr = cosine_lr(step, total_steps, cfg.learning_rate)
+                opt.step({n: leaves[n].grad for n in trainable}, lr)
+                for name, m in masks.items():
+                    out.params[name] *= m
             result.log.append({"step": step, "lr": lr, **breakdown.to_dict()})
             step += 1
     result.lam = lam if lam is not None else 1.0

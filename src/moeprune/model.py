@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tape, Var
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError, NumericalError, ShapeError
 from .numerics import SeededRng, matmul, silu
 
 __all__ = [
@@ -124,9 +124,11 @@ class GateMatrix:
 
     def validate(self, top_k: int) -> None:
         nz = np.count_nonzero(self.values, axis=1)
-        assert (nz == top_k).all(), f"gate rows must have exactly {top_k} nonzeros"
+        if not (nz == top_k).all():
+            raise NumericalError(f"gate rows must have exactly {top_k} nonzeros")
         sums = self.values.sum(axis=1)
-        assert np.abs(sums - 1.0).max() < 1e-12, "gate rows must sum to 1"
+        if not np.abs(sums - 1.0).max() < 1e-12:
+            raise NumericalError("gate rows must sum to 1")
 
 
 def _canonical_param_names(cfg: ModelConfig) -> list[str]:
@@ -380,6 +382,12 @@ def _expert(pv: dict[str, Var], i: int, e: int, x: Var) -> tuple[Var, Var]:
     return hid, ag.matmul(hid, pv[f"{base}.w_down"])
 
 
+def _subset_rows(y: Var, rows: np.ndarray, sub: np.ndarray) -> Var:
+    """The rows of y (one per entry of the increasing `rows`) at `sub`, an
+    increasing subset of rows: y itself when sub is all of them."""
+    return y if sub.size == rows.size else ag.gather_rows(y, np.searchsorted(rows, sub))
+
+
 def forward_pass(
     model: MoEModel,
     tokens,
@@ -395,8 +403,10 @@ def forward_pass(
     every token index (expert_tokens, forced_dispatch) address those rows.
     masks: sparsity masks applied in-graph (masked-assign), so pruned weights
     contribute nothing and receive zero gradient.
-    forced_dispatch: per layer, expert -> row indices; additionally evaluates
-    those experts on those rows (the teacher-forced sets distillation needs).
+    forced_dispatch: per layer, expert -> increasing row indices; the trace's
+    forced_outputs then holds, per layer, each such expert's output on those
+    rows (the teacher-forced sets distillation needs). An expert runs once per
+    layer, on the union of its own and its forced rows.
     params: (leaf, effective) Vars from make_param_vars, or constants.
     """
     cfg = model.config
@@ -412,6 +422,7 @@ def forward_pass(
     h = ag.gather_rows(pv["token_embedding"], toks.ravel())
     layers: list[LayerTrace] = []
     layer_input_vars: list[Var] = []
+    forced_outputs: list[dict[int, Var]] = []
 
     for i in range(cfg.n_layers):
         # attention block
@@ -435,16 +446,29 @@ def forward_pass(
         expert_outputs: dict[int, np.ndarray] = {}
         expert_hidden: dict[int, np.ndarray] = {}
         outs: dict[int, Var] = {}
+        forced_outs: dict[int, Var] = {}
         for e in range(cfg.n_experts):
-            idx = np.nonzero(gm.values[:, e])[0]
-            expert_tokens[e] = idx
-            if idx.size == 0:
-                expert_outputs[e] = np.zeros((0, cfg.d_model))
-                expert_hidden[e] = np.zeros((0, cfg.d_ff))
+            own = np.nonzero(gm.values[:, e])[0]
+            forced = (np.asarray(forced_dispatch[i].get(e, ()), dtype=np.intp)
+                      if forced_dispatch is not None else own[:0])
+            # one expert call serves both uses: on the own rows, or on the
+            # union when the forced rows differ; each use takes its rows
+            rows = own if not forced.size or np.array_equal(own, forced) else np.union1d(own, forced)
+            expert_tokens[e] = own
+            expert_outputs[e] = np.zeros((0, cfg.d_model))
+            expert_hidden[e] = np.zeros((0, cfg.d_ff))
+            if rows.size == 0:
                 continue
-            hid, outs[e] = _expert(pv, i, e, ag.gather_rows(m, idx))
-            expert_outputs[e] = outs[e].value
-            expert_hidden[e] = hid.value
+            hid, y = _expert(pv, i, e, ag.gather_rows(m, rows))
+            if forced.size:
+                forced_outs[e] = _subset_rows(y, rows, forced)
+            if own.size:
+                outs[e] = _subset_rows(y, rows, own)
+                expert_outputs[e] = outs[e].value
+                expert_hidden[e] = (hid.value if own.size == rows.size
+                                    else hid.value[np.searchsorted(rows, own)])
+        if forced_dispatch is not None:
+            forced_outputs.append(forced_outs)
         h = ag.add(h, ag.moe_combine(gates, outs, expert_tokens))
 
         layers.append(LayerTrace(
@@ -453,15 +477,9 @@ def forward_pass(
         ))
 
     logits = ag.matmul(ag.rmsnorm(h), pv["lm_head"])
-    trace = _TapeTrace(logits=logits, tokens=toks, layers=layers,
-                       layer_input_vars=layer_input_vars, tape=tape)
-    if forced_dispatch is not None:
-        trace.forced_outputs = [
-            {e: _expert(pv, i, e, ag.gather_rows(m, idx))[1]
-             for e, idx in forced_dispatch[i].items() if len(idx)}
-            for i, m in enumerate(layer_input_vars)
-        ]
-    return trace
+    return _TapeTrace(logits=logits, tokens=toks, layers=layers,
+                      layer_input_vars=layer_input_vars, tape=tape,
+                      forced_outputs=forced_outputs if forced_dispatch is not None else None)
 
 
 def model_forward(model: MoEModel, tokens) -> ForwardResult:

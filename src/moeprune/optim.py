@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["Adam", "cosine_lr"]
+from .errors import NumericalError
+
+__all__ = ["Adam", "cosine_lr", "finite_step"]
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
@@ -14,6 +17,19 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     if total_steps <= 1:
         return base_lr
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / (total_steps - 1)))
+
+
+@contextmanager
+def finite_step(kind: str, step: int):
+    """Run one optimizer step (graph, backward, update) with numpy overflow,
+    invalid and divide-by-zero raising: a step that would make a value
+    non-finite stops with a NumericalError naming the step, and prints no
+    RuntimeWarning."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalError(f"{kind} step {step} diverged: {exc}") from None
 
 
 class Adam:

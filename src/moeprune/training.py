@@ -20,7 +20,7 @@ from .model import (
     window_batches,
 )
 from .numerics import SeededRng
-from .optim import Adam, cosine_lr
+from .optim import Adam, cosine_lr, finite_step
 
 __all__ = ["train_model", "evaluate_perplexity", "batch_ce_graph"]
 
@@ -46,7 +46,8 @@ def train_model(
     seed: int = 0,
 ) -> tuple[MoEModel, list[dict]]:
     """Adam + cosine CE training on randomly offset windows. Deterministic per
-    seed. Aborts on a non-finite loss."""
+    seed. Aborts (NumericalError naming the step) on a non-finite loss or a
+    step that overflows."""
     toks = corpus_tokens(corpus)
     seq_len = model.config.seq_len
     if toks.size < seq_len + 1:
@@ -60,13 +61,14 @@ def train_model(
     for step in range(steps):
         offsets = np.asarray(rng.integers(0, toks.size - seq_len + 1, size=batch_size))
         batch = [toks[o : o + seq_len] for o in offsets]
-        loss, leaves, tape = batch_ce_graph(out, batch)
-        value = float(loss.value[0, 0])
-        if not math.isfinite(value):
-            raise NumericalError(f"non-finite training loss at step {step}: {value}")
-        tape.backward(loss)
-        lr = cosine_lr(step, steps, learning_rate)
-        opt.step({n: v.grad for n, v in leaves.items()}, lr)
+        with finite_step("training", step):
+            loss, leaves, tape = batch_ce_graph(out, batch)
+            value = float(loss.value[0, 0])
+            if not math.isfinite(value):
+                raise NumericalError(f"non-finite training loss at step {step}: {value}")
+            tape.backward(loss)
+            lr = cosine_lr(step, steps, learning_rate)
+            opt.step({n: v.grad for n, v in leaves.items()}, lr)
         log.append({"step": step, "lr": lr, "loss": value})
     return out, log
 

@@ -6,7 +6,11 @@ import pytest
 
 from moeprune import autograd as ag
 from moeprune.errors import ContractError, InputError, ShapeError
+from moeprune.model import MoEModel
 from moeprune.numerics import SeededRng
+from moeprune.training import train_model
+
+from conftest import TINY
 
 
 def scalar(tape, x):
@@ -117,6 +121,86 @@ class TestBackward:
         orphan = t.var(np.ones((2, 2)))
         t.backward(ag.mse(x, t.var(np.zeros((2, 2)))))
         assert np.array_equal(orphan.grad, np.zeros((2, 2)))
+
+
+def zero_fill_accumulate(self, g):
+    """Oracle: the gradient rule before first writes took the array, adding
+    every contribution into a zero-filled buffer."""
+    self.grad[...] += g
+
+
+def grads_both_ways(monkeypatch, build):
+    """The leaf gradients of build() -> (loss, leaves), first with
+    Var.accumulate and then with the zero-fill oracle in its place."""
+    runs = []
+    for oracle in (False, True):
+        with monkeypatch.context() as m:
+            if oracle:
+                m.setattr(ag.Var, "accumulate", zero_fill_accumulate)
+            loss, leaves = build()
+            ag.backward(loss)
+            runs.append([v.grad.copy() for v in leaves])
+    return runs
+
+
+class TestFirstWriteTakesArray:
+    X = SeededRng(5).normal_matrix(4, 3)
+    W = SeededRng(6).normal_matrix(3, 3)
+
+    @pytest.mark.parametrize("case", ["add_self", "two_consumers", "mse_both", "every_op"])
+    def test_equals_zero_fill(self, monkeypatch, case):
+        def build():
+            t = ag.Tape()
+            x, w = t.var(self.X), t.var(self.W)
+            target = t.const(np.ones((4, 3)))
+            if case == "add_self":
+                return ag.mse(ag.add(x, x), target), [x]
+            if case == "two_consumers":
+                y = ag.matmul(x, w)
+                return ag.mse(ag.add(ag.silu(y), ag.mul(y, y)), target), [x, w]
+            if case == "mse_both":
+                return ag.mse(ag.matmul(x, w), ag.silu(x)), [x, w]
+            g = ag.row_softmax(ag.matmul(x, w), mask=np.eye(4, 3, dtype=bool) | (self.X > 0))
+            h = ag.causal_attention(x, ag.rmsnorm(x), ag.scale(x, 0.5), 2, 1)
+            h = ag.masked_assign(ag.add(h, ag.gather_rows(ag.matmul(x, w), [3, 2, 1, 0])),
+                                 (self.X > -0.5).astype(np.uint8))
+            out = ag.moe_combine(g, {0: ag.gather_rows(h, [0, 2]), 2: h},
+                                 {0: np.array([0, 2]), 2: np.arange(4)})
+            return ag.add(ag.mse(out, target),
+                          ag.cross_entropy(ag.scatter_rows(out, [1, 0, 3, 2], 4), [0, 1, 2, 0])), [x, w]
+
+        new, old = grads_both_ways(monkeypatch, build)
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+
+    def test_add_x_x_is_twice_the_gradient(self):
+        t = ag.Tape()
+        x = t.var(self.X)
+        t.backward(ag.mse(ag.add(x, x), t.const(np.zeros((4, 3)))))
+        assert np.allclose(x.grad, 8.0 * self.X / self.X.size, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("join", ["add", "mse"])
+    def test_no_two_vars_share_a_buffer(self, join):
+        t = ag.Tape()
+        a, b = t.var(self.X), t.var(self.X[::-1].copy())
+        p, q = ag.scale(a, 2.0), ag.scale(b, 3.0)
+        s = ag.add(p, q) if join == "add" else ag.mse(p, q)
+        t.backward(ag.mse(s, t.const(np.zeros(s.shape))))
+        held = [a, b, p, q, s]
+        for i, u in enumerate(held):
+            for v in held[i + 1:]:
+                assert not np.shares_memory(u.grad, v.grad)
+
+    def test_training_bytes_equal_zero_fill(self, monkeypatch, small_corpus):
+        # a first write may leave -0.0 where zero-fill gave +0.0; Adam's
+        # m += (1 - beta1) * g turns it back, so the weights keep every byte
+        def train():
+            return train_model(MoEModel.init(TINY), small_corpus, steps=3, batch_size=2,
+                               seed=1)[0].params
+        new = train()
+        monkeypatch.setattr(ag.Var, "accumulate", zero_fill_accumulate)
+        old = train()
+        assert all(new[n].tobytes() == old[n].tobytes() for n in new)
 
 
 class TestMaskedAssign:

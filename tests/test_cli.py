@@ -89,6 +89,21 @@ BAD_SECTIONS = [
     ("prune", {"calibration": {"nsample": 2}}, "calibration.nsample"),
     ("distill", {"kd": {"lambda": 0.5}}, "kd.lambda"),
     ("train", {"model": {"d_modle": 16}}, "model.d_modle"),
+    ("distill", {"kd": {"batch_size": 0}}, "kd.batch_size"),
+    ("distill", {"kd": {"batch_size": -1}}, "kd.batch_size"),
+    ("distill", {"kd": {"samples": -3}}, "kd.samples"),
+    ("distill", {"kd": {"samples": 0}}, "kd.samples"),
+    ("distill", {"kd": {"epochs": -1}}, "kd.epochs"),
+    ("distill", {"kd": {"learning_rate": 0}}, "kd.learning_rate"),
+    ("distill", {"kd": {"learning_rate": float("inf")}}, "kd.learning_rate"),
+    ("distill", {"kd": {"lambda_mode": -1}}, "kd.lambda_mode"),
+    ("distill", {"kd": {"lambda_mode": 0}}, "kd.lambda_mode"),
+    ("distill", {"kd": {"lambda_mode": float("nan")}}, "kd.lambda_mode"),
+    ("train", {"train": {"learning_rate": -1}}, "train.learning_rate"),
+    ("train", {"train": {"learning_rate": float("nan")}}, "train.learning_rate"),
+    ("train", {"train": {"batch_size": 0}}, "train.batch_size"),
+    ("train", {"train": {"steps": -1}}, "train.steps"),
+    ("prune", {"calibration": {"nsamples": 0}}, "calibration.nsamples"),
 ]
 
 
@@ -109,6 +124,50 @@ def test_bad_config_value_is_one_line_error(workdir, tmp_path, capsys, command, 
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert named in err
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["train", "--lr", "-1"], "train.learning_rate"),
+    (["train", "--batch-size", "0"], "train.batch_size"),
+    (["distill", "--batch-size", "0"], "kd.batch_size"),
+    (["distill", "--samples", "-3"], "kd.samples"),
+    (["distill", "--lam", "-1"], "kd.lambda_mode"),
+    (["distill", "--lr", "inf"], "kd.learning_rate"),
+    (["prune", "--nsamples", "-2"], "calibration.nsamples"),
+])
+def test_bad_flag_value_is_one_line_error(workdir, tmp_path, capsys, flags, named):
+    inputs = {
+        "train": ["--corpus", workdir / "corpus.txt", "--steps", "1"],
+        "distill": ["--teacher", workdir / "init_ckpt", "--student", workdir / "init_ckpt",
+                    "--corpus", workdir / "corpus.txt"],
+        "prune": ["--ckpt", workdir / "init_ckpt", "--sparsity", "0.5",
+                  "--calib", workdir / "corpus.txt"],
+    }[flags[0]]
+    capsys.readouterr()
+    rc = run([*flags, *inputs, "--out", tmp_path / "never"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert len(err.strip().splitlines()) == 1 and named in err
+    assert out == "" and not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "distill"])
+def test_diverged_step_is_numerical_error(workdir, tmp_path, capsys, command):
+    args = {
+        "train": ["train", "--config", workdir / "config.json",
+                  "--corpus", workdir / "corpus.txt", "--steps", "5"],
+        "distill": ["distill", "--teacher", workdir / "init_ckpt",
+                    "--student", workdir / "init_ckpt", "--corpus", workdir / "corpus.txt",
+                    "--samples", "16", "--batch-size", "4", "--epochs", "2", "--lam", "1"],
+    }[command]
+    capsys.readouterr()
+    rc = run([*args, "--lr", "1e300", "--out", tmp_path / "never"])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert "step 1 diverged" in err
+    assert out == "" and not (tmp_path / "never").exists()
 
 
 NAN_LOADS = {

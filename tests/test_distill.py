@@ -3,15 +3,29 @@ import importlib
 import numpy as np
 import pytest
 
-from moeprune.distill import KDConfig, distill, init_lambda, kd_loss
+import moeprune.model as model_module
+from moeprune import autograd as ag
+from moeprune.distill import (
+    KDConfig,
+    _batch_targets,
+    _kd_graph,
+    _teacher_windows,
+    distill,
+    init_lambda,
+    kd_loss,
+)
 from moeprune.errors import ContractError, NumericalError
 from moeprune.model import (
     ExpertWeights,
     ModelConfig,
     MoEModel,
     ce_loss,
+    _expert,
     expert_forward,
+    forward_pass,
+    make_param_vars,
     model_forward,
+    next_token_targets,
 )
 from moeprune.numerics import SeededRng
 from moeprune.optim import cosine_lr
@@ -19,6 +33,7 @@ from moeprune.pruning import SparsityTarget, prune_model
 from moeprune.calibration import build_calibration_set, collect
 
 from conftest import synth_corpus
+from test_autograd import grads_both_ways
 
 CFG = ModelConfig(d_model=8, n_heads=2, n_layers=1, n_experts=2, top_k=1,
                   d_ff=16, seq_len=16, vocab_size=256, seed=17)
@@ -90,6 +105,154 @@ class TestKdLoss:
         l_expert = sum(float((np.vstack(v) ** 2).mean()) for v in diffs.values())
         assert b.l_ce == pytest.approx(float(np.mean(ce_terms)), abs=1e-12)
         assert b.l_expert == pytest.approx(l_expert, rel=1e-12)
+
+
+def two_path_kd_graph(teacher, student, batch, lam, masks=None):
+    """Oracle: the KD graph as it was built before each student expert ran
+    once per step. The student forwards on its own routing, then each
+    teacher-routed row set goes through a second call of that expert.
+    Returns (total, leaf gradients)."""
+    teacher_trace = model_forward(teacher, batch)
+    tape = ag.Tape()
+    leaves, pv = make_param_vars(student, tape, masks)
+    strace = forward_pass(student, batch, tape=tape, params=(leaves, pv))
+    rows, targets = next_token_targets(strace.tokens)
+    l_ce = ag.cross_entropy(ag.gather_rows(strace.logits, rows), targets)
+    terms = [ag.mse(_expert(pv, i, e, ag.gather_rows(strace.layer_input_vars[i], idx))[1],
+                    tape.const(lt.expert_outputs[e]))
+             for i, lt in enumerate(teacher_trace.layers)
+             for e, idx in lt.expert_tokens.items() if idx.size]
+    l_expert = terms[0]
+    for term in terms[1:]:
+        l_expert = ag.add(l_expert, term)
+    total = ag.add(l_ce, ag.scale(l_expert, lam))
+    tape.backward(total)
+    return total.value[0, 0], {n: v.grad for n, v in leaves.items()}
+
+
+# 5 experts, top-1, per layer: the teacher's router repeats column 1 in
+# column 2 and column 0 in column 4, so ties (lowest index wins) keep it off
+# experts 2 and 4; the student's repeats column 0 in columns 3 and 4, so it
+# never picks 3 or 4. Expert 2 then has own rows only, expert 3 forced rows
+# only, and expert 4 no rows at all.
+ROUTED = ModelConfig(d_model=8, n_heads=2, n_layers=2, n_experts=5, top_k=1,
+                     d_ff=8, seq_len=12, vocab_size=32, seed=23)
+
+
+def routed_pair():
+    teacher = MoEModel.init(ROUTED)
+    student = perturbed_student(teacher, scale=0.2, seed=4)
+    for i in range(ROUTED.n_layers):
+        rt, rs = teacher.params[f"layers.{i}.router"], student.params[f"layers.{i}.router"]
+        rt[:, 2], rt[:, 4] = rt[:, 1], rt[:, 0]
+        rs[:, 2] = np.random.default_rng(i).normal(size=ROUTED.d_model)
+        rs[:, 3], rs[:, 4] = rs[:, 0], rs[:, 0]
+    return teacher, student
+
+
+def routed_batch(seed, n=3):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, ROUTED.vocab_size, ROUTED.seq_len) for _ in range(n)]
+
+
+def dispatch_sets(teacher, student, batch):
+    """Per layer, expert -> (teacher rows, student rows)."""
+    t, s = model_forward(teacher, batch), model_forward(student, batch)
+    return [{e: (lt.expert_tokens[e], ls.expert_tokens[e]) for e in lt.expert_tokens}
+            for lt, ls in zip(t.layers, s.layers)]
+
+
+class TestOneExpertCall:
+    """The merged path (one expert call per layer and expert) against the
+    two-path oracle: loss and every gradient to 1e-12 relative."""
+
+    def assert_matches_oracle(self, teacher, student, batch, masks=None, lam=1.7):
+        total, _, leaves, tape = _kd_graph(teacher, student, batch, lam, masks)
+        tape.backward(total)
+        want_total, want = two_path_kd_graph(teacher, student, batch, lam, masks)
+        assert total.value[0, 0] == pytest.approx(want_total, rel=1e-12, abs=0)
+        for name, g in want.items():
+            assert np.abs(leaves[name].grad - g).max() <= 1e-12 * np.abs(g).max(), name
+
+    def test_own_rows_equal_forced_rows(self):
+        teacher = MoEModel.init(CFG)
+        student = perturbed_student(teacher)  # experts only, one layer: same routing
+        batch = small_batch(seed=6)
+        sets = dispatch_sets(teacher, student, batch)
+        assert all(np.array_equal(t, s) for layer in sets for t, s in layer.values())
+        self.assert_matches_oracle(teacher, student, batch)
+
+    @pytest.mark.parametrize("part", ["router", "attn.wq"])
+    def test_perturbed_routing(self, part):
+        cfg = ModelConfig(d_model=8, n_heads=2, n_layers=2, n_experts=4, top_k=2,
+                          d_ff=16, seq_len=16, vocab_size=256, seed=31)
+        teacher = MoEModel.init(cfg)
+        student = perturbed_student(teacher, scale=0.2)
+        rng = np.random.default_rng(7)
+        for i in range(cfg.n_layers):
+            student.params[f"layers.{i}.{part}"] += 0.5 * rng.normal(size=(8, 4 if part == "router" else 8))
+        batch = small_batch(seed=8, n=4)
+        sets = dispatch_sets(teacher, student, batch)
+        assert any(not np.array_equal(t, s) for layer in sets for t, s in layer.values())
+        self.assert_matches_oracle(teacher, student, batch)
+
+    def test_experts_routed_by_one_model_only_or_by_none(self):
+        teacher, student = routed_pair()
+        batch = routed_batch(seed=0)
+        for layer in dispatch_sets(teacher, student, batch):
+            assert layer[2][0].size == 0 and layer[2][1].size > 0  # student only
+            assert layer[3][0].size > 0 and layer[3][1].size == 0  # teacher only
+            assert layer[4][0].size == 0 and layer[4][1].size == 0  # nobody
+        self.assert_matches_oracle(teacher, student, batch)
+
+    def test_masked_student(self, kd_corpus):
+        teacher, student, masks = pruned_pair(kd_corpus)
+        student = perturbed_student(student, scale=0.1)
+        for name, m in masks.items():
+            student.params[name] *= m
+        self.assert_matches_oracle(teacher, student, small_batch(seed=2, n=4, length=16), masks)
+
+    def test_teacher_pass_assembles_each_batch(self):
+        teacher, _ = routed_pair()
+        windows = routed_batch(seed=5, n=9)
+        cache = _teacher_windows(teacher, windows)
+        picks = [7, 2, 5, 2]
+        dispatch, outputs = _batch_targets(cache, picks, ROUTED.seq_len)
+        direct = model_forward(teacher, [windows[j] for j in picks]).layers
+        for i, lt in enumerate(direct):
+            assert list(dispatch[i]) == list(outputs[i]) == list(range(ROUTED.n_experts))
+            for e, rows in lt.expert_tokens.items():
+                assert np.array_equal(dispatch[i][e], rows)
+                assert np.allclose(outputs[i][e], lt.expert_outputs[e], rtol=1e-12, atol=1e-15)
+
+    def test_each_expert_called_once_per_layer(self, monkeypatch):
+        teacher, student = routed_pair()
+        batch = routed_batch(seed=1)
+        calls = []
+
+        def counting_expert(pv, i, e, x):
+            calls.append((i, e))
+            return _expert(pv, i, e, x)
+
+        routed = [(i, e) for i, layer in enumerate(dispatch_sets(teacher, student, batch))
+                  for e, (t, s) in layer.items() if t.size or s.size]
+        targets = _batch_targets(_teacher_windows(teacher, batch), range(len(batch)),
+                                 ROUTED.seq_len)
+        monkeypatch.setattr(model_module, "_expert", counting_expert)
+        _kd_graph(teacher, student, batch, 1.0, targets=targets)
+        assert calls == routed
+
+    def test_gradients_equal_zero_fill_oracle(self, monkeypatch):
+        teacher, student = routed_pair()
+        batch = routed_batch(seed=3)
+
+        def build():
+            total, _, leaves, _ = _kd_graph(teacher, student, batch, 0.8)
+            return total, list(leaves.values())
+
+        new, old = grads_both_ways(monkeypatch, build)
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
 
 
 class TestInitLambda:
@@ -198,9 +361,20 @@ class TestDistill:
 
         monkeypatch.setattr(kd, "model_forward", counting_forward)
         res = distill(teacher, student, masks, kd_corpus, cfg)
-        assert teacher_forwards == [4, 4]  # one per step, no separate probe
+        assert teacher_forwards == [8]  # one batched pass over all windows, none per step
         assert res.lam == probe_lam
         assert [rec["lambda"] for rec in res.log] == [probe_lam, probe_lam]
+
+    def test_teacher_pass_independent_of_row_budget(self, kd_corpus, monkeypatch):
+        teacher, student, masks = pruned_pair(kd_corpus)
+        cfg = KDConfig(epochs=2, samples=8, batch_size=3, learning_rate=1e-3, seed=5)
+        whole = distill(teacher, student, masks, kd_corpus, cfg)
+        monkeypatch.setattr(model_module, "ROWS_PER_FORWARD", 3 * CFG.seq_len)
+        chunked = distill(teacher, student, masks, kd_corpus, cfg)
+        assert len(chunked.log) == len(whole.log) == 6
+        for a, b in zip(chunked.log, whole.log):
+            for key in ("l_ce", "l_expert", "lambda", "total"):
+                assert a[key] == pytest.approx(b[key], rel=1e-12)
 
     def test_identical_student_auto_lambda_falls_back_with_warning(self, kd_corpus):
         teacher = MoEModel.init(CFG)

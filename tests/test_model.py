@@ -6,14 +6,16 @@ import pytest
 
 import moeprune.model
 
-from moeprune.errors import ConfigError, InputError
+from moeprune.errors import ConfigError, InputError, NumericalError
 from moeprune.model import (
     ExpertWeights,
+    GateMatrix,
     ModelConfig,
     MoELayer,
     MoEModel,
     ce_loss,
     expert_forward,
+    forward_pass,
     model_forward,
     moe_layer_forward,
     route,
@@ -331,6 +333,32 @@ class TestBatchedForward:
             mean = sum(lv[name].grad for _, lv in singles) / len(singles)
             assert np.abs(leaf.grad - mean).max() < 1e-12, name
 
+    def test_forced_dispatch_outputs(self, tiny_model):
+        # per expert e of each layer, forced rows that are: its own rows (e=0),
+        # as many other rows (e=1), a subset (e=2), every row (e=3); a second
+        # pass forces nothing
+        toks = self.batch()
+        plain = model_forward(tiny_model, toks)
+        forced = []
+        for lt in plain.layers:
+            n, own = lt.moe_input.shape[0], lt.expert_tokens
+            other = np.sort((own[1] + 1) % n)
+            assert not np.array_equal(other, own[1])
+            forced.append({0: own[0], 1: other, 2: own[2][::2], 3: np.arange(n)})
+        tr = forward_pass(tiny_model, toks, forced_dispatch=forced)
+        assert np.allclose(tr.result.logits, plain.logits, rtol=1e-12, atol=1e-14)
+        for i, (lt, pl) in enumerate(zip(tr.layers, plain.layers)):
+            experts = tiny_model.moe_layer(i).experts
+            assert list(tr.forced_outputs[i]) == [0, 1, 2, 3]
+            for e, rows in forced[i].items():
+                assert np.array_equal(lt.expert_tokens[e], pl.expert_tokens[e])
+                assert np.allclose(lt.expert_outputs[e], pl.expert_outputs[e], rtol=1e-12, atol=1e-15)
+                assert np.allclose(lt.expert_hidden[e], pl.expert_hidden[e], rtol=1e-12, atol=1e-15)
+                want = expert_forward(pl.moe_input[rows], experts[e])
+                assert np.allclose(tr.forced_outputs[i][e].value, want, rtol=1e-12, atol=1e-15)
+        none = forward_pass(tiny_model, toks, forced_dispatch=[{e: np.arange(0) for e in range(4)}] * 2)
+        assert none.forced_outputs == [{}, {}]
+
     def test_model_forward_records_no_tape(self, tiny_model, monkeypatch):
         traces = []
         original = moeprune.model.forward_pass
@@ -362,3 +390,14 @@ class TestBatchedForward:
         chunked = evaluate_perplexity(tiny_model, corpus)
         assert chunked[1] == whole[1]
         assert chunked[0] == pytest.approx(whole[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("values,message", [
+    (np.array([[0.5, 0.4]]), "sum to 1"),
+    (np.array([[1.0, 0.0], [0.5, 0.5]]), "exactly 2 nonzeros"),
+    (np.array([[np.nan, 1.0]]), "sum to 1"),
+])
+def test_gate_validate_raises(values, message):
+    gm = GateMatrix(values=values, selected=np.zeros((len(values), 2), dtype=int), probs=values)
+    with pytest.raises(NumericalError, match=message):
+        gm.validate(2)
