@@ -8,17 +8,24 @@ expert load balance.
 """
 
 from .analysis import BalanceReport, balance_score
-from .calibration import CalibrationSet, CalibrationStats, build_calibration_set, collect
+from .calibration import (
+    CalibrationConfig,
+    CalibrationSet,
+    CalibrationStats,
+    build_calibration_set,
+    collect,
+)
 from .distill import KDConfig, distill, init_lambda, kd_loss
 from .model import ModelConfig, MoEModel, model_forward
 from .pruning import PruneReport, SparsityTarget, prune_model
-from .training import evaluate_perplexity, train_model
+from .training import TrainConfig, evaluate_perplexity, train_model
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BalanceReport",
     "balance_score",
+    "CalibrationConfig",
     "CalibrationSet",
     "CalibrationStats",
     "build_calibration_set",
@@ -33,6 +40,7 @@ __all__ = [
     "PruneReport",
     "SparsityTarget",
     "prune_model",
+    "TrainConfig",
     "evaluate_perplexity",
     "train_model",
     "__version__",

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import build_calibration_set, collect
+from .calibration import CalibrationConfig, build_calibration_set, collect
 from .errors import FormatError, InputError
 from .model import MoEModel
 
@@ -66,13 +66,12 @@ def _report_from_counts(counts: np.ndarray, name: str, mode: str) -> BalanceRepo
 def analyze_model(
     model: MoEModel,
     corpus: bytes | str,
-    nsamples: int = 128,
+    calib: CalibrationConfig = CalibrationConfig(),
     mode: str = "argmax",
-    seed: int = 0,
     name: str = "model",
 ) -> BalanceReport:
     """Stream calibration-style forwards and score the dispatch counts."""
-    cal = build_calibration_set(corpus, nsamples, model.config.seq_len, seed)
+    cal = build_calibration_set(corpus, calib.nsamples, model.config.seq_len, calib.seed)
     stats = collect(model, cal, freq_mode=mode)
     report = _report_from_counts(stats.frequencies.counts, name, mode)
     report.extra["total_tokens"] = int(stats.frequencies.total_tokens)

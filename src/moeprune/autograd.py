@@ -7,7 +7,7 @@ with a hand-written backward rule (no general closures from user code). Scalars
 are 1x1 matrices. Gradients accumulate across reuses of a Var
 (`Var.accumulate`: the first write takes the backward rule's fresh array);
 training code builds a fresh tape per step, so there is nothing to zero.
-`backward` sweeps its tape: the recorded nodes (and the closures holding
+`Tape.backward` sweeps the tape: the recorded nodes (and the closures holding
 their operands) are dropped, so a step's graph is freed by reference
 counting rather than left to the cycle collector.
 """
@@ -23,8 +23,6 @@ from .errors import ContractError, InputError, ShapeError
 __all__ = [
     "Tape",
     "Var",
-    "backward",
-    "grad_check",
     "matmul",
     "add",
     "mul",
@@ -116,10 +114,6 @@ class Tape:
                 bwd(out._grad)
 
 
-def backward(loss: Var) -> None:
-    loss.tape.backward(loss)
-
-
 def _same_tape(*vs: Var) -> Tape:
     t = vs[0].tape
     for v in vs[1:]:
@@ -128,23 +122,19 @@ def _same_tape(*vs: Var) -> Tape:
     return t
 
 
-def matmul(a: Var, b: Var, transpose_a: bool = False, transpose_b: bool = False) -> Var:
+def matmul(a: Var, b: Var) -> Var:
     t = _same_tape(a, b)
-    av = a.value.T if transpose_a else a.value
-    bv = b.value.T if transpose_b else b.value
+    av, bv = a.value, b.value
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {av.shape} x {bv.shape}")
-    out = av @ bv
 
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
-            ga = g @ bv.T
-            a.accumulate(ga.T if transpose_a else ga)
+            a.accumulate(g @ bv.T)
         if b.requires_grad:
-            gb = av.T @ g
-            b.accumulate(gb.T if transpose_b else gb)
+            b.accumulate(av.T @ g)
 
-    return t._emit(out, bwd, a, b)
+    return t._emit(av @ bv, bwd, a, b)
 
 
 def add(a: Var, b: Var) -> Var:
@@ -416,39 +406,3 @@ def moe_combine(gates: Var, outs: dict[int, Var], rows: dict[int, np.ndarray]) -
                 gates.grad[idx, e] += (ge * o.value).sum(axis=1)
 
     return t._emit(out, bwd, gates, *outs.values())
-
-
-def grad_check(
-    f: Callable[[Var], Var], x: np.ndarray, eps: float = 1e-5
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    f must be a deterministic scalar-valued function of one matrix Var.
-    Relative error per entry is |analytic - numeric| / max(1, |analytic|).
-    """
-    if not (0.0 < eps <= 1e-2):
-        raise ContractError(f"eps must be in (0, 1e-2], got {eps}")
-    x = np.asarray(x, dtype=np.float64)
-    tape = Tape()
-    xv = tape.var(x.copy())
-    loss = f(xv)
-    tape.backward(loss)
-    analytic = xv.grad.copy()
-
-    def eval_at(arr: np.ndarray) -> float:
-        t = Tape()
-        return float(f(t.var(arr)).value[0, 0])
-
-    worst = 0.0
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        ij = it.multi_index
-        xp = x.copy()
-        xp[ij] += eps
-        xm = x.copy()
-        xm[ij] -= eps
-        numeric = (eval_at(xp) - eval_at(xm)) / (2.0 * eps)
-        a = analytic[ij]
-        worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
-        it.iternext()
-    return worst

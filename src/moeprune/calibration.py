@@ -10,16 +10,17 @@ before squaring; Hessians always use unscaled inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .container import read_container, write_container
-from .errors import ConfigError, FormatError, InputError, ShapeError
+from .config import Section
+from .errors import InputError, ShapeError
 from .model import LayerTrace, MoEModel, ModelConfig, model_forward, window_batches
 from .numerics import SeededRng
 
 __all__ = [
+    "CalibrationConfig",
     "CalibrationSet",
     "ScaledNormAccumulator",
     "HessianAccumulator",
@@ -29,13 +30,19 @@ __all__ = [
     "empty_accumulators",
     "accumulate_layer",
     "collect",
-    "export_stats",
-    "import_stats",
     "corpus_tokens",
     "nonoverlapping_windows",
 ]
 
-STATS_MAGIC = b"MOEPSTAT"
+
+@dataclass(frozen=True)
+class CalibrationConfig(Section):
+    """How many seq_len windows calibration draws, and from which seed."""
+
+    SECTION = "calibration"
+
+    nsamples: int = 128
+    seed: int = 0
 
 
 def corpus_tokens(corpus: bytes | str) -> np.ndarray:
@@ -153,8 +160,8 @@ class CalibrationStats:
         )
         if not same:
             raise ShapeError(
-                f"stats collected for architecture {sc.to_dict()} do not match "
-                f"model architecture {mc.to_dict()}"
+                f"stats collected for architecture {asdict(sc)} do not match "
+                f"model architecture {asdict(mc)}"
             )
 
 
@@ -232,80 +239,4 @@ def collect(
     return CalibrationStats(
         model_config=cfg, scaled=scaled, unscaled=unscaled, hessians=hessians,
         frequencies=freq, sequences=list(cal.sequences),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Stats file (magic MOEPSTAT): JSON manifest + raw little-endian float64
-# ---------------------------------------------------------------------------
-
-
-def export_stats(stats: CalibrationStats, path) -> None:
-    """Lossless round-trip serialization of all accumulators."""
-    chunks: list[bytes] = []
-    offset = 0
-    entries = []
-    for name in stats.scaled:
-        arrays = {
-            "scaled": stats.scaled[name].sum_sq,
-            "unscaled": stats.unscaled[name].sum_sq,
-            "hessian": stats.hessians[name].h,
-        }
-        entry: dict = {
-            "name": name,
-            "d_in": int(stats.scaled[name].sum_sq.size),
-            "tokens_seen": int(stats.scaled[name].tokens_seen),
-        }
-        for key, arr in arrays.items():
-            raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            entry[f"{key}_offset"] = offset
-            entry[f"{key}_shape"] = list(arr.shape)
-            chunks.append(raw)
-            offset += len(raw)
-        entries.append(entry)
-    manifest = {
-        "kind": "calibration-stats",
-        "model_config": stats.model_config.to_dict(),
-        "targets": entries,
-        "freq_mode": stats.frequencies.mode,
-        "freq_counts": stats.frequencies.counts.tolist(),
-        "freq_total_tokens": int(stats.frequencies.total_tokens),
-        "sequences": [s.tolist() for s in stats.sequences],
-    }
-    write_container(path, STATS_MAGIC, manifest, b"".join(chunks))
-
-
-def import_stats(path) -> CalibrationStats:
-    manifest, payload = read_container(path, STATS_MAGIC)
-    try:
-        cfg = ModelConfig.from_dict(manifest["model_config"])
-        scaled: dict[str, ScaledNormAccumulator] = {}
-        unscaled: dict[str, ScaledNormAccumulator] = {}
-        hessians: dict[str, HessianAccumulator] = {}
-        for entry in manifest["targets"]:
-            name = entry["name"]
-            tokens = int(entry["tokens_seen"])
-            arrs = {}
-            for key in ("scaled", "unscaled", "hessian"):
-                shape = tuple(entry[f"{key}_shape"])
-                n = int(np.prod(shape))
-                off = entry[f"{key}_offset"]
-                raw = payload[off : off + 8 * n]
-                if len(raw) != 8 * n:
-                    raise ShapeError(f"payload truncated for target {name}")
-                arrs[key] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            scaled[name] = ScaledNormAccumulator(name, arrs["scaled"], tokens)
-            unscaled[name] = ScaledNormAccumulator(name, arrs["unscaled"], tokens)
-            hessians[name] = HessianAccumulator(name, arrs["hessian"], tokens)
-        freq = FrequencyTable(
-            counts=np.asarray(manifest["freq_counts"], dtype=np.int64),
-            mode=manifest["freq_mode"],
-            total_tokens=int(manifest["freq_total_tokens"]),
-        )
-        sequences = [np.asarray(s, dtype=np.intp) for s in manifest["sequences"]]
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed stats manifest: {exc}") from exc
-    return CalibrationStats(
-        model_config=cfg, scaled=scaled, unscaled=unscaled, hessians=hessians,
-        frequencies=freq, sequences=sequences,
     )

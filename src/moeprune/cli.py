@@ -11,45 +11,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import warnings
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .analysis import analyze_model, ingest_frequencies
-from .calibration import build_calibration_set, collect
+from .calibration import CalibrationConfig, build_calibration_set, collect
+from .config import Section
 from .distill import KDConfig, distill
-from .errors import (
-    ConfigError,
-    ContractError,
-    FormatError,
-    InputError,
-    MoePruneError,
-    NumericalError,
-    ShapeError,
-    StorageError,
-    UsageError,
-)
+from .errors import FormatError, InputError, MoePruneError, NumericalError, UsageError
 from .model import ModelConfig, MoEModel
 from .persistence import load_checkpoint, save_checkpoint
 from .pruning import METHODS, SparsityTarget, prune_model
-from .training import evaluate_perplexity, train_model
-
-TRAIN_DEFAULTS = {"steps": 2000, "batch_size": 8, "learning_rate": 1e-3, "seed": 0}
-CALIB_DEFAULTS = {"nsamples": 128, "seed": 0}
-KD_DEFAULTS = {"lambda_mode": "auto", "epochs": 3, "learning_rate": 2e-5, "batch_size": 8,
-               "samples": 1000, "seed": 0, "router_frozen": True}
-# Value ranges of the train, calibration and kd keys (file values and flags
-# alike): key -> (test, what the message asks for).
-LIMITS = {
-    "batch_size": (lambda v: v >= 1, "at least 1"),
-    "samples": (lambda v: v >= 1, "at least 1"),
-    "nsamples": (lambda v: v >= 1, "at least 1"),
-    "steps": (lambda v: v >= 0, "at least 0"),
-    "epochs": (lambda v: v >= 0, "at least 0"),
-    "learning_rate": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-    "lambda_mode": (lambda v: math.isfinite(v) and v > 0, '"auto" or finite and > 0'),
-}
+from .training import TrainConfig, evaluate_perplexity, train_model
 
 
 def _read_corpus(path: str) -> bytes:
@@ -73,36 +48,10 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _merge(section: str, defaults: dict, file_cfg: dict, overrides: dict) -> dict:
+def _section(cls: type[Section], file_cfg: dict, **flags) -> Section:
     """A config section: its defaults, then the file's values, then the flags
-    given. A file key must be one of the defaults' and its value must have
-    the default's type; an integer stands for a float, and kd.lambda_mode is
-    "auto" or a number. File values and flags must lie in their LIMITS."""
-    given = file_cfg.get(section, {})
-    if not isinstance(given, dict):
-        raise FormatError(f"config section {section!r} must be a JSON object, "
-                          f"got {json.dumps(given)}")
-    for key, value in given.items():
-        if key not in defaults:
-            raise ConfigError(f"config key {section}.{key} is not known; "
-                              f"expected one of {', '.join(defaults)}")
-        if key == "lambda_mode" and value == "auto":
-            continue
-        default = defaults[key]
-        if isinstance(default, float) or key == "lambda_mode":
-            ok, want = type(value) in (int, float), "a number"
-        else:
-            ok = type(value) is type(default)
-            want = {bool: "true or false", int: "an integer"}[type(default)]
-        if not ok:
-            raise ConfigError(f"config key {section}.{key} must be {want}, "
-                              f"got {json.dumps(value)}")
-    flags = {k: v for k, v in overrides.items() if v is not None}
-    for key, value in [*given.items(), *flags.items()]:
-        if key in LIMITS and value != "auto" and not LIMITS[key][0](value):
-            raise ConfigError(f"config key {section}.{key} must be {LIMITS[key][1]}, "
-                              f"got {json.dumps(value)}")
-    return {**defaults, **given, **flags}
+    given (not None)."""
+    return cls.from_dict(file_cfg.get(cls.SECTION, {}), **flags)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -119,21 +68,13 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
 
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    model_cfg = _merge("model", ModelConfig().to_dict(), file_cfg, {"seed": args.seed})
-    train_cfg = _merge("train", TRAIN_DEFAULTS, file_cfg,
-                       {"steps": args.steps, "seed": args.seed,
-                        "learning_rate": args.lr, "batch_size": args.batch_size})
-    config = ModelConfig.from_dict(model_cfg)
+    config = _section(ModelConfig, file_cfg, seed=args.seed)
+    train_cfg = _section(TrainConfig, file_cfg, steps=args.steps, seed=args.seed,
+                         learning_rate=args.lr, batch_size=args.batch_size)
     corpus = _read_corpus(args.corpus)
     model = MoEModel.init(config, upcycle=args.upcycle)
-    trained, log = train_model(
-        model, corpus,
-        steps=int(train_cfg["steps"]),
-        batch_size=int(train_cfg["batch_size"]),
-        learning_rate=float(train_cfg["learning_rate"]),
-        seed=int(train_cfg["seed"]),
-    )
-    effective = {"model": config.to_dict(), "train": train_cfg, "upcycle": args.upcycle}
+    trained, log = train_model(model, corpus, train_cfg)
+    effective = {"model": asdict(config), "train": asdict(train_cfg), "upcycle": args.upcycle}
     save_checkpoint(trained, args.out, extra={"config": effective})
     _write_jsonl(Path(args.out) / "train_log.jsonl", log)
     final = log[-1]["loss"] if log else None
@@ -147,18 +88,16 @@ def cmd_prune(args) -> int:
     target = (SparsityTarget.unstructured(args.sparsity) if args.sparsity is not None
               else SparsityTarget.parse(args.pattern))
     file_cfg = _load_config_file(args.config)
-    calib_cfg = _merge("calibration", CALIB_DEFAULTS, file_cfg,
-                       {"nsamples": args.nsamples, "seed": args.seed})
+    calib = _section(CalibrationConfig, file_cfg, nsamples=args.nsamples, seed=args.seed)
     model, _ = load_checkpoint(args.ckpt)
     corpus = _read_corpus(args.calib)
-    cal = build_calibration_set(corpus, int(calib_cfg["nsamples"]),
-                                model.config.seq_len, int(calib_cfg["seed"]))
+    cal = build_calibration_set(corpus, calib.nsamples, model.config.seq_len, calib.seed)
     stats = collect(model, cal)
     pruned, masks, report = prune_model(model, stats, args.method, target,
                                         propagate=args.propagate)
     effective = {
-        "model": model.config.to_dict(),
-        "calibration": calib_cfg,
+        "model": asdict(model.config),
+        "calibration": asdict(calib),
         "method": args.method,
         "sparsity": target.describe(),
         "propagate": args.propagate,
@@ -176,27 +115,18 @@ def cmd_prune(args) -> int:
 
 def cmd_distill(args) -> int:
     file_cfg = _load_config_file(args.config)
-    kd_cfg = _merge(
-        "kd", KD_DEFAULTS, file_cfg,
-        {"epochs": args.epochs, "learning_rate": args.lr, "samples": args.samples,
-         "batch_size": args.batch_size, "seed": args.seed,
-         "lambda_mode": args.lam,
-         "router_frozen": (False if args.full_parameter else None)},
-    )
-    cfg = KDConfig(
-        lambda_mode=kd_cfg["lambda_mode"], epochs=int(kd_cfg["epochs"]),
-        learning_rate=float(kd_cfg["learning_rate"]), batch_size=int(kd_cfg["batch_size"]),
-        samples=int(kd_cfg["samples"]), seed=int(kd_cfg["seed"]),
-        router_frozen=bool(kd_cfg["router_frozen"]),
-    )
+    cfg = _section(KDConfig, file_cfg, epochs=args.epochs, learning_rate=args.lr,
+                   samples=args.samples, batch_size=args.batch_size, seed=args.seed,
+                   lambda_mode=args.lam,
+                   router_frozen=(False if args.full_parameter else None))
     teacher, _ = load_checkpoint(args.teacher)
     student, masks = load_checkpoint(args.student)
     if masks is None:
         masks = {}
     corpus = _read_corpus(args.corpus)
     result = distill(teacher, student, masks, corpus, cfg)
-    effective = {"model": student.config.to_dict(),
-                 "kd": {**kd_cfg, "lambda_resolved": result.lam}}
+    effective = {"model": asdict(student.config),
+                 "kd": {**asdict(cfg), "lambda_resolved": result.lam}}
     save_checkpoint(result.student, args.out, masks=masks, extra={"config": effective})
     _write_jsonl(Path(args.out) / "kd_log.jsonl", result.log)
     last = result.log[-1] if result.log else None
@@ -223,10 +153,10 @@ def cmd_analyze(args) -> int:
     if args.ckpt is not None:
         if args.corpus is None:
             raise UsageError("--ckpt requires --corpus")
+        calib = _section(CalibrationConfig, {}, nsamples=args.nsamples, seed=args.seed)
         model, _ = load_checkpoint(args.ckpt)
-        report = analyze_model(model, _read_corpus(args.corpus),
-                               nsamples=args.nsamples, mode=args.mode,
-                               seed=args.seed or 0, name=str(args.ckpt))
+        report = analyze_model(model, _read_corpus(args.corpus), calib,
+                               mode=args.mode, name=str(args.ckpt))
         print(json.dumps(report.to_dict(), indent=2))
     else:
         reports = ingest_frequencies(args.freq)
@@ -235,40 +165,48 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _sweep_list(flag: str, text: str, parse) -> list:
+    """The distinct entries of a comma-separated sweep list, parsed, in order."""
+    values = []
+    for entry in filter(None, (e.strip() for e in text.split(","))):
+        try:
+            value = parse(entry)
+        except ValueError:
+            want = "an integer" if parse is int else "a number"
+            raise UsageError(f"{flag} entry {entry!r} is not {want}") from None
+        if value in values:
+            warnings.warn(f"duplicate sweep setting {value} skipped", stacklevel=1)
+        else:
+            values.append(value)
+    return values
+
+
 def cmd_sweep(args) -> int:
     if (args.sparsities is None) == (args.nsamples_list is None):
         raise UsageError("specify exactly one of --sparsities or --nsamples-list")
+    calib = _section(CalibrationConfig, {}, nsamples=args.nsamples, seed=args.seed)
+    # every setting is checked before the first prune
+    if args.sparsities is not None:
+        kind = "sparsity"
+        settings = [(v, calib, SparsityTarget.unstructured(v))
+                    for v in _sweep_list("--sparsities", args.sparsities, float)]
+    else:
+        kind = "nsamples"
+        target = SparsityTarget.unstructured(args.sparsity)
+        settings = [(v, replace(calib, nsamples=v), target)
+                    for v in _sweep_list("--nsamples-list", args.nsamples_list, int)]
     model, _ = load_checkpoint(args.ckpt)
     calib_corpus = _read_corpus(args.calib)
     eval_corpus = _read_corpus(args.eval_corpus)
-    seed = args.seed or 0
-
-    if args.sparsities is not None:
-        raw = [s.strip() for s in args.sparsities.split(",") if s.strip()]
-        settings = [("sparsity", float(v)) for v in raw]
-    else:
-        raw = [s.strip() for s in args.nsamples_list.split(",") if s.strip()]
-        settings = [("nsamples", int(v)) for v in raw]
-
-    seen = set()
-    unique = []
-    for s in settings:
-        if s in seen:
-            warnings.warn(f"duplicate sweep setting {s[1]} skipped", stacklevel=1)
-            continue
-        seen.add(s)
-        unique.append(s)
 
     rows = []
     stats = None
-    for kind, value in unique:
-        nsamples = value if kind == "nsamples" else args.nsamples
-        sparsity = value if kind == "sparsity" else (args.sparsity or 0.5)
+    for value, cal_cfg, target in settings:
         # a sparsity sweep holds nsamples and the seed fixed: collect once
         if stats is None or kind == "nsamples":
-            cal = build_calibration_set(calib_corpus, int(nsamples), model.config.seq_len, seed)
+            cal = build_calibration_set(calib_corpus, cal_cfg.nsamples,
+                                        model.config.seq_len, cal_cfg.seed)
             stats = collect(model, cal)
-        target = SparsityTarget.unstructured(float(sparsity))
         pruned, _, _ = prune_model(model, stats, args.method, target,
                                    propagate=args.propagate)
         ppl, _ = evaluate_perplexity(pruned, eval_corpus)
@@ -340,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--ckpt")
     an.add_argument("--corpus")
     an.add_argument("--freq", help="external frequency JSON file")
-    an.add_argument("--nsamples", type=int, default=128)
+    an.add_argument("--nsamples", type=int)
     an.add_argument("--mode", choices=["argmax", "topk"], default="argmax")
     an.add_argument("--seed", type=int)
     an.set_defaults(func=cmd_analyze)
@@ -350,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--method", choices=list(METHODS), default="moe-pruner")
     sw.add_argument("--sparsities", help="comma list, e.g. 0.1,0.3,0.5")
     sw.add_argument("--nsamples-list", help="comma list, e.g. 2,8,32,128")
-    sw.add_argument("--sparsity", type=float, help="fixed sparsity for --nsamples-list")
-    sw.add_argument("--nsamples", type=int, default=128,
-                    help="fixed nsamples for --sparsities")
+    sw.add_argument("--sparsity", type=float, default=0.5,
+                    help="fixed sparsity for --nsamples-list")
+    sw.add_argument("--nsamples", type=int, help="fixed nsamples for --sparsities")
     sw.add_argument("--calib", required=True)
     sw.add_argument("--eval-corpus", required=True)
     sw.add_argument("--propagate", choices=["dense", "recompute"], default="dense")
@@ -374,9 +312,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
-    except (InputError, FormatError, StorageError, ContractError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MoePruneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .calibration import build_calibration_set
+from .config import Section
 from .errors import ContractError, NumericalError
 from .model import (
     MoEModel,
@@ -35,8 +36,10 @@ from .optim import Adam, cosine_lr, finite_step
 __all__ = ["KDConfig", "KDLossBreakdown", "kd_loss", "init_lambda", "distill"]
 
 
-@dataclass
-class KDConfig:
+@dataclass(frozen=True)
+class KDConfig(Section):
+    SECTION = "kd"
+
     lambda_mode: str | float = "auto"   # "auto" (first-batch l_ce/l_expert) or a number
     epochs: int = 3
     learning_rate: float = 2e-5
@@ -44,15 +47,6 @@ class KDConfig:
     samples: int = 1000
     seed: int = 0
     router_frozen: bool = True
-    schedule: str = "cosine"
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ContractError(f"epochs must be >= 0, got {self.epochs}")
-        if self.schedule != "cosine":
-            raise ContractError(f"only the cosine schedule is supported, got {self.schedule!r}")
 
 
 @dataclass

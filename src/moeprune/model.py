@@ -17,18 +17,14 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tape, Var
+from .config import Section
 from .errors import ConfigError, InputError, NumericalError, ShapeError
-from .numerics import SeededRng, matmul, silu
+from .numerics import SeededRng
 
 __all__ = [
     "ModelConfig",
-    "ExpertWeights",
-    "MoELayer",
     "GateMatrix",
     "MoEModel",
-    "route",
-    "expert_forward",
-    "moe_layer_forward",
     "model_forward",
     "ce_loss",
     "ForwardResult",
@@ -43,7 +39,9 @@ ROWS_PER_FORWARD = 4096
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Section):
+    SECTION = "model"
+
     d_model: int = 64
     n_heads: int = 4
     n_layers: int = 2
@@ -55,59 +53,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        dims = {
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "n_experts": self.n_experts,
-            "top_k": self.top_k,
-            "d_ff": self.d_ff,
-            "seq_len": self.seq_len,
-            "vocab_size": self.vocab_size,
-        }
-        for name, v in dims.items():
-            if v <= 0:
-                raise ConfigError(f"{name} must be positive, got {v}")
+        super().__post_init__()
+        for name in self.__dataclass_fields__:
+            if name != "seed" and getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 1 <= self.top_k <= self.n_experts:
             raise ConfigError(f"top_k={self.top_k} must be in [1, n_experts={self.n_experts}]")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
-
-    def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "n_experts": self.n_experts,
-            "top_k": self.top_k,
-            "d_ff": self.d_ff,
-            "seq_len": self.seq_len,
-            "vocab_size": self.vocab_size,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = cls.__dataclass_fields__
-        for k, v in d.items():
-            if k not in known:
-                raise ConfigError(f"unknown model config key {k!r}; known keys: {', '.join(known)}")
-            if type(v) is not int:
-                raise ConfigError(f"model config key {k!r} must be an integer, got {v!r}")
-        return cls(**d)
-
-
-@dataclass
-class ExpertWeights:
-    w_gate: np.ndarray  # (d_model, d_ff)
-    w_up: np.ndarray    # (d_model, d_ff)
-    w_down: np.ndarray  # (d_ff, d_model)
-
-
-@dataclass
-class MoELayer:
-    router: np.ndarray  # (d_model, n_experts)
-    experts: list[ExpertWeights]
 
 
 @dataclass
@@ -197,18 +150,6 @@ class MoEModel:
     def expert_param_names(self) -> list[str]:
         return [n for n in self.param_names() if ".experts." in n]
 
-    def moe_layer(self, i: int) -> MoELayer:
-        cfg = self.config
-        experts = [
-            ExpertWeights(
-                w_gate=self.params[f"layers.{i}.experts.{e}.w_gate"],
-                w_up=self.params[f"layers.{i}.experts.{e}.w_up"],
-                w_down=self.params[f"layers.{i}.experts.{e}.w_down"],
-            )
-            for e in range(cfg.n_experts)
-        ]
-        return MoELayer(router=self.params[f"layers.{i}.router"], experts=experts)
-
     def copy(self) -> "MoEModel":
         return MoEModel(self.config, {n: p.copy() for n, p in self.params.items()})
 
@@ -225,51 +166,9 @@ def _topk_mask(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return mask, selected
 
 
-def _masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    masked = np.where(mask, x, -np.inf)
-    shifted = x - masked.max(axis=1, keepdims=True)
-    with np.errstate(over="ignore"):
-        e = np.where(mask, np.exp(shifted), 0.0)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _full_softmax(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
-
-
-def route(x: np.ndarray, layer: MoELayer, k: int) -> GateMatrix:
-    """Top-k softmax gate: keep the k largest logits per row, softmax over the
-    survivors, zeros elsewhere."""
-    if k > layer.router.shape[1]:
-        raise ConfigError(f"top_k={k} exceeds n_experts={layer.router.shape[1]}")
-    logits = matmul(x, layer.router)
-    mask, selected = _topk_mask(logits, k)
-    gates = _masked_softmax(logits, mask)
-    gm = GateMatrix(values=gates, selected=selected, probs=_full_softmax(logits))
-    gm.validate(k)
-    return gm
-
-
-def expert_forward(x: np.ndarray, e: ExpertWeights) -> np.ndarray:
-    """SwiGLU expert: (silu(x W_gate) * (x W_up)) W_down."""
-    if x.shape[1] != e.w_gate.shape[0]:
-        raise ShapeError(f"expert input width {x.shape[1]} != d_model {e.w_gate.shape[0]}")
-    return matmul(silu(matmul(x, e.w_gate)) * matmul(x, e.w_up), e.w_down)
-
-
-def moe_layer_forward(x: np.ndarray, layer: MoELayer, k: int) -> tuple[np.ndarray, GateMatrix]:
-    """Gate-weighted sum of expert outputs; experts with zero gate for a token
-    are not evaluated on it."""
-    gm = route(x, layer, k)
-    y = np.zeros_like(x)
-    for e, expert in enumerate(layer.experts):
-        idx = np.nonzero(gm.values[:, e])[0]
-        if idx.size == 0:
-            continue
-        out = expert_forward(x[idx], expert)
-        y[idx] += gm.values[idx, e][:, None] * out
-    return y, gm
 
 
 def ce_loss(logits: np.ndarray, targets) -> float:

@@ -1,9 +1,10 @@
-"""Dense float64 matrix kernels and seeded randomness.
+"""Seeded randomness and the SPD inverse.
 
 A "matrix" throughout the toolkit is a 2-D C-contiguous float64 ndarray:
 shape[0]/shape[1] are the row/column counts and the underlying buffer is the
 row-major sequence of 64-bit values that the persistence layer writes verbatim.
-Public operations validate shapes and leave only finite entries behind.
+`spd_inverse` (Cholesky, for the OBS update) validates its input and leaves
+only finite entries behind; `SeededRng` is the one source of randomness.
 """
 
 from __future__ import annotations
@@ -13,44 +14,13 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import NumericalError, ShapeError
 
-__all__ = [
-    "matmul",
-    "row_softmax",
-    "silu",
-    "spd_inverse",
-    "SeededRng",
-]
+__all__ = ["spd_inverse", "SeededRng"]
 
 
 def _check_finite(m: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NumericalError(f"{op} produced non-finite entries")
     return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard product a @ b, (n,k) x (k,m) -> (n,m)."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return _check_finite(a @ b, "matmul")
-
-
-def row_softmax(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by max-subtraction. Rows sum to 1."""
-    m = np.asarray(m, dtype=np.float64)
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return _check_finite(e / e.sum(axis=1, keepdims=True), "row_softmax")
-
-
-def silu(m: np.ndarray) -> np.ndarray:
-    """Elementwise x * sigmoid(x)."""
-    m = np.asarray(m, dtype=np.float64)
-    # exp(-|x|) never overflows; both branches equal x*sigmoid(x).
-    e = np.exp(-np.abs(m))
-    return _check_finite(np.where(m >= 0, m / (1.0 + e), m * e / (1.0 + e)), "silu")
 
 
 def spd_inverse(h: np.ndarray) -> np.ndarray:

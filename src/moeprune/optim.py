@@ -15,7 +15,7 @@ __all__ = ["Adam", "cosine_lr", "finite_step"]
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     """base_lr at step 0, exactly 0 at the final step (total_steps - 1)."""
     if total_steps <= 1:
-        return base_lr
+        return float(base_lr)
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / (total_steps - 1)))
 
 

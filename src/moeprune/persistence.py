@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,7 @@ def save_checkpoint(
 
     manifest = {
         "format_version": CHECKPOINT_VERSION,
-        "model_config": model.config.to_dict(),
+        "model_config": asdict(model.config),
         "tensors": index,
         "tensors_crc32": zlib.crc32(tensors) & 0xFFFFFFFF,
     }

@@ -4,11 +4,13 @@ evaluation over non-overlapping windows."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
 from .calibration import corpus_tokens, nonoverlapping_windows
+from .config import Section
 from .errors import InputError, NumericalError
 from .model import (
     MoEModel,
@@ -22,7 +24,17 @@ from .model import (
 from .numerics import SeededRng
 from .optim import Adam, cosine_lr, finite_step
 
-__all__ = ["train_model", "evaluate_perplexity", "batch_ce_graph"]
+__all__ = ["TrainConfig", "train_model", "evaluate_perplexity", "batch_ce_graph"]
+
+
+@dataclass(frozen=True)
+class TrainConfig(Section):
+    SECTION = "train"
+
+    steps: int = 2000
+    batch_size: int = 8
+    learning_rate: float = 1e-3
+    seed: int = 0
 
 
 def batch_ce_graph(model: MoEModel, batch: list[np.ndarray],
@@ -38,12 +50,7 @@ def batch_ce_graph(model: MoEModel, batch: list[np.ndarray],
 
 
 def train_model(
-    model: MoEModel,
-    corpus: bytes | str,
-    steps: int,
-    batch_size: int = 8,
-    learning_rate: float = 1e-3,
-    seed: int = 0,
+    model: MoEModel, corpus: bytes | str, cfg: TrainConfig
 ) -> tuple[MoEModel, list[dict]]:
     """Adam + cosine CE training on randomly offset windows. Deterministic per
     seed. Aborts (NumericalError naming the step) on a non-finite loss or a
@@ -53,13 +60,13 @@ def train_model(
     if toks.size < seq_len + 1:
         raise InputError(f"corpus has {toks.size} tokens; need more than seq_len={seq_len}")
     out = model.copy()
-    if steps == 0:
+    if cfg.steps == 0:
         return out, []
-    rng = SeededRng(seed)
+    rng = SeededRng(cfg.seed)
     opt = Adam(out.params)
     log = []
-    for step in range(steps):
-        offsets = np.asarray(rng.integers(0, toks.size - seq_len + 1, size=batch_size))
+    for step in range(cfg.steps):
+        offsets = np.asarray(rng.integers(0, toks.size - seq_len + 1, size=cfg.batch_size))
         batch = [toks[o : o + seq_len] for o in offsets]
         with finite_step("training", step):
             loss, leaves, tape = batch_ce_graph(out, batch)
@@ -67,7 +74,7 @@ def train_model(
             if not math.isfinite(value):
                 raise NumericalError(f"non-finite training loss at step {step}: {value}")
             tape.backward(loss)
-            lr = cosine_lr(step, steps, learning_rate)
+            lr = cosine_lr(step, cfg.steps, cfg.learning_rate)
             opt.step({n: v.grad for n, v in leaves.items()}, lr)
         log.append({"step": step, "lr": lr, "loss": value})
     return out, log

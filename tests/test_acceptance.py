@@ -32,7 +32,7 @@ from moeprune.pruning import (
     score_wanda,
     select_mask,
 )
-from moeprune.training import evaluate_perplexity, train_model
+from moeprune.training import TrainConfig, evaluate_perplexity, train_model
 
 from conftest import synth_corpus
 
@@ -286,8 +286,8 @@ def test_criterion_10_end_to_end_trend():
     train_part = corpus[: 960 * 1024]
     held_out = corpus[960 * 1024 : 960 * 1024 + 16 * 1024]
 
-    teacher, _ = train_model(MoEModel.init(TOY), train_part, steps=600,
-                             batch_size=8, learning_rate=2e-3, seed=500)
+    teacher, _ = train_model(MoEModel.init(TOY), train_part,
+                             TrainConfig(steps=600, batch_size=8, learning_rate=2e-3, seed=500))
     teacher_ppl, _ = evaluate_perplexity(teacher, held_out)
     print(f"\n  teacher held-out perplexity: {teacher_ppl:.4f} "
           f"({time.time() - t0:.0f}s)")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from moeprune.analysis import analyze_model, balance_score, ingest_frequencies
+from moeprune.calibration import CalibrationConfig
 from moeprune.errors import FormatError, InputError
 from moeprune.model import MoEModel
 from moeprune.numerics import SeededRng
@@ -66,7 +67,7 @@ def symmetric_router_model() -> MoEModel:
 class TestAnalyzeModel:
     def test_symmetric_router_near_zero(self):
         report = analyze_model(symmetric_router_model(), random_bytes_corpus(5, 320 * 32),
-                               nsamples=313, seed=0)
+                               CalibrationConfig(nsamples=313, seed=0))
         assert report.extra["total_tokens"] >= 10000
         assert report.model_score < 0.2
         assert len(report.layer_scores) == TINY.n_layers
@@ -79,19 +80,19 @@ class TestAnalyzeModel:
             col = biased.params[f"layers.{i}.router"][:, [0]]
             biased.params[f"layers.{i}.router"] = np.repeat(col, TINY.n_experts, axis=1)
         corpus = random_bytes_corpus(6, 64 * 32)
-        report = analyze_model(biased, corpus, nsamples=32, seed=0)
+        report = analyze_model(biased, corpus, CalibrationConfig(nsamples=32, seed=0))
         assert report.model_score == pytest.approx(math.sqrt(TINY.n_experts - 1), abs=1e-9)
         assert report.frequencies[0][1:] == [0] * (TINY.n_experts - 1)
 
     def test_deterministic(self, tiny_model):
         corpus = random_bytes_corpus(7, 64 * 32)
-        a = analyze_model(tiny_model, corpus, nsamples=16, seed=3)
-        b = analyze_model(tiny_model, corpus, nsamples=16, seed=3)
+        a = analyze_model(tiny_model, corpus, CalibrationConfig(nsamples=16, seed=3))
+        b = analyze_model(tiny_model, corpus, CalibrationConfig(nsamples=16, seed=3))
         assert a.to_dict() == b.to_dict()
 
     def test_topk_mode(self, tiny_model):
         corpus = random_bytes_corpus(8, 64 * 32)
-        report = analyze_model(tiny_model, corpus, nsamples=16, mode="topk", seed=0)
+        report = analyze_model(tiny_model, corpus, CalibrationConfig(nsamples=16), mode="topk")
         for row in report.frequencies:
             assert sum(row) == report.extra["total_tokens"] * TINY.top_k
 

@@ -5,11 +5,9 @@ from moeprune.calibration import (
     ScaledNormAccumulator,
     build_calibration_set,
     collect,
-    export_stats,
-    import_stats,
     nonoverlapping_windows,
 )
-from moeprune.errors import ChecksumError, FormatError, InputError, ShapeError
+from moeprune.errors import InputError, ShapeError
 from moeprune.model import ModelConfig, MoEModel, model_forward
 
 from conftest import TINY, synth_corpus
@@ -157,40 +155,10 @@ class TestCollect:
                 assert down.tokens_seen == gate.tokens_seen
 
 
-class TestStatsRoundTrip:
-    def test_bit_exact(self, stats, tmp_path):
-        path = tmp_path / "stats.moepstat"
-        export_stats(stats, path)
-        loaded = import_stats(path)
-        for name in stats.scaled:
-            assert np.array_equal(loaded.scaled[name].sum_sq, stats.scaled[name].sum_sq)
-            assert np.array_equal(loaded.unscaled[name].sum_sq, stats.unscaled[name].sum_sq)
-            assert np.array_equal(loaded.hessians[name].h, stats.hessians[name].h)
-            assert loaded.scaled[name].tokens_seen == stats.scaled[name].tokens_seen
-        assert np.array_equal(loaded.frequencies.counts, stats.frequencies.counts)
-        assert len(loaded.sequences) == len(stats.sequences)
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.sequences, stats.sequences))
-
-    def test_truncated_file(self, stats, tmp_path):
-        path = tmp_path / "stats.moepstat"
-        export_stats(stats, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises((FormatError, ChecksumError)):
-            import_stats(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
-        with pytest.raises(FormatError, match="magic"):
-            import_stats(path)
-
-    def test_mismatched_model_rejected(self, stats, tmp_path):
-        path = tmp_path / "stats.moepstat"
-        export_stats(stats, path)
-        loaded = import_stats(path)
+class TestValidateForModel:
+    def test_mismatched_model_rejected(self, stats):
         other = MoEModel.init(ModelConfig(d_model=16, n_heads=2, n_layers=2,
                                           n_experts=2, top_k=2, d_ff=32,
                                           seq_len=32, vocab_size=256, seed=0))
         with pytest.raises(ShapeError, match="architecture"):
-            loaded.validate_for_model(other)
+            stats.validate_for_model(other)

@@ -104,6 +104,7 @@ BAD_SECTIONS = [
     ("train", {"train": {"batch_size": 0}}, "train.batch_size"),
     ("train", {"train": {"steps": -1}}, "train.steps"),
     ("prune", {"calibration": {"nsamples": 0}}, "calibration.nsamples"),
+    ("distill", {"kd": {"schedule": "cosine"}}, "kd.schedule"),
 ]
 
 
@@ -126,28 +127,45 @@ def test_bad_config_value_is_one_line_error(workdir, tmp_path, capsys, command, 
     assert named in err
 
 
-@pytest.mark.parametrize("flags,named", [
-    (["train", "--lr", "-1"], "train.learning_rate"),
-    (["train", "--batch-size", "0"], "train.batch_size"),
-    (["distill", "--batch-size", "0"], "kd.batch_size"),
-    (["distill", "--samples", "-3"], "kd.samples"),
-    (["distill", "--lam", "-1"], "kd.lambda_mode"),
-    (["distill", "--lr", "inf"], "kd.learning_rate"),
-    (["prune", "--nsamples", "-2"], "calibration.nsamples"),
-])
-def test_bad_flag_value_is_one_line_error(workdir, tmp_path, capsys, flags, named):
+BAD_FLAGS = [
+    (["train", "--lr", "-1"], "train.learning_rate", 3),
+    (["train", "--batch-size", "0"], "train.batch_size", 3),
+    (["distill", "--batch-size", "0"], "kd.batch_size", 3),
+    (["distill", "--samples", "-3"], "kd.samples", 3),
+    (["distill", "--lam", "-1"], "kd.lambda_mode", 3),
+    (["distill", "--lr", "inf"], "kd.learning_rate", 3),
+    (["prune", "--nsamples", "-2"], "calibration.nsamples", 3),
+    (["sweep", "--nsamples-list", "0,-1"], "calibration.nsamples", 3),
+    (["analyze", "--nsamples", "-2"], "calibration.nsamples", 3),
+    (["sweep", "--sparsities", "0.5", "--nsamples", "0"], "calibration.nsamples", 3),
+    (["sweep", "--sparsities", "abc"], "'abc'", 2),
+    (["sweep", "--nsamples-list", "x"], "'x'", 2),
+    (["train", "--seed", "-1"], "model.seed", 3),
+    (["prune", "--seed", "-3"], "calibration.seed", 3),
+]
+
+
+# ids name the row and the key, not the exit code, so existing ids stay stable
+@pytest.mark.parametrize("flags,named,code", BAD_FLAGS,
+                         ids=[f"flags{i}-{named}" for i, (_, named, _) in enumerate(BAD_FLAGS)])
+def test_bad_flag_value_is_one_line_error(workdir, tmp_path, capsys, flags, named, code):
+    never = ["--out", tmp_path / "never"]
     inputs = {
-        "train": ["--corpus", workdir / "corpus.txt", "--steps", "1"],
+        "train": ["--corpus", workdir / "corpus.txt", "--steps", "1", *never],
         "distill": ["--teacher", workdir / "init_ckpt", "--student", workdir / "init_ckpt",
-                    "--corpus", workdir / "corpus.txt"],
+                    "--corpus", workdir / "corpus.txt", *never],
         "prune": ["--ckpt", workdir / "init_ckpt", "--sparsity", "0.5",
-                  "--calib", workdir / "corpus.txt"],
+                  "--calib", workdir / "corpus.txt", *never],
+        "sweep": ["--ckpt", workdir / "init_ckpt", "--calib", workdir / "corpus.txt",
+                  "--eval-corpus", workdir / "corpus.txt", *never],
+        "analyze": ["--ckpt", workdir / "init_ckpt", "--corpus", workdir / "corpus.txt"],
     }[flags[0]]
     capsys.readouterr()
-    rc = run([*flags, *inputs, "--out", tmp_path / "never"])
+    rc = run([*flags, *inputs])
     out, err = capsys.readouterr()
-    assert rc == 3
+    assert rc == code
     assert len(err.strip().splitlines()) == 1 and named in err
+    assert "Traceback" not in err
     assert out == "" and not (tmp_path / "never").exists()
 
 
@@ -408,3 +426,50 @@ class TestSweep:
                   "--calib", workdir / "corpus.txt",
                   "--eval-corpus", workdir / "corpus.txt", "--out", workdir / "x.csv"])
         assert rc == 2
+
+    def test_zero_sparsity_reports_dense_perplexity(self, workdir, capsys):
+        out = workdir / "sweep_zero.csv"
+        rc = run(["sweep", "--ckpt", workdir / "init_ckpt", "--nsamples-list", "2",
+                  "--sparsity", "0", "--calib", workdir / "corpus.txt",
+                  "--eval-corpus", workdir / "corpus.txt", "--out", out])
+        assert rc == 0
+        run(["eval", "--ckpt", workdir / "init_ckpt", "--corpus", workdir / "corpus.txt"])
+        dense = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["perplexity"]
+        (row,) = csv.DictReader(out.open())
+        assert abs(float(row["perplexity"]) - dense) < 1e-10
+
+
+def echoed(ckpt) -> dict:
+    return json.loads((ckpt / "manifest.json").read_text())["extra"]["config"]
+
+
+def test_echoed_config_defaults(workdir, tmp_path):
+    corpus = workdir / "corpus.txt"
+    assert run(["train", "--corpus", corpus, "--steps", "0", "--out", tmp_path / "t"]) == 0
+    assert echoed(tmp_path / "t") == {
+        "model": {"d_model": 64, "n_heads": 4, "n_layers": 2, "n_experts": 4, "top_k": 2,
+                  "d_ff": 128, "seq_len": 128, "vocab_size": 256, "seed": 0},
+        "train": {"steps": 0, "batch_size": 8, "learning_rate": 0.001, "seed": 0},
+        "upcycle": False,
+    }
+    assert run(["prune", "--ckpt", workdir / "init_ckpt", "--sparsity", "0.5",
+                "--calib", corpus, "--nsamples", "2", "--out", tmp_path / "p"]) == 0
+    prune_config = {"model": CLI_MODEL, "calibration": {"nsamples": 2, "seed": 0},
+                    "method": "moe-pruner", "sparsity": "p=0.5", "propagate": "dense"}
+    assert echoed(tmp_path / "p") == prune_config
+    report = json.loads((tmp_path / "p" / "prune_report.json").read_text())
+    assert report["config"] == prune_config
+    assert run(["distill", "--teacher", workdir / "init_ckpt", "--student", workdir / "init_ckpt",
+                "--corpus", corpus, "--epochs", "0", "--out", tmp_path / "d"]) == 0
+    assert echoed(tmp_path / "d")["kd"] == {
+        "lambda_mode": "auto", "epochs": 0, "learning_rate": 2e-05, "batch_size": 8,
+        "samples": 1000, "seed": 0, "router_frozen": True, "lambda_resolved": 1.0}
+
+
+def test_echoed_config_keeps_values_as_given(workdir, tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"model": CLI_MODEL,
+                                                   "train": {"learning_rate": 1}}))
+    assert run(["train", "--config", tmp_path / "cfg.json", "--corpus", workdir / "corpus.txt",
+                "--steps", "0", "--out", tmp_path / "t"]) == 0
+    assert '"learning_rate": 1,' in (tmp_path / "t" / "manifest.json").read_text()
+    assert type(echoed(tmp_path / "t")["train"]["learning_rate"]) is int

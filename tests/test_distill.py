@@ -16,12 +16,10 @@ from moeprune.distill import (
 )
 from moeprune.errors import ContractError, NumericalError
 from moeprune.model import (
-    ExpertWeights,
     ModelConfig,
     MoEModel,
     ce_loss,
     _expert,
-    expert_forward,
     forward_pass,
     make_param_vars,
     model_forward,
@@ -33,6 +31,7 @@ from moeprune.pruning import SparsityTarget, prune_model
 from moeprune.calibration import build_calibration_set, collect
 
 from conftest import synth_corpus
+from oracles import ExpertWeights, expert_forward
 from test_autograd import grads_both_ways
 
 CFG = ModelConfig(d_model=8, n_heads=2, n_layers=1, n_experts=2, top_k=1,

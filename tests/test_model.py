@@ -8,22 +8,25 @@ import moeprune.model
 
 from moeprune.errors import ConfigError, InputError, NumericalError
 from moeprune.model import (
-    ExpertWeights,
     GateMatrix,
     ModelConfig,
-    MoELayer,
     MoEModel,
     ce_loss,
-    expert_forward,
     forward_pass,
     model_forward,
-    moe_layer_forward,
-    route,
 )
 from moeprune.numerics import SeededRng
 from moeprune.training import batch_ce_graph, evaluate_perplexity
 
 from conftest import TINY, random_bytes_corpus
+from oracles import (
+    ExpertWeights,
+    MoELayer,
+    expert_forward,
+    moe_layer,
+    moe_layer_forward,
+    route,
+)
 
 
 def make_layer(rng: SeededRng, d_model=4, d_ff=6, n_experts=4) -> MoELayer:
@@ -348,7 +351,7 @@ class TestBatchedForward:
         tr = forward_pass(tiny_model, toks, forced_dispatch=forced)
         assert np.allclose(tr.result.logits, plain.logits, rtol=1e-12, atol=1e-14)
         for i, (lt, pl) in enumerate(zip(tr.layers, plain.layers)):
-            experts = tiny_model.moe_layer(i).experts
+            experts = moe_layer(tiny_model, i).experts
             assert list(tr.forced_outputs[i]) == [0, 1, 2, 3]
             for e, rows in forced[i].items():
                 assert np.array_equal(lt.expert_tokens[e], pl.expert_tokens[e])

@@ -10,7 +10,6 @@ from moeprune.errors import (
     StorageError,
     VersionError,
 )
-from moeprune.container import write_container
 from moeprune.model import MoEModel
 from moeprune.persistence import load_checkpoint, save_checkpoint
 
@@ -92,6 +91,16 @@ def test_bad_model_config_in_manifest_is_format_error(tiny_model, tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+def test_non_object_model_config_in_manifest_is_format_error(tiny_model, tmp_path):
+    save_checkpoint(tiny_model, tmp_path / "ckpt")
+    mpath = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["model_config"] = 5
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="'model' must be a JSON object"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def _rename_mask(masks, name):
     masks["layers.0.experts.0.w_bogus"] = masks.pop(name)
 
@@ -123,11 +132,6 @@ def test_unwritable_target_raises_storage_error(tiny_model, tmp_path):
     blocker.write_text("a file, not a directory")
     with pytest.raises(StorageError):
         save_checkpoint(tiny_model, blocker)
-
-
-def test_container_write_to_missing_directory_raises_storage_error(tmp_path):
-    with pytest.raises(StorageError, match="cannot write"):
-        write_container(tmp_path / "missing" / "stats.bin", b"MOEPSTAT", {}, b"")
 
 
 def test_no_temp_files_left_behind(tiny_model, tmp_path):
