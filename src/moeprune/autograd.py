@@ -317,7 +317,7 @@ def masked_assign(a: Var, mask: np.ndarray) -> Var:
     """Zero both the value and the gradient flow wherever mask == 0."""
     if mask.shape != a.value.shape:
         raise ShapeError(f"mask shape {mask.shape} != value shape {a.value.shape}")
-    m = mask.astype(np.float64)
+    m = mask.astype(np.float64, copy=False)
 
     def bwd(g: np.ndarray) -> None:
         a.accumulate(g * m)

@@ -1,11 +1,12 @@
 """Calibration statistics: gate-scaled input norms, plain input norms,
 Hessians (X^T X), and dispatch frequencies, streamed over a token sample.
 
-For each expert matrix there is one scaled and one unscaled norm accumulator
-and one Hessian accumulator. w_gate/w_up see the MoE-layer input restricted to
-the tokens routed to that expert; w_down sees the SwiGLU intermediate. Scaled
-accumulators weight each token's features by that token's normalized gate
-before squaring; Hessians always use unscaled inputs.
+For each expert input there is one scaled and one unscaled norm accumulator
+and one Hessian accumulator, keyed by the weights that read it: w_gate and
+w_up share the MoE-layer input restricted to the tokens routed to that expert;
+w_down reads the SwiGLU intermediate. Scaled accumulators weight each token's
+features by that token's normalized gate before squaring; Hessians always use
+unscaled inputs.
 """
 
 from __future__ import annotations
@@ -86,19 +87,19 @@ def build_calibration_set(corpus: bytes | str, nsamples: int, seq_len: int, seed
 
 @dataclass
 class ScaledNormAccumulator:
-    """Streaming sum over tokens of (x_j * g)^2 per input feature j."""
+    """Streaming sum over tokens of (x_j * g)^2 per feature j of the input `targets` read."""
 
-    target: str
+    targets: tuple[str, ...]
     sum_sq: np.ndarray
     tokens_seen: int = 0
 
     @classmethod
-    def empty(cls, target: str, d_in: int) -> "ScaledNormAccumulator":
-        return cls(target=target, sum_sq=np.zeros(d_in))
+    def empty(cls, targets: tuple[str, ...], d_in: int) -> "ScaledNormAccumulator":
+        return cls(targets=targets, sum_sq=np.zeros(d_in))
 
     def add(self, x: np.ndarray, gates: np.ndarray) -> None:
         if x.shape[1] != self.sum_sq.size:
-            raise ShapeError(f"{self.target}: input width {x.shape[1]} != {self.sum_sq.size}")
+            raise ShapeError(f"{self.targets[0]}: input width {x.shape[1]} != {self.sum_sq.size}")
         scaled = x * gates[:, None]
         self.sum_sq += (scaled * scaled).sum(axis=0)
         self.tokens_seen += x.shape[0]
@@ -109,19 +110,19 @@ class ScaledNormAccumulator:
 
 @dataclass
 class HessianAccumulator:
-    """Streaming X^T X over routed (unscaled) calibration inputs."""
+    """Streaming X^T X over the routed (unscaled) calibration inputs `targets` read."""
 
-    target: str
+    targets: tuple[str, ...]
     h: np.ndarray
     tokens_seen: int = 0
 
     @classmethod
-    def empty(cls, target: str, d_in: int) -> "HessianAccumulator":
-        return cls(target=target, h=np.zeros((d_in, d_in)))
+    def empty(cls, targets: tuple[str, ...], d_in: int) -> "HessianAccumulator":
+        return cls(targets=targets, h=np.zeros((d_in, d_in)))
 
     def add(self, x: np.ndarray) -> None:
         if x.shape[1] != self.h.shape[0]:
-            raise ShapeError(f"{self.target}: input width {x.shape[1]} != {self.h.shape[0]}")
+            raise ShapeError(f"{self.targets[0]}: input width {x.shape[1]} != {self.h.shape[0]}")
         self.h += x.T @ x
         self.tokens_seen += x.shape[0]
 
@@ -172,18 +173,17 @@ Accumulators = tuple[
 
 def empty_accumulators(cfg: ModelConfig, layers: range) -> Accumulators:
     """Empty (scaled, unscaled, Hessian) accumulators for every expert matrix
-    of `layers`."""
-    targets = []
+    of `layers`, one per expert input: w_gate and w_up share theirs."""
+    acc = ({}, {}, {})
     for i in layers:
         for e in range(cfg.n_experts):
             base = f"layers.{i}.experts.{e}"
-            targets += [(f"{base}.w_gate", cfg.d_model), (f"{base}.w_up", cfg.d_model),
-                        (f"{base}.w_down", cfg.d_ff)]
-    return (
-        {n: ScaledNormAccumulator.empty(n, d) for n, d in targets},
-        {n: ScaledNormAccumulator.empty(n, d) for n, d in targets},
-        {n: HessianAccumulator.empty(n, d) for n, d in targets},
-    )
+            for names, d in (((f"{base}.w_gate", f"{base}.w_up"), cfg.d_model),
+                             ((f"{base}.w_down",), cfg.d_ff)):
+                for table, cls in zip(acc, (ScaledNormAccumulator, ScaledNormAccumulator,
+                                            HessianAccumulator)):
+                    table.update(dict.fromkeys(names, cls.empty(names, d)))
+    return acc
 
 
 def accumulate_layer(
@@ -198,9 +198,9 @@ def accumulate_layer(
         if gate_override is not None:
             g = np.full(idx.size, float(gate_override))
         ones = np.ones(idx.size)
-        x_in = layer.moe_input[idx]
         base = f"layers.{i}.experts.{e}"
-        for tgt, x in ((f"{base}.w_gate", x_in), (f"{base}.w_up", x_in),
+        # w_up shares w_gate's accumulators
+        for tgt, x in ((f"{base}.w_gate", layer.moe_input[idx]),
                        (f"{base}.w_down", layer.expert_hidden[e])):
             scaled[tgt].add(x, g)
             unscaled[tgt].add(x, ones)

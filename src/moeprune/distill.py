@@ -32,6 +32,7 @@ from .model import (
 )
 from .numerics import SeededRng
 from .optim import Adam, cosine_lr, finite_step
+from .persistence import nonzero_where_pruned
 
 __all__ = ["KDConfig", "KDLossBreakdown", "kd_loss", "init_lambda", "distill"]
 
@@ -202,8 +203,10 @@ def distill(
     for name, m in masks.items():
         if name not in out.params:
             raise ContractError(f"mask targets unknown parameter {name!r}")
-        if not (out.params[name][m == 0] == 0.0).all():
+        if nonzero_where_pruned(out.params[name], m):
             raise ContractError(f"student weights at {name!r} are nonzero under the mask")
+    # as float64 once: every step's masked-assign and re-zeroing multiply by them
+    masks = {name: m.astype(np.float64) for name, m in masks.items()}
 
     cal = build_calibration_set(corpus, cfg.samples, out.config.seq_len, cfg.seed)
     order_rng = SeededRng(cfg.seed).child(1)

@@ -33,7 +33,8 @@ def spd_inverse(h: np.ndarray) -> np.ndarray:
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
         raise ShapeError(f"spd_inverse needs a non-empty square matrix, got {h.shape}")
-    asym = np.abs(h - h.T).max()
+    diff = h - h.T
+    asym = np.abs(diff, out=diff).max()
     if asym > 1e-9 * max(1.0, float(np.abs(h).max())):
         raise ShapeError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     factor, info = dpotrf(h, lower=1, clean=0)
@@ -45,8 +46,9 @@ def spd_inverse(h: np.ndarray) -> np.ndarray:
             "increase dampening"
         )
     # potri fills the lower triangle only; mirroring it makes the result
-    # exactly symmetric.
-    inv = np.tril(inv) + np.tril(inv, -1).T
+    # exactly symmetric, and adding 0.0 stores every zero as +0.0.
+    inv = np.where(np.tri(h.shape[0], dtype=bool), inv, inv.T)
+    inv += 0.0
     return _check_finite(np.ascontiguousarray(inv), "spd_inverse")
 
 

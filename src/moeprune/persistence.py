@@ -11,8 +11,10 @@ interrupted save never leaves a manifest pointing at truncated data.
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from dataclasses import asdict
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +30,13 @@ from .errors import (
 )
 from .model import ModelConfig, MoEModel
 
-__all__ = ["save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION"]
+__all__ = ["save_checkpoint", "load_checkpoint", "nonzero_where_pruned", "CHECKPOINT_VERSION"]
 
 CHECKPOINT_VERSION = 1
 
 
-def _pack_mask(bits: np.ndarray) -> bytes:
-    return np.packbits(bits.astype(np.uint8), axis=1, bitorder="little").tobytes()
+def _pack_mask(bits: np.ndarray) -> np.ndarray:
+    return np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
 
 
 def _unpack_mask(raw: bytes, rows: int, cols: int) -> np.ndarray:
@@ -43,13 +45,31 @@ def _unpack_mask(raw: bytes, rows: int, cols: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def nonzero_where_pruned(p: np.ndarray, mask: np.ndarray) -> bool:
+    """Whether any position that `mask` marks pruned (0) holds a nonzero weight."""
+    return bool(np.logical_and(p, mask == 0).any())
+
+
+def _atomic_write(path: Path, chunks) -> int:
+    """Write the buffers in `chunks` via temp file + rename; return their CRC32."""
     tmp = path.with_name(path.name + ".tmp")
+    crc = 0
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+                crc = zlib.crc32(chunk, crc)
         tmp.replace(path)
     except OSError as exc:
         raise StorageError(f"cannot write {path}: {exc}") from exc
+    return crc & 0xFFFFFFFF
+
+
+def _indexed(arrays: dict[str, np.ndarray]) -> dict[str, dict]:
+    """Manifest index of `arrays` laid end to end in order."""
+    offsets = accumulate((a.nbytes for a in arrays.values()), initial=0)
+    return {name: {"shape": list(a.shape), "byte_offset": off, "byte_length": a.nbytes}
+            for (name, a), off in zip(arrays.items(), offsets)}
 
 
 def save_checkpoint(
@@ -65,63 +85,73 @@ def save_checkpoint(
     except OSError as exc:
         raise StorageError(f"cannot create checkpoint directory {d}: {exc}") from exc
 
-    index = {}
-    chunks = []
-    offset = 0
-    for name in model.param_names():
-        p = model.params[name]
-        raw = np.ascontiguousarray(p, dtype="<f8").tobytes()
-        index[name] = {"shape": list(p.shape), "byte_offset": offset, "byte_length": len(raw)}
-        chunks.append(raw)
-        offset += len(raw)
-    tensors = b"".join(chunks)
-    _atomic_write(d / "tensors.bin", tensors)
-
+    tensors = {n: np.ascontiguousarray(model.params[n], dtype="<f8") for n in model.param_names()}
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "model_config": asdict(model.config),
-        "tensors": index,
-        "tensors_crc32": zlib.crc32(tensors) & 0xFFFFFFFF,
+        "tensors": _indexed(tensors),
+        "tensors_crc32": _atomic_write(d / "tensors.bin", tensors.values()),
     }
     if extra:
         manifest["extra"] = extra
 
     if masks is not None:
-        mindex = {}
-        mchunks = []
-        moffset = 0
+        packed = {}
         for name in sorted(masks):
             bits = masks[name]
             if bits.shape != model.params[name].shape:
                 raise FormatError(
                     f"mask {name!r} shape {bits.shape} != parameter shape {model.params[name].shape}"
                 )
-            raw = _pack_mask(bits)
-            mindex[name] = {"shape": list(bits.shape), "byte_offset": moffset, "byte_length": len(raw)}
-            mchunks.append(raw)
-            moffset += len(raw)
-        mask_blob = b"".join(mchunks)
-        _atomic_write(d / "masks.bin", mask_blob)
-        manifest["masks"] = mindex
-        manifest["masks_crc32"] = zlib.crc32(mask_blob) & 0xFFFFFFFF
+            packed[name] = _pack_mask(bits)
+        # the index records each mask's unpacked shape
+        manifest["masks"] = {n: {**e, "shape": list(masks[n].shape)}
+                             for n, e in _indexed(packed).items()}
+        manifest["masks_crc32"] = _atomic_write(d / "masks.bin", packed.values())
 
-    _atomic_write(d / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
+    _atomic_write(d / "manifest.json",
+                  [json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")])
 
 
-def _read_file(path: Path, expected_crc: int) -> bytes:
+def _read_file(path: Path, expected_crc: int) -> bytearray:
+    """The whole file in one writable buffer, checked against its CRC32."""
     try:
-        raw = path.read_bytes()
+        with path.open("rb") as f:
+            buf = bytearray(os.fstat(f.fileno()).st_size)
+            f.readinto(buf)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    if zlib.crc32(raw) & 0xFFFFFFFF != expected_crc:
+    if zlib.crc32(buf) & 0xFFFFFFFF != expected_crc:
         raise ChecksumError(f"{path}: CRC32 mismatch (corrupted file)")
-    return raw
+    return buf
+
+
+def _tensor_views(index: dict, buf: bytearray) -> dict[str, np.ndarray]:
+    """Writable float64 views of `buf` over 8-aligned, disjoint index ranges."""
+    params = {}
+    spans = []
+    for name, entry in index.items():
+        shape = tuple(entry["shape"])
+        off, length = entry["byte_offset"], entry["byte_length"]
+        if type(off) is not int or off < 0 or off % 8:
+            raise FormatError(f"{name}: byte_offset {off!r} is not a non-negative multiple of 8")
+        if length != 8 * int(np.prod(shape)) or off + length > len(buf):
+            raise FormatError(f"{name}: tensor bytes truncated")
+        params[name] = np.frombuffer(buf, dtype="<f8", count=length // 8,
+                                     offset=off).reshape(shape)
+        spans.append((off, off + length, name))
+    spans.sort()
+    for (_, end, a), (start, _, b) in zip(spans, spans[1:]):
+        if start < end:
+            raise FormatError(f"tensors {a} and {b} overlap in tensors.bin")
+    return params
 
 
 def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
     """Reconstruct the model (and masks, if present). Verifies checksums,
     that every weight is finite (NumericalError naming the first parameter
-    that is not) and that every mask-pruned position stores an exact zero."""
+    that is not) and that every mask-pruned position stores an exact zero.
+    The parameters are views of one buffer holding tensors.bin."""
     d = Path(directory)
     mpath = d / "manifest.json"
     try:
@@ -137,20 +167,15 @@ def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
 
     try:
         config = ModelConfig.from_dict(manifest["model_config"])
-        index = manifest["tensors"]
         tensors = _read_file(d / "tensors.bin", int(manifest["tensors_crc32"]))
-        params = {}
-        for name, entry in index.items():
-            shape = tuple(entry["shape"])
-            off, length = entry["byte_offset"], entry["byte_length"]
-            raw = tensors[off : off + length]
-            if len(raw) != length or length != 8 * int(np.prod(shape)):
-                raise FormatError(f"{name}: tensor bytes truncated")
-            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            if not np.isfinite(params[name]).all():
-                raise NumericalError(f"{d}: parameter {name} holds a non-finite value")
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        params = _tensor_views(manifest["tensors"], tensors)
+    except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{mpath}: malformed manifest: {exc}") from exc
+    # one pass over the whole buffer; the tensors are walked only to name a bad one
+    if not np.isfinite(np.frombuffer(tensors, dtype="<f8", count=len(tensors) // 8)).all():
+        for name, p in params.items():
+            if not np.isfinite(p).all():
+                raise NumericalError(f"{d}: parameter {name} holds a non-finite value")
 
     model = MoEModel(config, params)
 
@@ -183,7 +208,7 @@ def _read_mask(name: str, entry: dict, blob: bytes, model: MoEModel) -> np.ndarr
     raw = blob[off : off + length]
     if len(raw) != length:
         raise FormatError(f"mask {name}: bytes truncated")
-    bits = _unpack_mask(raw, rows, cols).astype(np.uint8)
-    if not (model.params[name][bits == 0] == 0.0).all():
+    bits = _unpack_mask(raw, rows, cols)
+    if nonzero_where_pruned(model.params[name], bits):
         raise MaskConsistencyError(f"mask {name!r} marks pruned positions holding nonzero weights")
     return bits

@@ -23,7 +23,7 @@ from .calibration import (
     accumulate_layer,
     empty_accumulators,
 )
-from .errors import ConfigError, ContractError, NumericalError, ShapeError
+from .errors import ConfigError, ContractError, NumericalError, ShapeError, UsageError
 from .model import MoEModel, model_forward, window_batches
 from .numerics import spd_inverse
 
@@ -33,6 +33,7 @@ __all__ = [
     "score_magnitude",
     "score_wanda",
     "score_moe_pruner",
+    "damped_inverse",
     "score_sparsegpt",
     "select_mask",
     "obs_update",
@@ -73,10 +74,13 @@ class SparsityTarget:
 
     @classmethod
     def parse(cls, text: str) -> "SparsityTarget":
-        if ":" in text:
-            n, m = text.split(":", 1)
-            return cls.semi_structured(int(n), int(m))
-        return cls.unstructured(float(text))
+        try:
+            if ":" in text:
+                n, m = text.split(":")
+                return cls.semi_structured(int(n), int(m))
+            return cls.unstructured(float(text))
+        except ValueError:
+            raise UsageError(f"pattern {text!r} is not N:M (two integers) or a fraction") from None
 
     def describe(self) -> str:
         return f"{self.n_keep}:{self.m_group}" if self.p is None else f"p={self.p}"
@@ -99,10 +103,11 @@ def score_moe_pruner(
     w: np.ndarray, scaled_norms: ScaledNormAccumulator, target: str | None = None
 ) -> np.ndarray:
     """S_ij = |W_ij| * ||X_j * Gate_j||: weight magnitude times the norm of
-    gate-weighted input activations."""
-    if target is not None and scaled_norms.target != target:
+    gate-weighted input activations. A `target` weight name must be one of
+    the weights that read the accumulator's input."""
+    if target is not None and target not in scaled_norms.targets:
         raise ContractError(
-            f"accumulator target {scaled_norms.target!r} does not match weight {target!r}"
+            f"accumulator of {scaled_norms.targets!r} is not the input of weight {target!r}"
         )
     if scaled_norms.sum_sq.size != w.shape[1]:
         raise ShapeError(
@@ -111,45 +116,52 @@ def score_moe_pruner(
     return np.abs(w) * scaled_norms.norms()[None, :]
 
 
-def score_sparsegpt(
-    w: np.ndarray, h: HessianAccumulator | np.ndarray, damp_frac: float = 0.01
-) -> tuple[np.ndarray, np.ndarray]:
-    """S_ij = W_ij^2 / [H'^-1]_jj with H' = H + damp_frac * mean(diag H) * I.
-
-    Returns the scores and H'^-1 (the OBS update consumes its rows).
+def damped_inverse(h: np.ndarray, damp_frac: float = 0.01) -> np.ndarray:
+    """H'^-1 with H' = H + damp_frac * mean(diag H) * I: what SparseGPT scores
+    and the OBS update read. Every weight that reads the same input shares it.
     damp_frac=0 is a test hook; the 0.01 default follows common practice.
     """
     if damp_frac < 0:
         raise ConfigError(f"damp_frac must be >= 0, got {damp_frac}")
-    hm = h.h if isinstance(h, HessianAccumulator) else np.asarray(h, dtype=np.float64)
-    if hm.shape != (w.shape[1], w.shape[1]):
-        raise ShapeError(f"Hessian shape {hm.shape} != ({w.shape[1]}, {w.shape[1]})")
-    damped = hm + damp_frac * float(np.mean(np.diag(hm))) * np.eye(hm.shape[0])
-    h_inv = spd_inverse(damped)
-    return (w * w) / np.diag(h_inv)[None, :], h_inv
+    h = np.asarray(h, dtype=np.float64)
+    return spd_inverse(h + damp_frac * float(np.mean(np.diag(h))) * np.eye(h.shape[0]))
+
+
+def score_sparsegpt(w: np.ndarray, h_inv: np.ndarray) -> np.ndarray:
+    """S_ij = W_ij^2 / [H'^-1]_jj, with H'^-1 from `damped_inverse`."""
+    if h_inv.shape != (w.shape[1], w.shape[1]):
+        raise ShapeError(f"H'^-1 shape {h_inv.shape} != ({w.shape[1]}, {w.shape[1]})")
+    return (w * w) / np.diag(h_inv)[None, :]
 
 
 def select_mask(scores: np.ndarray, target: SparsityTarget) -> np.ndarray:
     """Keep-mask per comparison group: per row for unstructured, per aligned
-    m-column group for n:m. Ties prune the lower column index first."""
+    m-column group for n:m. Ties prune the lower column index first, as a
+    stable sort would, but nothing is sorted."""
     rows, cols = scores.shape
-    mask = np.ones((rows, cols), dtype=np.uint8)
     if target.p is not None:
         k = math.floor(target.p * cols)
         if k == 0:
-            return mask
-        order = np.argsort(scores, axis=1, kind="stable")
-        np.put_along_axis(mask, order[:, :k], 0, axis=1)
-        return mask
+            return np.ones((rows, cols), dtype=np.uint8)
+        kth = np.partition(scores, k - 1, axis=1)[:, k - 1 : k]
+        pruned = scores < kth
+        tie = scores == kth
+        # ties with the k-th score are pruned from the left until k are
+        need = k - np.count_nonzero(pruned, axis=1)[:, None]
+        pruned |= tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= need)
+        return (~pruned).astype(np.uint8)
     m = target.m_group
     if cols % m != 0:
         raise ShapeError(f"column count {cols} not divisible by group size {m}")
-    drop = m - target.n_keep
-    grouped = scores.reshape(rows, cols // m, m)
-    gmask = mask.reshape(rows, cols // m, m)
-    order = np.argsort(grouped, axis=2, kind="stable")
-    np.put_along_axis(gmask, order[:, :, :drop], 0, axis=2)
-    return mask
+    # a column's rank in its group counts the lower-indexed scores <= it and
+    # the higher-indexed scores < it; the m - n_keep lowest ranks are pruned
+    grouped = np.moveaxis(scores.reshape(rows, cols // m, m), 2, 0).copy()
+    keep = np.empty((rows, cols // m, m), dtype=np.uint8)
+    for a in range(m):
+        rank = ((grouped[:a] <= grouped[a]).sum(axis=0, dtype=np.int32)
+                + (grouped[a + 1 :] < grouped[a]).sum(axis=0, dtype=np.int32))
+        keep[:, :, a] = rank >= m - target.n_keep
+    return keep.reshape(rows, cols)
 
 
 def obs_update(w: np.ndarray, mask: np.ndarray, h_inv: np.ndarray) -> np.ndarray:
@@ -239,8 +251,10 @@ def _score_target(
     unscaled: dict[str, ScaledNormAccumulator],
     hess: dict[str, HessianAccumulator],
     damp_frac: float,
+    inverses: dict[tuple[str, ...], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray | None, str]:
-    """Scores in pruning orientation, plus H^-1 when the method updates weights."""
+    """Scores in pruning orientation, plus H^-1 when the method updates weights.
+    `inverses` holds H^-1 per input already inverted, keyed by its weights."""
     if method == "magnitude":
         return score_magnitude(wp), None, method
     if method == "wanda":
@@ -248,12 +262,14 @@ def _score_target(
     if method == "moe-pruner":
         return score_moe_pruner(wp, scaled[name], target=name), None, method
     if method == "sparsegpt":
-        if hess[name].tokens_seen == 0:
+        acc = hess[name]
+        if acc.tokens_seen == 0:
             # dead expert: the Hessian is all-zero and cannot be inverted even
             # with dampening; fall back to magnitude with no update
             return score_magnitude(wp), None, "sparsegpt(magnitude-fallback:no-tokens)"
-        s, h_inv = score_sparsegpt(wp, hess[name], damp_frac)
-        return s, h_inv, method
+        if acc.targets not in inverses:
+            inverses[acc.targets] = damped_inverse(acc.h, damp_frac)
+        return score_sparsegpt(wp, inverses[acc.targets]), inverses[acc.targets], method
     raise ConfigError(f"unknown pruning method {method!r}; choose from {METHODS}")
 
 
@@ -271,7 +287,8 @@ def prune_model(
     of the unpruned model, and runs no forward; "recompute" re-runs the
     calibration sequences through the partly pruned model before scoring each
     layer. Reconstruction errors come from the same (undamped) X^T X that the
-    layer was scored from.
+    layer was scored from. w_gate and w_up share their input's statistics,
+    so sparsegpt inverts one Hessian for both.
 
     Attention and router matrices are untouched. Returns the pruned model, the
     keep-masks aligned to the stored weights, and a report.
@@ -298,17 +315,20 @@ def prune_model(
                 accumulate_layer(acc, i, model_forward(pruned, batch).layers[i])
             scaled, unscaled, hess = acc
         for e in range(cfg.n_experts):
+            inverses: dict[tuple[str, ...], np.ndarray] = {}
             for part in ("w_gate", "w_up", "w_down"):
                 name = f"layers.{i}.experts.{e}.{part}"
                 wp = pruned.params[name].T.copy()  # (out, in) pruning orientation
                 scores, h_inv, method_used = _score_target(
-                    method, wp, name, scaled, unscaled, hess, damp_frac
+                    method, wp, name, scaled, unscaled, hess, damp_frac, inverses
                 )
                 keep = select_mask(scores, target)
                 zeroed = wp * keep
                 updated = obs_update(wp, keep, h_inv) if h_inv is not None else zeroed
+                before = _hessian_error(wp - zeroed, hess[name].h)
+                after = _hessian_error(wp - updated, hess[name].h) if h_inv is not None else before
                 pruned.params[name] = np.ascontiguousarray(updated.T)
-                masks[name] = np.ascontiguousarray(keep.T.astype(np.uint8))
+                masks[name] = np.ascontiguousarray(keep.T)
                 report.targets.append({
                     "name": name,
                     "method": method_used,
@@ -318,7 +338,7 @@ def prune_model(
                     "zeros": int(keep.size - int(keep.sum())),
                     "sparsity_achieved": 1.0 - float(keep.sum()) / keep.size,
                     "tokens_seen": int(scaled[name].tokens_seen),
-                    "recon_error_before_update": _hessian_error(wp - zeroed, hess[name].h),
-                    "recon_error_after_update": _hessian_error(wp - updated, hess[name].h),
+                    "recon_error_before_update": before,
+                    "recon_error_after_update": after,
                 })
     return pruned, masks, report.finalize()

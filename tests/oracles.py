@@ -1,16 +1,19 @@
 """Independent reference implementations the tests check the toolkit against.
 
-Plain-NumPy kernels and a per-expert MoE layer forward (no tape, no
-batching), plus a central-difference gradient check for autograd ops. No
-command uses them; pytest does not collect this module.
+Plain-NumPy kernels, a per-expert MoE layer forward (no tape, no
+batching), mask selection by stable argsort, the SPD inverse mirrored by
+summing triangles, and a central-difference gradient check for autograd ops.
+No command uses them; pytest does not collect this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from moeprune import autograd as ag
 from moeprune.errors import ConfigError, ContractError, ShapeError
@@ -109,6 +112,33 @@ def moe_layer_forward(x: np.ndarray, layer: MoELayer, k: int) -> tuple[np.ndarra
         out = expert_forward(x[idx], expert)
         y[idx] += gm.values[idx, e][:, None] * out
     return y, gm
+
+
+def select_mask(scores: np.ndarray, target) -> np.ndarray:
+    """Keep-mask by stable argsort: each row (unstructured) or aligned
+    m-column group (n:m) prunes its lowest scores, lower column index first
+    among equal scores."""
+    rows, cols = scores.shape
+    mask = np.ones((rows, cols), dtype=np.uint8)
+    if target.p is not None:
+        k = math.floor(target.p * cols)
+        order = np.argsort(scores, axis=1, kind="stable")
+        np.put_along_axis(mask, order[:, :k], 0, axis=1)
+        return mask
+    m = target.m_group
+    order = np.argsort(scores.reshape(rows, cols // m, m), axis=2, kind="stable")
+    np.put_along_axis(mask.reshape(rows, cols // m, m), order[:, :, : m - target.n_keep], 0, axis=2)
+    return mask
+
+
+def spd_inverse(h: np.ndarray) -> np.ndarray:
+    """Inverse of an SPD matrix from LAPACK potrf/potri, its lower triangle
+    mirrored by summing the two triangles."""
+    factor, info = dpotrf(h, lower=1, clean=0)
+    if info != 0:
+        raise ContractError("matrix is not positive definite")
+    inv, info = dpotri(factor, lower=1)
+    return np.ascontiguousarray(np.tril(inv) + np.tril(inv, -1).T)
 
 
 def grad_check(

@@ -71,18 +71,18 @@ class TestBuildCalibrationSet:
 
 class TestAccumulator:
     def test_single_token_hand_case(self):
-        acc = ScaledNormAccumulator.empty("layers.0.experts.0.w_gate", 2)
+        acc = ScaledNormAccumulator.empty(("layers.0.experts.0.w_gate",), 2)
         acc.add(np.array([[1.0, 2.0]]), np.array([0.5]))
         assert np.array_equal(acc.sum_sq, [0.25, 1.0])  # (1*0.5)^2, (2*0.5)^2
         assert acc.tokens_seen == 1
 
     def test_norm_is_sqrt_of_sum(self):
-        acc = ScaledNormAccumulator.empty("t", 2)
+        acc = ScaledNormAccumulator.empty(("t",), 2)
         acc.add(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, 1.0]))
         assert np.allclose(acc.norms(), [np.sqrt(9.25), np.sqrt(17.0)])
 
     def test_width_mismatch(self):
-        acc = ScaledNormAccumulator.empty("t", 3)
+        acc = ScaledNormAccumulator.empty(("t",), 3)
         with pytest.raises(ShapeError):
             acc.add(np.zeros((2, 2)), np.ones(2))
 

@@ -142,6 +142,8 @@ BAD_FLAGS = [
     (["sweep", "--nsamples-list", "x"], "'x'", 2),
     (["train", "--seed", "-1"], "model.seed", 3),
     (["prune", "--seed", "-3"], "calibration.seed", 3),
+    (["prune", "--pattern", "2:4:6"], "'2:4:6'", 2),
+    (["prune", "--pattern", "a:b"], "'a:b'", 2),
 ]
 
 
@@ -154,8 +156,8 @@ def test_bad_flag_value_is_one_line_error(workdir, tmp_path, capsys, flags, name
         "train": ["--corpus", workdir / "corpus.txt", "--steps", "1", *never],
         "distill": ["--teacher", workdir / "init_ckpt", "--student", workdir / "init_ckpt",
                     "--corpus", workdir / "corpus.txt", *never],
-        "prune": ["--ckpt", workdir / "init_ckpt", "--sparsity", "0.5",
-                  "--calib", workdir / "corpus.txt", *never],
+        "prune": ["--ckpt", workdir / "init_ckpt", "--calib", workdir / "corpus.txt", *never,
+                  *([] if "--pattern" in flags else ["--sparsity", "0.5"])],
         "sweep": ["--ckpt", workdir / "init_ckpt", "--calib", workdir / "corpus.txt",
                   "--eval-corpus", workdir / "corpus.txt", *never],
         "analyze": ["--ckpt", workdir / "init_ckpt", "--corpus", workdir / "corpus.txt"],
@@ -216,6 +218,45 @@ def test_non_finite_weight_at_load_is_numerical_error(workdir, tmp_path, capsys,
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert "layers.0.router" in err
+    assert out == "" and not (tmp_path / "never").exists()
+
+
+def _move(name, offset):
+    def mutate(index):
+        index[name]["byte_offset"] = offset(index)
+    return mutate
+
+
+# tensor index edits that leave tensors.bin and its CRC valid
+BAD_RANGES = {
+    "negative": (_move("lm_head", lambda ix: -2 * ix["lm_head"]["byte_length"]), "lm_head"),
+    "aliased": (_move("layers.0.attn.wk", lambda ix: ix["layers.0.attn.wq"]["byte_offset"]),
+                "layers.0.attn.wk"),
+    "overlapping": (_move("layers.0.attn.wk", lambda ix: ix["layers.0.attn.wk"]["byte_offset"] - 8),
+                    "layers.0.attn.wk"),
+    "misaligned": (_move("lm_head", lambda ix: ix["lm_head"]["byte_offset"] - 4), "lm_head"),
+    "string": (_move("lm_head", lambda ix: str(ix["lm_head"]["byte_offset"])), "lm_head"),
+    "float": (_move("lm_head", lambda ix: float(ix["lm_head"]["byte_offset"])), "lm_head"),
+    "past-end": (_move("lm_head", lambda ix: ix["lm_head"]["byte_offset"] + 8), "lm_head"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RANGES))
+def test_bad_tensor_range_is_format_error(workdir, tmp_path, capsys, case):
+    mutate, named = BAD_RANGES[case]
+    ckpt = tmp_path / "ckpt"
+    model, _ = load_checkpoint(workdir / "init_ckpt")
+    save_checkpoint(model, ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    mutate(manifest["tensors"])
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = run(["prune", "--ckpt", ckpt, "--sparsity", "0.5", "--calib", workdir / "corpus.txt",
+              "--out", tmp_path / "never"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert len(err.strip().splitlines()) == 1 and named in err
+    assert "Traceback" not in err
     assert out == "" and not (tmp_path / "never").exists()
 
 

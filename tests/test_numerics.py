@@ -6,6 +6,7 @@ from moeprune.errors import NumericalError, ShapeError
 from moeprune.numerics import SeededRng, spd_inverse
 
 from oracles import matmul, row_softmax, silu
+from oracles import spd_inverse as spd_inverse_oracle
 
 
 class TestMatmul:
@@ -105,6 +106,17 @@ class TestSpdInverse:
             inv = spd_inverse(h)
             assert np.abs(h @ inv - np.eye(n)).max() < 1e-8
             assert np.array_equal(inv, inv.T)
+
+    def test_bit_equal_to_summed_triangles(self):
+        rng = SeededRng(8)
+        hs = [np.eye(5), np.diag([2.0, 4.0, 8.0]), np.array([[4.0, -2.0], [-2.0, 3.0]])]
+        for n in (1, 2, 7, 64, 200):
+            a = rng.normal_matrix(n + 3, n)
+            hs.append(a.T @ a + 0.1 * np.eye(n))
+        for h in hs:
+            got = spd_inverse(h)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == spd_inverse_oracle(h).tobytes()
 
 
 class TestSeededRng:

@@ -37,6 +37,20 @@ def test_round_trip_preserves_subnormals_and_extremes(tiny_model, tmp_path):
     assert loaded.params["lm_head"].tobytes() == w.tobytes()
 
 
+def test_loaded_parameters_do_not_alias(tiny_model, tmp_path):
+    save_checkpoint(tiny_model, tmp_path / "ckpt")
+    on_disk = (tmp_path / "ckpt" / "tensors.bin").read_bytes()
+    loaded, _ = load_checkpoint(tmp_path / "ckpt")
+    for name in loaded.param_names():
+        before = {n: p.copy() for n, p in loaded.params.items()}
+        loaded.params[name][...] = 7.0
+        assert (loaded.params[name] == 7.0).all()
+        for other, p in loaded.params.items():
+            if other != name:
+                assert np.array_equal(p, before[other])
+    assert (tmp_path / "ckpt" / "tensors.bin").read_bytes() == on_disk
+
+
 def test_masks_round_trip(tiny_model, tmp_path):
     model = tiny_model.copy()
     rng = np.random.default_rng(0)

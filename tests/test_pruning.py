@@ -13,6 +13,7 @@ from moeprune.pruning import (
     METHODS,
     SparsityTarget,
     _hessian_error,
+    damped_inverse,
     obs_update,
     prune_model,
     reconstruction_error,
@@ -25,6 +26,7 @@ from moeprune.pruning import (
 from moeprune.training import evaluate_perplexity
 
 from conftest import TINY, synth_corpus
+from oracles import select_mask as argsort_select_mask
 
 
 def oracle_keep_set(scores_row: np.ndarray, keep: int) -> tuple[int, ...]:
@@ -70,7 +72,7 @@ class TestScoreWanda:
 class TestScoreMoePruner:
     def test_worked_instance(self):
         # W row [2,-1]; tokens X=[[1,2],[3,4]]; gates [0.5, 1.0]
-        acc = ScaledNormAccumulator.empty("t", 2)
+        acc = ScaledNormAccumulator.empty(("t",), 2)
         acc.add(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, 1.0]))
         s = score_moe_pruner(np.array([[2.0, -1.0]]), acc)
         assert abs(s[0, 0] - 2 * math.sqrt(9.25)) < 1e-12
@@ -82,20 +84,20 @@ class TestScoreMoePruner:
         rng = SeededRng(3)
         x = rng.normal_matrix(10, 6)
         w = rng.normal_matrix(4, 6)
-        acc = ScaledNormAccumulator.empty("t", 6)
+        acc = ScaledNormAccumulator.empty(("t",), 6)
         acc.add(x, np.ones(10))
         assert np.array_equal(score_moe_pruner(w, acc),
                               score_wanda(w, np.sqrt((x * x).sum(axis=0))))
 
     def test_dead_expert_all_zero_scores(self):
-        acc = ScaledNormAccumulator.empty("t", 4)
+        acc = ScaledNormAccumulator.empty(("t",), 4)
         s = score_moe_pruner(SeededRng(4).normal_matrix(2, 4), acc)
         assert np.array_equal(s, np.zeros((2, 4)))
         mask = select_mask(s, SparsityTarget.unstructured(0.5))
         assert np.array_equal(mask, [[0, 0, 1, 1], [0, 0, 1, 1]])  # index tie-break
 
     def test_target_mismatch(self):
-        acc = ScaledNormAccumulator.empty("layers.0.experts.0.w_up", 4)
+        acc = ScaledNormAccumulator.empty(("layers.0.experts.0.w_up",), 4)
         with pytest.raises(ContractError):
             score_moe_pruner(np.zeros((2, 4)), acc, target="layers.0.experts.0.w_gate")
 
@@ -105,8 +107,8 @@ class TestScoreMoePruner:
         x = rng.normal_matrix(12, 8)
         g = np.abs(rng.normal_matrix(12, 1)).ravel()
         w = rng.normal_matrix(6, 8)
-        a1 = ScaledNormAccumulator.empty("t", 8)
-        a2 = ScaledNormAccumulator.empty("t", 8)
+        a1 = ScaledNormAccumulator.empty(("t",), 8)
+        a2 = ScaledNormAccumulator.empty(("t",), 8)
         a1.add(x, g)
         a2.add(x, 3.7 * g)
         t = SparsityTarget.unstructured(0.5)
@@ -117,7 +119,8 @@ class TestScoreMoePruner:
 class TestScoreSparsegpt:
     def test_identity_hessian_equals_magnitude_masks(self):
         w = SeededRng(6).normal_matrix(4, 6)
-        s, h_inv = score_sparsegpt(w, np.eye(6), damp_frac=0.0)
+        h_inv = damped_inverse(np.eye(6), damp_frac=0.0)
+        s = score_sparsegpt(w, h_inv)
         assert np.abs(s - w * w).max() < 1e-12
         t = SparsityTarget.unstructured(0.5)
         assert np.array_equal(select_mask(s, t), select_mask(score_magnitude(w), t))
@@ -125,15 +128,16 @@ class TestScoreSparsegpt:
 
     def test_diagonal_hessian_column_scaling(self):
         w = np.ones((1, 2))
-        s, _ = score_sparsegpt(w, np.diag([4.0, 1.0]), damp_frac=0.0)
+        s = score_sparsegpt(w, damped_inverse(np.diag([4.0, 1.0]), damp_frac=0.0))
         # H'^-1 = diag(1/4, 1); S = W^2 / diag(H'^-1) scales columns by [4, 1]
         assert np.allclose(s, [[4.0, 1.0]])
 
     def test_singular_hessian_rescued_by_dampening(self):
         h = np.outer([1.0, 1.0], [1.0, 1.0])  # rank 1
         with pytest.raises(NumericalError):
-            score_sparsegpt(np.ones((1, 2)), h, damp_frac=0.0)
-        s, h_inv = score_sparsegpt(np.ones((1, 2)), h, damp_frac=0.01)
+            damped_inverse(h, damp_frac=0.0)
+        h_inv = damped_inverse(h, damp_frac=0.01)
+        s = score_sparsegpt(np.ones((1, 2)), h_inv)
         assert np.isfinite(s).all() and np.isfinite(h_inv).all()
 
 
@@ -193,6 +197,35 @@ class TestSelectMask:
                     grp = scores[r, g * 4 : (g + 1) * 4]
                     kept = tuple(np.nonzero(mask[r, g * 4 : (g + 1) * 4])[0])
                     assert kept == oracle_keep_set(grp, 2)
+
+
+class TestSelectMaskEqualsArgsort:
+    """The sort-free selection against the stable-argsort oracle, bit for bit."""
+
+    TARGETS = [SparsityTarget.unstructured(p) for p in (0.1, 0.25, 0.5, 0.75, 0.9)] + [
+        SparsityTarget.semi_structured(n, m) for n, m in ((1, 4), (2, 4), (3, 4), (3, 8), (4, 8))]
+
+    @pytest.mark.parametrize("kind", ["random", "heavy-ties", "all-equal", "signed-zeros"])
+    def test_equals_oracle(self, kind):
+        rng = np.random.default_rng(40)
+        for rows, cols in ((1, 8), (7, 16), (33, 64)):
+            scores = {
+                "random": rng.normal(size=(rows, cols)),
+                "heavy-ties": rng.integers(0, 3, size=(rows, cols)).astype(np.float64),
+                "all-equal": np.full((rows, cols), 0.5),
+                "signed-zeros": rng.choice([-0.0, 0.0, 1.0], size=(rows, cols)),
+            }[kind]
+            for t in self.TARGETS:
+                assert np.array_equal(select_mask(scores, t), argsort_select_mask(scores, t))
+
+    def test_all_but_one_pruned(self):
+        rng = np.random.default_rng(41)
+        for cols in (4, 9, 64):
+            t = SparsityTarget.unstructured((cols - 1) / cols)
+            for scores in (rng.normal(size=(5, cols)), np.zeros((5, cols))):
+                mask = select_mask(scores, t)
+                assert np.array_equal(mask, argsort_select_mask(scores, t))
+                assert (mask.sum(axis=1) == 1).all()
 
 
 def obs_sweep_oracle(w: np.ndarray, mask: np.ndarray, h_inv: np.ndarray) -> np.ndarray:
@@ -277,7 +310,8 @@ class TestObsUpdate:
         rng = SeededRng(12)
         w = rng.normal_matrix(4, 4)
         x = rng.normal_matrix(16, 4)
-        s, h_inv = score_sparsegpt(w, x.T @ x, damp_frac=0.01)
+        h_inv = damped_inverse(x.T @ x, damp_frac=0.01)
+        s = score_sparsegpt(w, h_inv)
         mask = select_mask(s, SparsityTarget.unstructured(0.5))
         plain = reconstruction_error(w, w * mask, x)
         updated = obs_update(w, mask, h_inv)
@@ -315,7 +349,8 @@ class TestHessianError:
             w = rng.normal_matrix(6, 8)
             x = rng.normal_matrix(tokens, 8) if tokens else np.zeros((0, 8))
             h = x.T @ x
-            s, h_inv = score_sparsegpt(w, h + np.eye(8), damp_frac=0.01)
+            h_inv = damped_inverse(h + np.eye(8), damp_frac=0.01)
+            s = score_sparsegpt(w, h_inv)
             mask = select_mask(s, SparsityTarget.unstructured(0.5))
             for w_pruned in (w * mask, obs_update(w, mask, h_inv)):
                 want = reconstruction_error(w, w_pruned, x)
@@ -473,6 +508,43 @@ class TestPruneModel:
         after = sum(t["recon_error_after_update"] for t in report.targets)
         assert after < before
 
+    def test_sparsegpt_inverts_each_expert_input_once(self, model_and_stats, monkeypatch):
+        # w_gate and w_up read one input: one H^-1 for both, one for w_down
+        model, stats, _ = model_and_stats
+        calls = []
+
+        def counting(h):
+            calls.append(h.shape)
+            return spd_inverse(h)
+
+        monkeypatch.setattr(moeprune.pruning, "spd_inverse", counting)
+        _, _, report = prune_model(model, stats, "sparsegpt", SparsityTarget.unstructured(0.5))
+        live = {t["name"].rsplit(".", 1)[0] for t in report.targets if t["method"] == "sparsegpt"}
+        assert live and len(calls) == 2 * len(live)
+        assert calls.count((TINY.d_model, TINY.d_model)) == len(live)
+
+    def test_shared_statistics_report_every_target(self, model_and_stats):
+        model, stats, _ = model_and_stats
+        _, _, report = prune_model(model, stats, "moe-pruner", SparsityTarget.unstructured(0.5))
+        names = [t["name"] for t in report.targets]
+        assert names == model.expert_param_names()
+        by_name = {t["name"]: t for t in report.targets}
+        for i in range(TINY.n_layers):
+            for e in range(TINY.n_experts):
+                base = f"layers.{i}.experts.{e}"
+                assert stats.scaled[f"{base}.w_gate"] is stats.scaled[f"{base}.w_up"]
+                assert (by_name[f"{base}.w_gate"]["tokens_seen"]
+                        == by_name[f"{base}.w_up"]["tokens_seen"]
+                        == by_name[f"{base}.w_down"]["tokens_seen"])
+
+    @pytest.mark.parametrize("method", ["magnitude", "wanda", "moe-pruner"])
+    def test_no_update_reports_equal_errors(self, model_and_stats, method):
+        model, stats, _ = model_and_stats
+        _, _, report = prune_model(model, stats, method, SparsityTarget.unstructured(0.5))
+        for t in report.targets:
+            assert t["recon_error_after_update"] == t["recon_error_before_update"]
+        assert report.totals["recon_error_before_update"] > 0.0
+
     def test_attention_and_router_untouched(self, model_and_stats):
         model, stats, _ = model_and_stats
         pruned, masks, _ = prune_model(model, stats, "magnitude", SparsityTarget.unstructured(0.7))
@@ -509,5 +581,5 @@ class TestDegenerationChain:
         t = SparsityTarget.unstructured(0.5)
         for _ in range(20):
             w = rng.normal_matrix(5, 8)
-            s, _ = score_sparsegpt(w, np.eye(8), damp_frac=0.0)
+            s = score_sparsegpt(w, damped_inverse(np.eye(8), damp_frac=0.0))
             assert np.array_equal(select_mask(s, t), select_mask(score_magnitude(w), t))
