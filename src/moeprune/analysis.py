@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationConfig, build_calibration_set, collect
+from .calibration import CalibrationConfig, build_calibration_set, count_dispatch
+from .calibration import collect  # noqa: F401  (bench/tracer.py wraps analysis.collect by name)
 from .errors import FormatError, InputError
 from .model import MoEModel
 
@@ -70,11 +71,12 @@ def analyze_model(
     mode: str = "argmax",
     name: str = "model",
 ) -> BalanceReport:
-    """Stream calibration-style forwards and score the dispatch counts."""
+    """Route the calibration windows (no expert runs) and score the dispatch
+    counts."""
     cal = build_calibration_set(corpus, calib.nsamples, model.config.seq_len, calib.seed)
-    stats = collect(model, cal, freq_mode=mode)
-    report = _report_from_counts(stats.frequencies.counts, name, mode)
-    report.extra["total_tokens"] = int(stats.frequencies.total_tokens)
+    freq = count_dispatch(model, cal, mode)
+    report = _report_from_counts(freq.counts, name, mode)
+    report.extra["total_tokens"] = int(freq.total_tokens)
     return report
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "empty_accumulators",
     "accumulate_layer",
     "collect",
+    "count_dispatch",
     "corpus_tokens",
     "nonoverlapping_windows",
 ]
@@ -97,10 +98,12 @@ class ScaledNormAccumulator:
     def empty(cls, targets: tuple[str, ...], d_in: int) -> "ScaledNormAccumulator":
         return cls(targets=targets, sum_sq=np.zeros(d_in))
 
-    def add(self, x: np.ndarray, gates: np.ndarray) -> None:
+    def add(self, x: np.ndarray, gates: np.ndarray | None = None) -> None:
+        """Add the routed inputs x, each row scaled by its gate; without gates
+        the plain x^2 (equal, bit for bit, to gates of ones)."""
         if x.shape[1] != self.sum_sq.size:
             raise ShapeError(f"{self.targets[0]}: input width {x.shape[1]} != {self.sum_sq.size}")
-        scaled = x * gates[:, None]
+        scaled = x if gates is None else x * gates[:, None]
         self.sum_sq += (scaled * scaled).sum(axis=0)
         self.tokens_seen += x.shape[0]
 
@@ -142,6 +145,16 @@ class FrequencyTable:
             raise InputError(f"unknown frequency mode {mode!r}")
         return cls(counts=np.zeros((n_layers, n_experts), dtype=np.int64), mode=mode)
 
+    def count(self, layers: list[LayerTrace]) -> None:
+        """Add one forward's dispatch decisions, layer by layer."""
+        for i, layer in enumerate(layers):
+            gm = layer.gates
+            if self.mode == "argmax":
+                np.add.at(self.counts[i], np.argmax(gm.probs, axis=1), 1)
+            else:
+                np.add.at(self.counts[i], gm.selected.ravel(), 1)
+        self.total_tokens += layers[0].gates.values.shape[0]
+
 
 @dataclass
 class CalibrationStats:
@@ -151,6 +164,7 @@ class CalibrationStats:
     hessians: dict[str, HessianAccumulator]
     frequencies: FrequencyTable
     sequences: list[np.ndarray]
+    gate_override: float | None = None
 
     def validate_for_model(self, model: MoEModel) -> None:
         mc, sc = model.config, self.model_config
@@ -197,13 +211,12 @@ def accumulate_layer(
         g = layer.gates.values[idx, e]
         if gate_override is not None:
             g = np.full(idx.size, float(gate_override))
-        ones = np.ones(idx.size)
         base = f"layers.{i}.experts.{e}"
         # w_up shares w_gate's accumulators
         for tgt, x in ((f"{base}.w_gate", layer.moe_input[idx]),
                        (f"{base}.w_down", layer.expert_hidden[e])):
             scaled[tgt].add(x, g)
-            unscaled[tgt].add(x, ones)
+            unscaled[tgt].add(x)
             hessians[tgt].add(x)
 
 
@@ -214,7 +227,8 @@ def collect(
     gate_override: float | None = None,
 ) -> CalibrationStats:
     """One streaming pass over the calibration set, fixed sequence order, in
-    batches of windows.
+    batches of windows. Each pass stops after the last layer's expert
+    intermediates, the last input any statistic reads.
 
     gate_override forces every gate weight to a constant (router bypass test
     hook: with override 1.0 the scaled statistic degenerates to the plain
@@ -225,18 +239,25 @@ def collect(
     freq = FrequencyTable.empty(cfg.n_layers, cfg.n_experts, freq_mode)
 
     for batch in window_batches(cal.sequences):
-        res = model_forward(model, batch)
-        freq.total_tokens += batch.size
-        for i, layer in enumerate(res.layers):
-            gm = layer.gates
-            if freq.mode == "argmax":
-                np.add.at(freq.counts[i], np.argmax(gm.probs, axis=1), 1)
-            else:
-                np.add.at(freq.counts[i], gm.selected.ravel(), 1)
+        layers = model_forward(model, batch, stop=(cfg.n_layers - 1, "hidden")).layers
+        freq.count(layers)
+        for i, layer in enumerate(layers):
             accumulate_layer(acc, i, layer, gate_override)
 
     scaled, unscaled, hessians = acc
     return CalibrationStats(
         model_config=cfg, scaled=scaled, unscaled=unscaled, hessians=hessians,
-        frequencies=freq, sequences=list(cal.sequences),
+        frequencies=freq, sequences=list(cal.sequences), gate_override=gate_override,
     )
+
+
+def count_dispatch(
+    model: MoEModel, cal: CalibrationSet, freq_mode: str = "argmax"
+) -> FrequencyTable:
+    """collect's dispatch frequencies alone, from passes that stop at the last
+    layer's router."""
+    cfg = model.config
+    freq = FrequencyTable.empty(cfg.n_layers, cfg.n_experts, freq_mode)
+    for batch in window_batches(cal.sequences):
+        freq.count(model_forward(model, batch, stop=(cfg.n_layers - 1, "router")).layers)
+    return freq

@@ -18,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tape, Var
 from .config import Section
-from .errors import ConfigError, InputError, NumericalError, ShapeError
+from .errors import ConfigError, ContractError, InputError, NumericalError, ShapeError
 from .numerics import SeededRng
 
 __all__ = [
@@ -200,7 +200,7 @@ class LayerTrace:
 
 @dataclass
 class ForwardResult:
-    logits: np.ndarray
+    logits: np.ndarray | None                # None when the pass stopped early
     layers: list[LayerTrace]
 
 
@@ -208,7 +208,7 @@ class ForwardResult:
 class _TapeTrace:
     """Internal forward handle: Var references for loss building."""
 
-    logits: Var
+    logits: Var | None
     tokens: np.ndarray                       # (B, T) validated batch
     layers: list[LayerTrace]
     layer_input_vars: list[Var]
@@ -217,7 +217,8 @@ class _TapeTrace:
     result: ForwardResult = field(init=False)
 
     def __post_init__(self):
-        self.result = ForwardResult(logits=self.logits.value, layers=self.layers)
+        self.result = ForwardResult(logits=None if self.logits is None else self.logits.value,
+                                    layers=self.layers)
 
 
 def _validate_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
@@ -273,12 +274,18 @@ def make_param_vars(
     return leaf, pv
 
 
+def _swiglu(pv: dict[str, Var], i: int, e: int, x: Var) -> Var:
+    """The SwiGLU intermediate of expert e of layer i on rows x: what its
+    w_down reads."""
+    base = f"layers.{i}.experts.{e}"
+    return ag.mul(ag.silu(ag.matmul(x, pv[f"{base}.w_gate"])),
+                  ag.matmul(x, pv[f"{base}.w_up"]))
+
+
 def _expert(pv: dict[str, Var], i: int, e: int, x: Var) -> tuple[Var, Var]:
     """SwiGLU expert e of layer i on rows x: (intermediate, output)."""
-    base = f"layers.{i}.experts.{e}"
-    hid = ag.mul(ag.silu(ag.matmul(x, pv[f"{base}.w_gate"])),
-                 ag.matmul(x, pv[f"{base}.w_up"]))
-    return hid, ag.matmul(hid, pv[f"{base}.w_down"])
+    hid = _swiglu(pv, i, e, x)
+    return hid, ag.matmul(hid, pv[f"layers.{i}.experts.{e}.w_down"])
 
 
 def _subset_rows(y: Var, rows: np.ndarray, sub: np.ndarray) -> Var:
@@ -294,6 +301,7 @@ def forward_pass(
     masks: dict[str, np.ndarray] | None = None,
     forced_dispatch: list[dict[int, np.ndarray]] | None = None,
     params: tuple[dict[str, Var], dict[str, Var]] | None = None,
+    stop: tuple[int, str] | None = None,
 ) -> _TapeTrace:
     """Build the causal forward graph of a (B, T) batch of equal-length
     windows (a 1-D sequence is B = 1); returns Vars plus a plain trace.
@@ -307,10 +315,18 @@ def forward_pass(
     rows (the teacher-forced sets distillation needs). An expert runs once per
     layer, on the union of its own and its forced rows.
     params: (leaf, effective) Vars from make_param_vars, or constants.
+    stop: (layer i, point) ends the pass inside layer i, for callers that read
+    no further; the trace then ends at layer i and logits is None. At
+    "router" layer i's trace holds its MoE input and gates, and no expert
+    entries; at "hidden" it also holds each expert's rows and SwiGLU
+    intermediates, and no expert outputs (no w_down, no combine).
     """
     cfg = model.config
     toks = _validate_tokens(tokens, cfg)
     B = toks.shape[0]
+    last, until = stop if stop is not None else (cfg.n_layers - 1, None)
+    if not 0 <= last < cfg.n_layers or until not in (None, "router", "hidden"):
+        raise ContractError(f"no stop point {stop!r} in a {cfg.n_layers}-layer forward")
     if tape is None:
         tape = Tape()
 
@@ -323,7 +339,8 @@ def forward_pass(
     layer_input_vars: list[Var] = []
     forced_outputs: list[dict[int, Var]] = []
 
-    for i in range(cfg.n_layers):
+    for i in range(last + 1):
+        stop_here = until if i == last else None
         # attention block
         a = ag.rmsnorm(h)
         attn = ag.causal_attention(ag.matmul(a, pv[f"layers.{i}.attn.wq"]),
@@ -344,6 +361,12 @@ def forward_pass(
         expert_tokens: dict[int, np.ndarray] = {}
         expert_outputs: dict[int, np.ndarray] = {}
         expert_hidden: dict[int, np.ndarray] = {}
+        layers.append(LayerTrace(
+            moe_input=m.value, gates=gm, expert_tokens=expert_tokens,
+            expert_outputs=expert_outputs, expert_hidden=expert_hidden,
+        ))
+        if stop_here == "router":
+            break
         outs: dict[int, Var] = {}
         forced_outs: dict[int, Var] = {}
         for e in range(cfg.n_experts):
@@ -358,33 +381,36 @@ def forward_pass(
             expert_hidden[e] = np.zeros((0, cfg.d_ff))
             if rows.size == 0:
                 continue
-            hid, y = _expert(pv, i, e, ag.gather_rows(m, rows))
-            if forced.size:
-                forced_outs[e] = _subset_rows(y, rows, forced)
+            x = ag.gather_rows(m, rows)
+            if stop_here == "hidden":
+                hid = _swiglu(pv, i, e, x)
+            else:
+                hid, y = _expert(pv, i, e, x)
+                if forced.size:
+                    forced_outs[e] = _subset_rows(y, rows, forced)
+                if own.size:
+                    outs[e] = _subset_rows(y, rows, own)
+                    expert_outputs[e] = outs[e].value
             if own.size:
-                outs[e] = _subset_rows(y, rows, own)
-                expert_outputs[e] = outs[e].value
                 expert_hidden[e] = (hid.value if own.size == rows.size
                                     else hid.value[np.searchsorted(rows, own)])
+        if stop_here == "hidden":
+            break
         if forced_dispatch is not None:
             forced_outputs.append(forced_outs)
         h = ag.add(h, ag.moe_combine(gates, outs, expert_tokens))
 
-        layers.append(LayerTrace(
-            moe_input=m.value, gates=gm, expert_tokens=expert_tokens,
-            expert_outputs=expert_outputs, expert_hidden=expert_hidden,
-        ))
-
-    logits = ag.matmul(ag.rmsnorm(h), pv["lm_head"])
+    logits = ag.matmul(ag.rmsnorm(h), pv["lm_head"]) if until is None else None
     return _TapeTrace(logits=logits, tokens=toks, layers=layers,
                       layer_input_vars=layer_input_vars, tape=tape,
                       forced_outputs=forced_outputs if forced_dispatch is not None else None)
 
 
-def model_forward(model: MoEModel, tokens) -> ForwardResult:
+def model_forward(model: MoEModel, tokens, stop: tuple[int, str] | None = None) -> ForwardResult:
     """Causal next-token logits of a (B, T) batch, one row per token, plus the
     per-layer trace calibration and distillation consume (MoE inputs, gates,
-    per-expert outputs). Parameters enter as constants, so nothing is taped."""
+    per-expert outputs). Parameters enter as constants, so nothing is taped.
+    stop ends the pass early, as in forward_pass."""
     tape = Tape()
     consts = {n: tape.const(p) for n, p in model.params.items()}
-    return forward_pass(model, tokens, tape=tape, params=(consts, consts)).result
+    return forward_pass(model, tokens, tape=tape, params=(consts, consts), stop=stop).result

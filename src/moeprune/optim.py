@@ -40,17 +40,33 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
+        # a step's temporaries are views into two buffers of the largest size
+        size = max((p.size for p in params.values()), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+        """m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, then
+        p -= lr (m / bc1) / (sqrt(v / bc2) + eps): in place, one operation
+        at a time in that order, so the result is that of the expression."""
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            s, r = (buf[: p.size].reshape(p.shape) for buf in self._scratch)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=s)
+            v *= b2
+            np.multiply(g, g, out=s)
+            s *= 1.0 - b2
+            v += s
+            np.divide(m, bc1, out=s)
+            s *= lr
+            np.divide(v, bc2, out=r)
+            np.sqrt(r, out=r)
+            r += self.eps
+            s /= r
+            p -= s

@@ -74,13 +74,14 @@ class SparsityTarget:
 
     @classmethod
     def parse(cls, text: str) -> "SparsityTarget":
+        """An N:M pattern; a fraction is not one (that is --sparsity)."""
+        if ":" not in text:
+            raise UsageError(f"pattern {text!r} is not N:M; give a fraction with --sparsity")
         try:
-            if ":" in text:
-                n, m = text.split(":")
-                return cls.semi_structured(int(n), int(m))
-            return cls.unstructured(float(text))
+            n, m = text.split(":")
+            return cls.semi_structured(int(n), int(m))
         except ValueError:
-            raise UsageError(f"pattern {text!r} is not N:M (two integers) or a fraction") from None
+            raise UsageError(f"pattern {text!r} is not N:M (two integers)") from None
 
     def describe(self) -> str:
         return f"{self.n_keep}:{self.m_group}" if self.p is None else f"p={self.p}"
@@ -285,9 +286,11 @@ def prune_model(
 
     propagate="dense" scores each layer from `stats` alone, the activations
     of the unpruned model, and runs no forward; "recompute" re-runs the
-    calibration sequences through the partly pruned model before scoring each
-    layer. Reconstruction errors come from the same (undamped) X^T X that the
-    layer was scored from. w_gate and w_up share their input's statistics,
+    calibration sequences through the partly pruned model, up to layer i's
+    expert intermediates, before scoring each layer i > 0. Layer 0's inputs
+    are the dense ones, so both take it from `stats`, which must therefore
+    be collected from `model`. Reconstruction errors come from the same
+    (undamped) X^T X that the layer was scored from. w_gate and w_up share their input's statistics,
     so sparsegpt inverts one Hessian for both.
 
     Attention and router matrices are untouched. Returns the pruned model, the
@@ -303,16 +306,20 @@ def prune_model(
             raise ContractError(f"stats are missing accumulator for target {name!r}")
 
     cfg = model.config
-    pruned = model.copy()
+    # every expert weight is replaced below; until then the pruned model
+    # reads the original, so only the other parameters are copied
+    pruned = MoEModel(cfg, {n: p if ".experts." in n else p.copy()
+                            for n, p in model.params.items()})
     masks: dict[str, np.ndarray] = {}
     report = PruneReport(method=method, sparsity=target.describe(), propagate=propagate)
 
     scaled, unscaled, hess = stats.scaled, stats.unscaled, stats.hessians
     for i in range(cfg.n_layers):
-        if propagate == "recompute":
+        if propagate == "recompute" and i > 0:
             acc = empty_accumulators(cfg, range(i, i + 1))
             for batch in window_batches(stats.sequences):
-                accumulate_layer(acc, i, model_forward(pruned, batch).layers[i])
+                layer = model_forward(pruned, batch, stop=(i, "hidden")).layers[i]
+                accumulate_layer(acc, i, layer, stats.gate_override)
             scaled, unscaled, hess = acc
         for e in range(cfg.n_experts):
             inverses: dict[tuple[str, ...], np.ndarray] = {}

@@ -2,7 +2,9 @@
 
 Plain-NumPy kernels, a per-expert MoE layer forward (no tape, no
 batching), mask selection by stable argsort, the SPD inverse mirrored by
-summing triangles, and a central-difference gradient check for autograd ops.
+summing triangles, a central-difference gradient check for autograd ops,
+the allocating Adam step, and calibration statistics and a recompute prune
+built from forwards that run to the logits.
 No command uses them; pytest does not collect this module.
 """
 
@@ -16,8 +18,17 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from moeprune import autograd as ag
+from moeprune import pruning
+from moeprune.calibration import accumulate_layer, empty_accumulators
 from moeprune.errors import ConfigError, ContractError, ShapeError
-from moeprune.model import GateMatrix, MoEModel, _full_softmax, _topk_mask
+from moeprune.model import (
+    GateMatrix,
+    MoEModel,
+    _full_softmax,
+    _topk_mask,
+    model_forward,
+    window_batches,
+)
 from moeprune.numerics import _check_finite
 
 
@@ -175,3 +186,106 @@ def grad_check(
         worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
         it.iternext()
     return worst
+
+
+class Adam:
+    """Adam as whole-array expressions, each building its temporaries."""
+
+    def __init__(self, params: dict[str, np.ndarray],
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.params = params
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.t = 0
+
+    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.items():
+            g = grads[name]
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def full_forward_stats(model: MoEModel, sequences, freq_mode: str = "argmax",
+                       gate_override: float | None = None) -> dict:
+    """Calibration statistics from forwards that run to the logits: per
+    expert input, the sums of squared gate-scaled and (gates of ones) plain
+    routed inputs, X^T X and the token count, plus the dispatch counts, summed
+    batch by batch over the windows in order."""
+    cfg = model.config
+    out: dict = {"counts": np.zeros((cfg.n_layers, cfg.n_experts), dtype=np.int64),
+                 "total_tokens": 0}
+    for batch in window_batches(sequences):
+        res = model_forward(model, batch)
+        assert res.logits is not None
+        out["total_tokens"] += batch.size
+        for i, lt in enumerate(res.layers):
+            picks = (np.argmax(lt.gates.probs, axis=1) if freq_mode == "argmax"
+                     else lt.gates.selected.ravel())
+            np.add.at(out["counts"][i], picks, 1)
+            for e, idx in lt.expert_tokens.items():
+                if idx.size == 0:
+                    continue
+                g = lt.gates.values[idx, e]
+                if gate_override is not None:
+                    g = np.full(idx.size, float(gate_override))
+                for part, x in (("w_gate", lt.moe_input[idx]), ("w_down", lt.expert_hidden[e])):
+                    s = out.setdefault(f"layers.{i}.experts.{e}.{part}", {
+                        "scaled": np.zeros(x.shape[1]), "unscaled": np.zeros(x.shape[1]),
+                        "h": np.zeros((x.shape[1], x.shape[1])), "tokens": 0})
+                    scaled, plain = x * g[:, None], x * np.ones(idx.size)[:, None]
+                    s["scaled"] += (scaled * scaled).sum(axis=0)
+                    s["unscaled"] += (plain * plain).sum(axis=0)
+                    s["h"] += x.T @ x
+                    s["tokens"] += idx.size
+    return out
+
+
+def prune_recompute(model: MoEModel, stats, method: str, target, damp_frac: float = 0.01):
+    """prune_model(..., propagate="recompute") as full forwards: every
+    parameter copied up front, and before each layer i (layer 0 included)
+    the calibration windows run to the logits through the partly pruned
+    model."""
+    cfg = model.config
+    pruned = model.copy()
+    masks: dict[str, np.ndarray] = {}
+    report = pruning.PruneReport(method=method, sparsity=target.describe(),
+                                 propagate="recompute")
+    for i in range(cfg.n_layers):
+        acc = empty_accumulators(cfg, range(i, i + 1))
+        for batch in window_batches(stats.sequences):
+            accumulate_layer(acc, i, model_forward(pruned, batch).layers[i])
+        scaled, unscaled, hess = acc
+        for e in range(cfg.n_experts):
+            inverses: dict = {}
+            for part in ("w_gate", "w_up", "w_down"):
+                name = f"layers.{i}.experts.{e}.{part}"
+                wp = pruned.params[name].T.copy()
+                scores, h_inv, method_used = pruning._score_target(
+                    method, wp, name, scaled, unscaled, hess, damp_frac, inverses)
+                keep = select_mask(scores, target)
+                zeroed = wp * keep
+                updated = pruning.obs_update(wp, keep, h_inv) if h_inv is not None else zeroed
+                before = pruning._hessian_error(wp - zeroed, hess[name].h)
+                after = (pruning._hessian_error(wp - updated, hess[name].h)
+                         if h_inv is not None else before)
+                pruned.params[name] = np.ascontiguousarray(updated.T)
+                masks[name] = np.ascontiguousarray(keep.T)
+                report.targets.append({
+                    "name": name, "method": method_used,
+                    "rows": int(wp.shape[0]), "cols": int(wp.shape[1]), "weights": int(wp.size),
+                    "zeros": int(keep.size - int(keep.sum())),
+                    "sparsity_achieved": 1.0 - float(keep.sum()) / keep.size,
+                    "tokens_seen": int(scaled[name].tokens_seen),
+                    "recon_error_before_update": before,
+                    "recon_error_after_update": after,
+                })
+    return pruned, masks, report.finalize()

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import moeprune.model
 from moeprune.analysis import analyze_model, balance_score, ingest_frequencies
-from moeprune.calibration import CalibrationConfig
+from moeprune.calibration import CalibrationConfig, build_calibration_set, collect
 from moeprune.errors import FormatError, InputError
 from moeprune.model import MoEModel
 from moeprune.numerics import SeededRng
@@ -95,6 +96,25 @@ class TestAnalyzeModel:
         report = analyze_model(tiny_model, corpus, CalibrationConfig(nsamples=16), mode="topk")
         for row in report.frequencies:
             assert sum(row) == report.extra["total_tokens"] * TINY.top_k
+
+    @pytest.mark.parametrize("mode", ["argmax", "topk"])
+    def test_counts_equal_collect_frequencies(self, tiny_model, monkeypatch, mode):
+        # analyze stops at the last router: no expert of the last layer runs
+        corpus = random_bytes_corpus(9, 64 * 32)
+        calib = CalibrationConfig(nsamples=20, seed=3)
+        cal = build_calibration_set(corpus, calib.nsamples, TINY.seq_len, calib.seed)
+        freq = collect(tiny_model, cal, freq_mode=mode).frequencies
+        swiglu, layers_run = moeprune.model._swiglu, set()
+
+        def recording(pv, i, e, x):
+            layers_run.add(i)
+            return swiglu(pv, i, e, x)
+
+        monkeypatch.setattr(moeprune.model, "_swiglu", recording)
+        report = analyze_model(tiny_model, corpus, calib, mode=mode)
+        assert layers_run == set(range(TINY.n_layers - 1))
+        assert report.frequencies == freq.counts.tolist()
+        assert report.extra["total_tokens"] == freq.total_tokens == 20 * TINY.seq_len
 
 
 class TestIngestFrequencies:

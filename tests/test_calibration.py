@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import moeprune.model
 from moeprune.calibration import (
     ScaledNormAccumulator,
     build_calibration_set,
@@ -8,9 +9,10 @@ from moeprune.calibration import (
     nonoverlapping_windows,
 )
 from moeprune.errors import InputError, ShapeError
-from moeprune.model import ModelConfig, MoEModel, model_forward
+from moeprune.model import ModelConfig, MoEModel, model_forward, window_batches
 
 from conftest import TINY, synth_corpus
+from oracles import full_forward_stats
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +164,43 @@ class TestValidateForModel:
                                           seq_len=32, vocab_size=256, seed=0))
         with pytest.raises(ShapeError, match="architecture"):
             stats.validate_for_model(other)
+
+
+TOY = ModelConfig(d_model=64, n_heads=4, n_layers=2, n_experts=4, top_k=2,
+                  d_ff=128, seq_len=64, vocab_size=256, seed=77)
+WIDE_ONE_LAYER = ModelConfig(d_model=16, n_heads=2, n_layers=1, n_experts=16, top_k=2,
+                             d_ff=32, seq_len=32, vocab_size=256, seed=78)
+
+
+class TestCollectEqualsFullForwards:
+    """collect stops after the last layer's expert intermediates; its
+    statistics must equal those summed from forwards that run to the logits."""
+
+    @staticmethod
+    def check(model, cal, mode="argmax", gate_override=None):
+        st = collect(model, cal, mode, gate_override)
+        want = full_forward_stats(model, cal.sequences, mode, gate_override)
+        assert np.array_equal(st.frequencies.counts, want["counts"])
+        assert st.frequencies.total_tokens == want["total_tokens"]
+        for name in st.scaled:
+            w = want.get(name.replace(".w_up", ".w_gate"))
+            if w is None:  # an expert no token reached
+                assert st.scaled[name].tokens_seen == 0 and not st.hessians[name].h.any()
+                continue
+            assert np.array_equal(st.scaled[name].sum_sq, w["scaled"]), name
+            assert np.array_equal(st.unscaled[name].sum_sq, w["unscaled"]), name
+            assert np.array_equal(st.hessians[name].h, w["h"]), name
+            assert st.scaled[name].tokens_seen == st.hessians[name].tokens_seen == w["tokens"]
+
+    def test_toy_two_layers(self, corpus):
+        cal = build_calibration_set(corpus, 6, TOY.seq_len, seed=1)
+        self.check(MoEModel.init(TOY), cal)
+
+    def test_one_layer_sixteen_experts(self, corpus):
+        cal = build_calibration_set(corpus, 6, WIDE_ONE_LAYER.seq_len, seed=2)
+        self.check(MoEModel.init(WIDE_ONE_LAYER), cal, mode="topk")
+
+    def test_multi_batch(self, tiny_model, cal, monkeypatch):
+        monkeypatch.setattr(moeprune.model, "ROWS_PER_FORWARD", 3 * TINY.seq_len)
+        assert [len(b) for b in window_batches(cal.sequences)] == [3, 3, 3, 3, 3, 1]
+        self.check(tiny_model, cal, gate_override=0.5)

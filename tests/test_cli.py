@@ -144,6 +144,7 @@ BAD_FLAGS = [
     (["prune", "--seed", "-3"], "calibration.seed", 3),
     (["prune", "--pattern", "2:4:6"], "'2:4:6'", 2),
     (["prune", "--pattern", "a:b"], "'a:b'", 2),
+    (["prune", "--pattern", "0.5"], "--sparsity", 2),
 ]
 
 

@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
+import moeprune.autograd
 import moeprune.model
 
-from moeprune.errors import ConfigError, InputError, NumericalError
+from moeprune.errors import ConfigError, ContractError, InputError, NumericalError
 from moeprune.model import (
     GateMatrix,
     ModelConfig,
@@ -373,6 +374,56 @@ class TestBatchedForward:
         monkeypatch.setattr(moeprune.model, "forward_pass", keep)
         model_forward(tiny_model, self.batch())
         assert len(traces) == 1 and traces[0].tape.nodes == []
+
+    @pytest.mark.parametrize("until", ["router", "hidden"])
+    def test_stopped_forward_runs_no_head_and_no_last_w_down(self, tiny_model, monkeypatch,
+                                                             until):
+        operands, combines = [], []
+        matmul, moe_combine = moeprune.autograd.matmul, moeprune.autograd.moe_combine
+
+        def recording_matmul(a, b):
+            operands.append(b.value)
+            return matmul(a, b)
+
+        def counting_combine(*args):
+            combines.append(1)
+            return moe_combine(*args)
+
+        monkeypatch.setattr(moeprune.autograd, "matmul", recording_matmul)
+        monkeypatch.setattr(moeprune.autograd, "moe_combine", counting_combine)
+        last = TINY.n_layers - 1
+        toks = self.batch()
+        res = model_forward(tiny_model, toks, stop=(last, until))
+
+        def read(name):
+            return any(np.shares_memory(b, tiny_model.params[name]) for b in operands)
+
+        experts = range(TINY.n_experts)
+        assert res.logits is None and len(res.layers) == TINY.n_layers
+        assert not read("lm_head") and len(combines) == last
+        assert not any(read(f"layers.{last}.experts.{e}.w_down") for e in experts)
+        assert any(read(f"layers.{last - 1}.experts.{e}.w_down") for e in experts)
+        assert any(read(f"layers.{last}.experts.{e}.w_gate") for e in experts) == (until == "hidden")
+
+        monkeypatch.undo()
+        full = model_forward(tiny_model, toks).layers
+        for got, want in zip(res.layers[:last], full):
+            for e in experts:
+                assert np.array_equal(got.expert_outputs[e], want.expert_outputs[e])
+        got, want = res.layers[last], full[last]
+        assert np.array_equal(got.moe_input, want.moe_input)
+        assert np.array_equal(got.gates.values, want.gates.values)
+        assert np.array_equal(got.gates.probs, want.gates.probs)
+        if until == "router":
+            assert got.expert_tokens == got.expert_hidden == {}
+        for e, rows in got.expert_tokens.items():
+            assert np.array_equal(rows, want.expert_tokens[e])
+            assert np.array_equal(got.expert_hidden[e], want.expert_hidden[e])
+
+    @pytest.mark.parametrize("stop", [(TINY.n_layers, "hidden"), (-1, "router"), (0, "logits")])
+    def test_unknown_stop_point(self, tiny_model, stop):
+        with pytest.raises(ContractError, match="stop point"):
+            model_forward(tiny_model, self.batch(), stop=stop)
 
     @pytest.mark.parametrize("tokens", [
         np.zeros((2, TINY.seq_len + 1), dtype=int),   # window too long

@@ -26,6 +26,7 @@ from moeprune.pruning import (
 from moeprune.training import evaluate_perplexity
 
 from conftest import TINY, synth_corpus
+from oracles import prune_recompute
 from oracles import select_mask as argsort_select_mask
 
 
@@ -408,6 +409,18 @@ class TestPruneModel:
         for name in masks_moe:
             assert np.array_equal(masks_moe[name], masks_wanda[name])
 
+    def test_uniform_gates_match_wanda_under_recompute(self, model_and_stats):
+        # layer 0 comes from the stats and later layers are re-collected
+        # under the same override, so the degeneracy holds at every layer
+        model, _, corpus = model_and_stats
+        cal = build_calibration_set(corpus, 8, TINY.seq_len, seed=21)
+        forced = collect(model, cal, gate_override=1.0)
+        t = SparsityTarget.unstructured(0.5)
+        _, masks_moe, _ = prune_model(model, forced, "moe-pruner", t, propagate="recompute")
+        _, masks_wanda, _ = prune_model(model, forced, "wanda", t, propagate="recompute")
+        for name in masks_moe:
+            assert np.array_equal(masks_moe[name], masks_wanda[name])
+
     @pytest.mark.parametrize("method", ["magnitude", "wanda", "moe-pruner", "sparsegpt"])
     def test_mask_exactness_all_targets(self, model_and_stats, method):
         model, stats, _ = model_and_stats
@@ -454,16 +467,45 @@ class TestPruneModel:
                                                                monkeypatch):
         # forwards run on batches of windows; count the windows forwarded
         model, stats, _ = model_and_stats
-        windows = []
+        # (layer 0 comes from the dense stats, and each forward stops at the
+        # layer it feeds)
+        windows, stops = [], set()
 
-        def counting(model, batch):
+        def counting(model, batch, stop=None):
             windows.append(len(batch))
-            return model_forward(model, batch)
+            stops.add(stop)
+            return model_forward(model, batch, stop=stop)
 
         monkeypatch.setattr(moeprune.pruning, "model_forward", counting)
         prune_model(model, stats, "wanda", SparsityTarget.unstructured(0.5),
                     propagate="recompute")
-        assert sum(windows) == TINY.n_layers * len(stats.sequences)
+        assert sum(windows) == (TINY.n_layers - 1) * len(stats.sequences)
+        assert stops == {(i, "hidden") for i in range(1, TINY.n_layers)}
+
+    @pytest.mark.parametrize("target", [SparsityTarget.unstructured(0.5),
+                                        SparsityTarget.semi_structured(2, 4)],
+                             ids=["0.5", "2:4"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_recompute_equals_full_forward_oracle(self, model_and_stats, method, target):
+        model, stats, _ = model_and_stats
+        pruned, masks, report = prune_model(model, stats, method, target, propagate="recompute")
+        want, want_masks, want_report = prune_recompute(model, stats, method, target)
+        assert masks.keys() == want_masks.keys()
+        for name in masks:
+            assert np.array_equal(masks[name], want_masks[name])
+        for name in model.param_names():
+            assert pruned.params[name].tobytes() == want.params[name].tobytes()
+        assert report.to_dict() == want_report.to_dict()
+
+    @pytest.mark.parametrize("propagate", ["dense", "recompute"])
+    def test_input_model_untouched_and_unshared(self, model_and_stats, propagate):
+        model, stats, _ = model_and_stats
+        before = {n: p.tobytes() for n, p in model.params.items()}
+        pruned, _, _ = prune_model(model, stats, "sparsegpt",
+                                   SparsityTarget.unstructured(0.5), propagate=propagate)
+        assert {n: p.tobytes() for n, p in model.params.items()} == before
+        for name, p in pruned.params.items():
+            assert not np.shares_memory(p, model.params[name]), name
 
     @pytest.mark.parametrize("method", METHODS)
     def test_one_layer_recompute_equals_dense(self, method):
