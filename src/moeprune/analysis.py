@@ -74,17 +74,18 @@ def analyze_model(
     """Route the calibration windows (no expert runs) and score the dispatch
     counts."""
     cal = build_calibration_set(corpus, calib.nsamples, model.config.seq_len, calib.seed)
-    freq = count_dispatch(model, cal, mode)
-    report = _report_from_counts(freq.counts, name, mode)
-    report.extra["total_tokens"] = int(freq.total_tokens)
+    counts, total_tokens = count_dispatch(model, cal, mode)
+    report = _report_from_counts(counts, name, mode)
+    report.extra["total_tokens"] = int(total_tokens)
     return report
 
 
 def ingest_frequencies(path) -> list[BalanceReport]:
     """Score externally measured frequencies.
 
-    File schema: {"model_name": str, "layers": [[f_0..f_{n-1}], ...]} or a
-    list of such objects for side-by-side comparison.
+    File schema: {"model_name": str, "mode": str, "layers": [[f_0..f_{n-1}],
+    ...]} (names optional) or a nonempty list of such objects for side-by-side
+    comparison. Each layer is a flat list of JSON numbers.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -93,23 +94,29 @@ def ingest_frequencies(path) -> list[BalanceReport]:
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     entries = payload if isinstance(payload, list) else [payload]
+    if not entries:
+        raise FormatError(f"{path}: no entries")
     reports = []
     for entry in entries:
         if not isinstance(entry, dict) or "layers" not in entry:
             raise FormatError(f"{path}: each entry needs a 'layers' array")
+        for key in ("model_name", "mode"):
+            if not isinstance(entry.get(key, ""), str):
+                raise FormatError(f"{path}: '{key}' must be a string")
         layers = entry["layers"]
-        if not layers or not all(isinstance(l, list) for l in layers):
-            raise FormatError(f"{path}: 'layers' must be a nonempty list of arrays")
+        # type(), not isinstance(): JSON true and false parse to bools, which are ints
+        if not isinstance(layers, list) or not layers or not all(
+                isinstance(l, list) and all(type(f) in (int, float) for f in l) for l in layers):
+            raise FormatError(f"{path}: 'layers' must be a nonempty list of lists of numbers")
         widths = {len(l) for l in layers}
         if len(widths) != 1:
             raise FormatError(f"{path}: ragged layer arrays (lengths {sorted(widths)})")
         try:
             counts = np.asarray(layers, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: non-numeric frequency entries: {exc}") from exc
+        except OverflowError:
+            raise FormatError(f"{path}: a frequency is too large for a float") from None
         if not np.isfinite(counts).all() or (counts < 0).any():
             raise FormatError(f"{path}: frequencies must be finite and nonnegative")
         reports.append(_report_from_counts(
-            counts, str(entry.get("model_name", "unnamed")), str(entry.get("mode", "argmax"))
-        ))
+            counts, entry.get("model_name", "unnamed"), entry.get("mode", "argmax")))
     return reports

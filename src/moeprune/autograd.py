@@ -81,18 +81,12 @@ class Tape:
 
     def var(self, value) -> Var:
         """Register a leaf (parameter or input)."""
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        return Var(arr, self)
+        return Var(np.asarray(value, dtype=np.float64), self)
 
     def const(self, value) -> Var:
         """Register a constant leaf: no gradient is computed or stored for it,
         and subgraphs built only from constants are not recorded."""
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        return Var(arr, self, requires_grad=False)
+        return Var(np.asarray(value, dtype=np.float64), self, requires_grad=False)
 
     def _emit(self, value: np.ndarray, bwd: Callable[[np.ndarray], None], *operands: Var) -> Var:
         if not any(o.requires_grad for o in operands):
@@ -189,26 +183,23 @@ def silu(a: Var) -> Var:
     return a.tape._emit(x * sig, bwd, a)
 
 
-def row_softmax(a: Var, mask: np.ndarray | None = None) -> Var:
-    """Row-wise softmax; positions where mask==False get probability exactly 0.
+def row_softmax(a: Var, mask: np.ndarray) -> Var:
+    """Row-wise softmax over the positions where mask is True; the others get
+    probability exactly 0.
 
-    The mask is a constant (routing/causal structure), not a differentiable
-    operand: it realizes Eq.-style "set non-selected logits to -inf" without
+    The mask is a constant (routing structure), not a differentiable operand:
+    it realizes Eq.-style "set non-selected logits to -inf" without
     materializing infinities.
     """
     x = a.value
-    if mask is None:
-        shifted = x - x.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-    else:
-        if mask.shape != x.shape:
-            raise ShapeError(f"softmax mask shape {mask.shape} != logits shape {x.shape}")
-        if not mask.any(axis=1).all():
-            raise ShapeError("softmax mask leaves an empty row")
-        masked = np.where(mask, x, -np.inf)
-        shifted = x - masked.max(axis=1, keepdims=True)
-        with np.errstate(over="ignore"):
-            e = np.where(mask, np.exp(shifted), 0.0)
+    if mask.shape != x.shape:
+        raise ShapeError(f"softmax mask shape {mask.shape} != logits shape {x.shape}")
+    if not mask.any(axis=1).all():
+        raise ShapeError("softmax mask leaves an empty row")
+    masked = np.where(mask, x, -np.inf)
+    shifted = x - masked.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        e = np.where(mask, np.exp(shifted), 0.0)
     s = e / e.sum(axis=1, keepdims=True)
 
     def bwd(g: np.ndarray) -> None:
@@ -265,23 +256,29 @@ def scatter_rows(a: Var, idx: np.ndarray, n_rows: int) -> Var:
 
 
 def cross_entropy(logits: Var, targets: np.ndarray) -> Var:
-    """Mean next-token cross-entropy (natural log) of logits rows vs targets."""
+    """Mean next-token cross-entropy (natural log) of logits rows vs targets.
+    The forward holds one logits-sized buffer and keeps only the row maxima
+    and log-normalizers, from which the backward rebuilds the softmax."""
     targets = np.asarray(targets, dtype=np.intp)
     x = logits.value
     if targets.ndim != 1 or targets.size != x.shape[0]:
         raise ShapeError(f"targets length {targets.size} != logits rows {x.shape[0]}")
     if targets.size and (targets.min() < 0 or targets.max() >= x.shape[1]):
         raise InputError(f"target out of vocabulary range [0, {x.shape[1]})")
-    shifted = x - x.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
-    n = x.shape[0]
-    loss = -logp[np.arange(n), targets].mean()
+    n, rows = x.shape[0], np.arange(x.shape[0])
+    rowmax = x.max(axis=1, keepdims=True)
+    shifted = x - rowmax
+    picked = shifted[rows, targets]
+    logz = np.log(np.exp(shifted, out=shifted).sum(axis=1, keepdims=True))
+    loss = -(picked - logz[:, 0]).mean()
 
     def bwd(g: np.ndarray) -> None:
-        p = np.exp(logp)
-        p[np.arange(n), targets] -= 1.0
-        logits.accumulate((g[0, 0] / n) * p)
+        p = x - rowmax  # the softmax, in the forward's operation order
+        p -= logz
+        np.exp(p, out=p)
+        p[rows, targets] -= 1.0
+        p *= g[0, 0] / n
+        logits.accumulate(p)
 
     return logits.tape._emit(np.array([[loss]]), bwd, logits)
 

@@ -1,5 +1,6 @@
-"""Calibration statistics: gate-scaled input norms, plain input norms,
-Hessians (X^T X), and dispatch frequencies, streamed over a token sample.
+"""Calibration statistics: gate-scaled input norms, plain input norms and
+Hessians (X^T X), streamed over a token sample; and the dispatch counts that
+load-balance analysis scores.
 
 For each expert input there is one scaled and one unscaled norm accumulator
 and one Hessian accumulator, keyed by the weights that read it: w_gate and
@@ -25,7 +26,6 @@ __all__ = [
     "CalibrationSet",
     "ScaledNormAccumulator",
     "HessianAccumulator",
-    "FrequencyTable",
     "CalibrationStats",
     "build_calibration_set",
     "empty_accumulators",
@@ -77,8 +77,8 @@ def build_calibration_set(corpus: bytes | str, nsamples: int, seq_len: int, seed
         raise InputError(f"corpus has {toks.size} tokens, shorter than seq_len={seq_len}")
     if toks.size < nsamples * seq_len:
         raise InputError(
-            f"corpus too short: {toks.size} tokens cannot supply "
-            f"{nsamples} non-overlapping windows of {seq_len}"
+            f"corpus too short: {toks.size} tokens, under the {nsamples * seq_len} of "
+            f"{nsamples} windows of {seq_len} (windows start at random offsets and may overlap)"
         )
     rng = SeededRng(seed)
     offsets = rng.integers(0, toks.size - seq_len + 1, size=nsamples)
@@ -131,40 +131,12 @@ class HessianAccumulator:
 
 
 @dataclass
-class FrequencyTable:
-    """Per-layer dispatch counts f_i; argmax mode counts each token once
-    (argmax of full router softmax), topk mode counts every selected expert."""
-
-    counts: np.ndarray  # (n_layers, n_experts) int64
-    mode: str
-    total_tokens: int = 0
-
-    @classmethod
-    def empty(cls, n_layers: int, n_experts: int, mode: str) -> "FrequencyTable":
-        if mode not in ("argmax", "topk"):
-            raise InputError(f"unknown frequency mode {mode!r}")
-        return cls(counts=np.zeros((n_layers, n_experts), dtype=np.int64), mode=mode)
-
-    def count(self, layers: list[LayerTrace]) -> None:
-        """Add one forward's dispatch decisions, layer by layer."""
-        for i, layer in enumerate(layers):
-            gm = layer.gates
-            if self.mode == "argmax":
-                np.add.at(self.counts[i], np.argmax(gm.probs, axis=1), 1)
-            else:
-                np.add.at(self.counts[i], gm.selected.ravel(), 1)
-        self.total_tokens += layers[0].gates.values.shape[0]
-
-
-@dataclass
 class CalibrationStats:
     model_config: ModelConfig
     scaled: dict[str, ScaledNormAccumulator]
     unscaled: dict[str, ScaledNormAccumulator]
     hessians: dict[str, HessianAccumulator]
-    frequencies: FrequencyTable
     sequences: list[np.ndarray]
-    gate_override: float | None = None
 
     def validate_for_model(self, model: MoEModel) -> None:
         mc, sc = model.config, self.model_config
@@ -200,17 +172,13 @@ def empty_accumulators(cfg: ModelConfig, layers: range) -> Accumulators:
     return acc
 
 
-def accumulate_layer(
-    acc: Accumulators, i: int, layer: LayerTrace, gate_override: float | None = None
-) -> None:
+def accumulate_layer(acc: Accumulators, i: int, layer: LayerTrace) -> None:
     """Add one forward's routed inputs at layer i into that layer's accumulators."""
     scaled, unscaled, hessians = acc
     for e, idx in layer.expert_tokens.items():
         if idx.size == 0:
             continue
         g = layer.gates.values[idx, e]
-        if gate_override is not None:
-            g = np.full(idx.size, float(gate_override))
         base = f"layers.{i}.experts.{e}"
         # w_up shares w_gate's accumulators
         for tgt, x in ((f"{base}.w_gate", layer.moe_input[idx]),
@@ -220,44 +188,47 @@ def accumulate_layer(
             hessians[tgt].add(x)
 
 
-def collect(
-    model: MoEModel,
-    cal: CalibrationSet,
-    freq_mode: str = "argmax",
-    gate_override: float | None = None,
-) -> CalibrationStats:
-    """One streaming pass over the calibration set, fixed sequence order, in
-    batches of windows. Each pass stops after the last layer's expert
-    intermediates, the last input any statistic reads.
-
-    gate_override forces every gate weight to a constant (router bypass test
-    hook: with override 1.0 the scaled statistic degenerates to the plain
-    input-norm statistic).
-    """
+def collect(model: MoEModel, cal: CalibrationSet) -> CalibrationStats:
+    """The statistics pruning reads, per expert input: gate-scaled and plain
+    input norms and X^T X. One streaming pass over the calibration set, in
+    fixed sequence order and batches of windows; each forward stops after the
+    last layer's expert intermediates, the last input any statistic reads.
+    Dispatch counts are not gathered here (see count_dispatch)."""
     cfg = model.config
     acc = empty_accumulators(cfg, range(cfg.n_layers))
-    freq = FrequencyTable.empty(cfg.n_layers, cfg.n_experts, freq_mode)
-
     for batch in window_batches(cal.sequences):
         layers = model_forward(model, batch, stop=(cfg.n_layers - 1, "hidden")).layers
-        freq.count(layers)
         for i, layer in enumerate(layers):
-            accumulate_layer(acc, i, layer, gate_override)
-
+            accumulate_layer(acc, i, layer)
     scaled, unscaled, hessians = acc
-    return CalibrationStats(
-        model_config=cfg, scaled=scaled, unscaled=unscaled, hessians=hessians,
-        frequencies=freq, sequences=list(cal.sequences), gate_override=gate_override,
-    )
+    return CalibrationStats(model_config=cfg, scaled=scaled, unscaled=unscaled,
+                            hessians=hessians, sequences=list(cal.sequences))
 
 
-def count_dispatch(
-    model: MoEModel, cal: CalibrationSet, freq_mode: str = "argmax"
-) -> FrequencyTable:
-    """collect's dispatch frequencies alone, from passes that stop at the last
-    layer's router."""
+def _full_softmax(x: np.ndarray) -> np.ndarray:
+    # argmax counts read the rounded probabilities, not the logits: logits
+    # whose probabilities round equal tie, and the lowest index takes it
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def count_dispatch(model: MoEModel, cal: CalibrationSet, mode: str) -> tuple[np.ndarray, int]:
+    """Per-layer dispatch counts over the calibration set, (n_layers,
+    n_experts) int64, and the number of tokens routed. "argmax" counts each
+    token once, at the argmax of its full router softmax; "topk" counts every
+    expert it is routed to. Each forward stops at the last layer's router."""
+    if mode not in ("argmax", "topk"):
+        raise InputError(f"unknown frequency mode {mode!r}")
     cfg = model.config
-    freq = FrequencyTable.empty(cfg.n_layers, cfg.n_experts, freq_mode)
+    counts = np.zeros((cfg.n_layers, cfg.n_experts), dtype=np.int64)
+    total = 0
     for batch in window_batches(cal.sequences):
-        freq.count(model_forward(model, batch, stop=(cfg.n_layers - 1, "router")).layers)
-    return freq
+        layers = model_forward(model, batch, stop=(cfg.n_layers - 1, "router")).layers
+        for i, layer in enumerate(layers):
+            gm = layer.gates
+            if mode == "argmax":
+                np.add.at(counts[i], np.argmax(_full_softmax(gm.logits), axis=1), 1)
+            else:
+                counts[i] += np.count_nonzero(gm.values, axis=0)
+        total += batch.size
+    return counts, total

@@ -103,7 +103,7 @@ def cmd_prune(args) -> int:
         "propagate": args.propagate,
     }
     save_checkpoint(pruned, args.out, masks=masks, extra={"config": effective})
-    payload = {"config": effective, **report.to_dict()}
+    payload = {"config": effective, **asdict(report)}
     _write_json(Path(args.out) / "prune_report.json", payload)
     print(json.dumps({
         "out": str(args.out),
@@ -166,7 +166,8 @@ def cmd_analyze(args) -> int:
 
 
 def _sweep_list(flag: str, text: str, parse) -> list:
-    """The distinct entries of a comma-separated sweep list, parsed, in order."""
+    """The distinct entries of a comma-separated sweep list, parsed, in order;
+    at least one."""
     values = []
     for entry in filter(None, (e.strip() for e in text.split(","))):
         try:
@@ -178,6 +179,8 @@ def _sweep_list(flag: str, text: str, parse) -> list:
             warnings.warn(f"duplicate sweep setting {value} skipped", stacklevel=1)
         else:
             values.append(value)
+    if not values:
+        raise UsageError(f"{flag} lists no setting")
     return values
 
 

@@ -130,8 +130,8 @@ def _kd_graph(
                                  len(batch[0]))
     dispatch, t_outs = targets
     tape = ag.Tape()
-    params = make_param_vars(student, tape, masks)
-    strace = forward_pass(student, batch, tape=tape, forced_dispatch=dispatch, params=params)
+    leaves, pv = make_param_vars(student, tape, masks)
+    strace = forward_pass(student, batch, pv, forced_dispatch=dispatch)
     rows, next_tokens = next_token_targets(strace.tokens)
     l_ce = ag.cross_entropy(ag.gather_rows(strace.logits, rows), next_tokens)
     expert_terms = [ag.mse(strace.forced_outputs[i][e], tape.const(t_out))
@@ -155,7 +155,7 @@ def _kd_graph(
         lam=float(lam),
         total=float(total.value[0, 0]),
     )
-    return total, breakdown, params[0], tape
+    return total, breakdown, leaves, tape
 
 
 def kd_loss(

@@ -11,7 +11,7 @@ are never pruned; only expert matrices are.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "GateMatrix",
     "MoEModel",
     "model_forward",
-    "ce_loss",
     "ForwardResult",
     "LayerTrace",
 ]
@@ -65,15 +64,13 @@ class ModelConfig(Section):
 
 @dataclass
 class GateMatrix:
-    """Normalized router weights: zeros at unselected experts, rows sum to 1.
+    """One layer's routing: values holds the normalized router weights, zero
+    at unselected experts, rows summing to 1 (validate checks), so an
+    expert's routed rows are the nonzeros of its column; logits holds the
+    router logits they came from, which argmax dispatch counting reads."""
 
-    probs holds the full (pre-top-k) softmax over router logits, the p(x) that
-    dispatch-frequency counting takes its argmax over.
-    """
-
-    values: np.ndarray    # (tokens, n_experts)
-    selected: np.ndarray  # (tokens, top_k) expert indices, ascending
-    probs: np.ndarray     # (tokens, n_experts)
+    values: np.ndarray  # (tokens, n_experts)
+    logits: np.ndarray  # (tokens, n_experts)
 
     def validate(self, top_k: int) -> None:
         nz = np.count_nonzero(self.values, axis=1)
@@ -154,34 +151,13 @@ class MoEModel:
         return MoEModel(self.config, {n: p.copy() for n, p in self.params.items()})
 
 
-def _topk_mask(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean keep-mask and (tokens, k) ascending selected indices.
-
-    Ties broken by lowest expert index (stable argsort on negated logits).
-    """
+def _topk_mask(logits: np.ndarray, k: int) -> np.ndarray:
+    """Boolean keep-mask of each row's k largest logits. Ties broken by
+    lowest expert index (stable argsort on negated logits)."""
     order = np.argsort(-logits, axis=1, kind="stable")
-    selected = np.sort(order[:, :k], axis=1)
     mask = np.zeros(logits.shape, dtype=bool)
-    np.put_along_axis(mask, selected, True, axis=1)
-    return mask, selected
-
-
-def _full_softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def ce_loss(logits: np.ndarray, targets) -> float:
-    """Mean next-token cross-entropy, natural log."""
-    targets = np.asarray(targets, dtype=np.intp)
-    if targets.ndim != 1 or targets.size != logits.shape[0]:
-        raise ShapeError(f"targets length {targets.size} != logits rows {logits.shape[0]}")
-    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
-        raise InputError(f"target out of vocabulary range [0, {logits.shape[1]})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    picked = shifted[np.arange(targets.size), targets]
-    logz = np.log(np.exp(shifted, out=shifted).sum(axis=1))
-    return float((logz - picked).mean())
+    np.put_along_axis(mask, order[:, :k], True, axis=1)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +188,7 @@ class _TapeTrace:
     tokens: np.ndarray                       # (B, T) validated batch
     layers: list[LayerTrace]
     layer_input_vars: list[Var]
-    tape: Tape
     forced_outputs: list[dict[int, Var]] | None = None
-    result: ForwardResult = field(init=False)
-
-    def __post_init__(self):
-        self.result = ForwardResult(logits=None if self.logits is None else self.logits.value,
-                                    layers=self.layers)
 
 
 def _validate_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
@@ -297,24 +267,24 @@ def _subset_rows(y: Var, rows: np.ndarray, sub: np.ndarray) -> Var:
 def forward_pass(
     model: MoEModel,
     tokens,
-    tape: Tape | None = None,
-    masks: dict[str, np.ndarray] | None = None,
+    pv: dict[str, Var],
     forced_dispatch: list[dict[int, np.ndarray]] | None = None,
-    params: tuple[dict[str, Var], dict[str, Var]] | None = None,
     stop: tuple[int, str] | None = None,
 ) -> _TapeTrace:
     """Build the causal forward graph of a (B, T) batch of equal-length
-    windows (a 1-D sequence is B = 1); returns Vars plus a plain trace.
+    windows (a 1-D sequence is B = 1) on the tape of the parameter Vars pv;
+    returns Vars plus a plain trace.
 
+    pv maps every parameter name to the Var the graph reads: the effective
+    Vars of make_param_vars (masked parameters go through masked-assign, so
+    pruned weights contribute nothing and receive zero gradient), or
+    constants, which record no tape.
     The batch is flattened to B*T rows, window-major: logits, MoE inputs and
     every token index (expert_tokens, forced_dispatch) address those rows.
-    masks: sparsity masks applied in-graph (masked-assign), so pruned weights
-    contribute nothing and receive zero gradient.
     forced_dispatch: per layer, expert -> increasing row indices; the trace's
     forced_outputs then holds, per layer, each such expert's output on those
     rows (the teacher-forced sets distillation needs). An expert runs once per
     layer, on the union of its own and its forced rows.
-    params: (leaf, effective) Vars from make_param_vars, or constants.
     stop: (layer i, point) ends the pass inside layer i, for callers that read
     no further; the trace then ends at layer i and logits is None. At
     "router" layer i's trace holds its MoE input and gates, and no expert
@@ -327,12 +297,6 @@ def forward_pass(
     last, until = stop if stop is not None else (cfg.n_layers - 1, None)
     if not 0 <= last < cfg.n_layers or until not in (None, "router", "hidden"):
         raise ContractError(f"no stop point {stop!r} in a {cfg.n_layers}-layer forward")
-    if tape is None:
-        tape = Tape()
-
-    if params is None:
-        params = make_param_vars(model, tape, masks)
-    pv = params[1]
 
     h = ag.gather_rows(pv["token_embedding"], toks.ravel())
     layers: list[LayerTrace] = []
@@ -352,10 +316,8 @@ def forward_pass(
         m = ag.rmsnorm(h)
         layer_input_vars.append(m)
         logits = ag.matmul(m, pv[f"layers.{i}.router"])
-        keep, selected = _topk_mask(logits.value, cfg.top_k)
-        gates = ag.row_softmax(logits, mask=keep)
-        gm = GateMatrix(values=gates.value, selected=selected,
-                        probs=_full_softmax(logits.value))
+        gates = ag.row_softmax(logits, _topk_mask(logits.value, cfg.top_k))
+        gm = GateMatrix(values=gates.value, logits=logits.value)
         gm.validate(cfg.top_k)
 
         expert_tokens: dict[int, np.ndarray] = {}
@@ -402,7 +364,7 @@ def forward_pass(
 
     logits = ag.matmul(ag.rmsnorm(h), pv["lm_head"]) if until is None else None
     return _TapeTrace(logits=logits, tokens=toks, layers=layers,
-                      layer_input_vars=layer_input_vars, tape=tape,
+                      layer_input_vars=layer_input_vars,
                       forced_outputs=forced_outputs if forced_dispatch is not None else None)
 
 
@@ -412,5 +374,7 @@ def model_forward(model: MoEModel, tokens, stop: tuple[int, str] | None = None) 
     per-expert outputs). Parameters enter as constants, so nothing is taped.
     stop ends the pass early, as in forward_pass."""
     tape = Tape()
-    consts = {n: tape.const(p) for n, p in model.params.items()}
-    return forward_pass(model, tokens, tape=tape, params=(consts, consts), stop=stop).result
+    tr = forward_pass(model, tokens, {n: tape.const(p) for n, p in model.params.items()},
+                      stop=stop)
+    return ForwardResult(logits=None if tr.logits is None else tr.logits.value,
+                         layers=tr.layers)

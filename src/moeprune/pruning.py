@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 METHODS = ("magnitude", "wanda", "moe-pruner", "sparsegpt")
+# Hessian dampening, as a fraction of its mean diagonal (common practice)
+DAMP_FRAC = 0.01
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,10 @@ def score_moe_pruner(
     return np.abs(w) * scaled_norms.norms()[None, :]
 
 
-def damped_inverse(h: np.ndarray, damp_frac: float = 0.01) -> np.ndarray:
+def damped_inverse(h: np.ndarray, damp_frac: float = DAMP_FRAC) -> np.ndarray:
     """H'^-1 with H' = H + damp_frac * mean(diag H) * I: what SparseGPT scores
     and the OBS update read. Every weight that reads the same input shares it.
-    damp_frac=0 is a test hook; the 0.01 default follows common practice.
+    damp_frac=0 is a test hook; prune_model uses DAMP_FRAC.
     """
     if damp_frac < 0:
         raise ConfigError(f"damp_frac must be >= 0, got {damp_frac}")
@@ -234,15 +236,6 @@ class PruneReport:
         }
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "sparsity": self.sparsity,
-            "propagate": self.propagate,
-            "totals": self.totals,
-            "targets": self.targets,
-        }
-
 
 def _score_target(
     method: str,
@@ -251,7 +244,6 @@ def _score_target(
     scaled: dict[str, ScaledNormAccumulator],
     unscaled: dict[str, ScaledNormAccumulator],
     hess: dict[str, HessianAccumulator],
-    damp_frac: float,
     inverses: dict[tuple[str, ...], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray | None, str]:
     """Scores in pruning orientation, plus H^-1 when the method updates weights.
@@ -269,7 +261,7 @@ def _score_target(
             # with dampening; fall back to magnitude with no update
             return score_magnitude(wp), None, "sparsegpt(magnitude-fallback:no-tokens)"
         if acc.targets not in inverses:
-            inverses[acc.targets] = damped_inverse(acc.h, damp_frac)
+            inverses[acc.targets] = damped_inverse(acc.h)
         return score_sparsegpt(wp, inverses[acc.targets]), inverses[acc.targets], method
     raise ConfigError(f"unknown pruning method {method!r}; choose from {METHODS}")
 
@@ -280,7 +272,6 @@ def prune_model(
     method: str,
     target: SparsityTarget,
     propagate: str = "dense",
-    damp_frac: float = 0.01,
 ) -> tuple[MoEModel, dict[str, np.ndarray], PruneReport]:
     """Prune every expert matrix, layer by layer.
 
@@ -319,7 +310,7 @@ def prune_model(
             acc = empty_accumulators(cfg, range(i, i + 1))
             for batch in window_batches(stats.sequences):
                 layer = model_forward(pruned, batch, stop=(i, "hidden")).layers[i]
-                accumulate_layer(acc, i, layer, stats.gate_override)
+                accumulate_layer(acc, i, layer)
             scaled, unscaled, hess = acc
         for e in range(cfg.n_experts):
             inverses: dict[tuple[str, ...], np.ndarray] = {}
@@ -327,7 +318,7 @@ def prune_model(
                 name = f"layers.{i}.experts.{e}.{part}"
                 wp = pruned.params[name].T.copy()  # (out, in) pruning orientation
                 scores, h_inv, method_used = _score_target(
-                    method, wp, name, scaled, unscaled, hess, damp_frac, inverses
+                    method, wp, name, scaled, unscaled, hess, inverses
                 )
                 keep = select_mask(scores, target)
                 zeroed = wp * keep

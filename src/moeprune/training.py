@@ -14,7 +14,6 @@ from .config import Section
 from .errors import InputError, NumericalError
 from .model import (
     MoEModel,
-    ce_loss,
     forward_pass,
     make_param_vars,
     model_forward,
@@ -37,16 +36,16 @@ class TrainConfig(Section):
     seed: int = 0
 
 
-def batch_ce_graph(model: MoEModel, batch: list[np.ndarray],
-                   masks: dict[str, np.ndarray] | None = None):
+def batch_ce_graph(model: MoEModel, batch: list[np.ndarray]):
     """Mean next-token CE over a batch of equal-length windows: one forward
-    and one cross-entropy over every row that has a next token."""
+    and one cross-entropy over every row that has a next token. Returns
+    (loss, leaf Vars, tape)."""
     tape = ag.Tape()
-    params = make_param_vars(model, tape, masks)
-    tr = forward_pass(model, batch, tape=tape, params=params)
+    leaves, pv = make_param_vars(model, tape)
+    tr = forward_pass(model, batch, pv)
     rows, targets = next_token_targets(tr.tokens)
     loss = ag.cross_entropy(ag.gather_rows(tr.logits, rows), targets)
-    return loss, params[0], tape
+    return loss, leaves, tape
 
 
 def train_model(
@@ -93,8 +92,8 @@ def evaluate_perplexity(model: MoEModel, corpus: bytes | str) -> tuple[float, in
     total_tokens = 0
     for batch in window_batches(windows):
         rows, targets = next_token_targets(batch)
-        logits = model_forward(model, batch).logits
-        total_ce += ce_loss(logits[rows], targets) * rows.size
+        logits = ag.Tape().const(model_forward(model, batch).logits[rows])
+        total_ce += float(ag.cross_entropy(logits, targets).value[0, 0]) * rows.size
         total_tokens += rows.size
     mean_ce = total_ce / total_tokens
     ppl = math.exp(mean_ce) if mean_ce < 709.0 else math.inf  # math.exp raises past ~709.78

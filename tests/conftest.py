@@ -40,6 +40,10 @@ def random_bytes_corpus(seed: int = 0, size: int = 1 << 14) -> bytes:
 
 TINY = ModelConfig(d_model=16, n_heads=2, n_layers=2, n_experts=4, top_k=2,
                    d_ff=32, seq_len=32, vocab_size=256, seed=11)
+# TINY with a top-1 router, whose masked softmax gives every routed token a
+# gate of exactly 1.0: the case where moe-pruner's scores are Wanda's
+TOP1 = ModelConfig(d_model=16, n_heads=2, n_layers=2, n_experts=4, top_k=1,
+                   d_ff=32, seq_len=32, vocab_size=256, seed=12)
 
 
 @pytest.fixture(scope="session")

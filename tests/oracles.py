@@ -1,10 +1,11 @@
 """Independent reference implementations the tests check the toolkit against.
 
 Plain-NumPy kernels, a per-expert MoE layer forward (no tape, no
-batching), mask selection by stable argsort, the SPD inverse mirrored by
+batching), the cross-entropy loss and gradient as separate allocating
+expressions, mask selection by stable argsort, the SPD inverse mirrored by
 summing triangles, a central-difference gradient check for autograd ops,
-the allocating Adam step, and calibration statistics and a recompute prune
-built from forwards that run to the logits.
+the allocating Adam step, and calibration statistics, dispatch counts and a
+recompute prune built from forwards that run to the logits.
 No command uses them; pytest does not collect this module.
 """
 
@@ -20,15 +21,8 @@ from scipy.linalg.lapack import dpotrf, dpotri
 from moeprune import autograd as ag
 from moeprune import pruning
 from moeprune.calibration import accumulate_layer, empty_accumulators
-from moeprune.errors import ConfigError, ContractError, ShapeError
-from moeprune.model import (
-    GateMatrix,
-    MoEModel,
-    _full_softmax,
-    _topk_mask,
-    model_forward,
-    window_batches,
-)
+from moeprune.errors import ConfigError, ContractError, InputError, ShapeError
+from moeprune.model import GateMatrix, MoEModel, _topk_mask, model_forward, window_batches
 from moeprune.numerics import _check_finite
 
 
@@ -47,6 +41,30 @@ def row_softmax(m: np.ndarray) -> np.ndarray:
     shifted = m - m.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return _check_finite(e / e.sum(axis=1, keepdims=True), "row_softmax")
+
+
+def ce_loss(logits: np.ndarray, targets) -> float:
+    """Mean next-token cross-entropy, natural log, as (logz - picked).mean()."""
+    targets = np.asarray(targets, dtype=np.intp)
+    if targets.ndim != 1 or targets.size != logits.shape[0]:
+        raise ShapeError(f"targets length {targets.size} != logits rows {logits.shape[0]}")
+    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
+        raise InputError(f"target out of vocabulary range [0, {logits.shape[1]})")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    picked = shifted[np.arange(targets.size), targets]
+    logz = np.log(np.exp(shifted, out=shifted).sum(axis=1))
+    return float((logz - picked).mean())
+
+
+def cross_entropy_grad(logits: np.ndarray, targets, g: float = 1.0) -> np.ndarray:
+    """d(g * mean CE)/d logits from the stored log-probabilities: (g / n) *
+    (softmax - onehot)."""
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    p = np.exp(logp)
+    p[np.arange(n), targets] -= 1.0
+    return (g / n) * p
 
 
 def silu(m: np.ndarray) -> np.ndarray:
@@ -97,9 +115,7 @@ def route(x: np.ndarray, layer: MoELayer, k: int) -> GateMatrix:
     if k > layer.router.shape[1]:
         raise ConfigError(f"top_k={k} exceeds n_experts={layer.router.shape[1]}")
     logits = matmul(x, layer.router)
-    mask, selected = _topk_mask(logits, k)
-    gates = _masked_softmax(logits, mask)
-    gm = GateMatrix(values=gates, selected=selected, probs=_full_softmax(logits))
+    gm = GateMatrix(values=_masked_softmax(logits, _topk_mask(logits, k)), logits=logits)
     gm.validate(k)
     return gm
 
@@ -214,12 +230,13 @@ class Adam:
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def full_forward_stats(model: MoEModel, sequences, freq_mode: str = "argmax",
-                       gate_override: float | None = None) -> dict:
+def full_forward_stats(model: MoEModel, sequences, mode: str = "argmax") -> dict:
     """Calibration statistics from forwards that run to the logits: per
     expert input, the sums of squared gate-scaled and (gates of ones) plain
     routed inputs, X^T X and the token count, plus the dispatch counts, summed
-    batch by batch over the windows in order."""
+    batch by batch over the windows in order. Argmax counts take the argmax
+    of each token's full router softmax; topk counts take its k largest
+    router logits, lowest index first among equals."""
     cfg = model.config
     out: dict = {"counts": np.zeros((cfg.n_layers, cfg.n_experts), dtype=np.int64),
                  "total_tokens": 0}
@@ -228,15 +245,14 @@ def full_forward_stats(model: MoEModel, sequences, freq_mode: str = "argmax",
         assert res.logits is not None
         out["total_tokens"] += batch.size
         for i, lt in enumerate(res.layers):
-            picks = (np.argmax(lt.gates.probs, axis=1) if freq_mode == "argmax"
-                     else lt.gates.selected.ravel())
+            logits = lt.gates.logits
+            picks = (np.argmax(row_softmax(logits), axis=1) if mode == "argmax"
+                     else np.argsort(-logits, axis=1, kind="stable")[:, :cfg.top_k].ravel())
             np.add.at(out["counts"][i], picks, 1)
             for e, idx in lt.expert_tokens.items():
                 if idx.size == 0:
                     continue
                 g = lt.gates.values[idx, e]
-                if gate_override is not None:
-                    g = np.full(idx.size, float(gate_override))
                 for part, x in (("w_gate", lt.moe_input[idx]), ("w_down", lt.expert_hidden[e])):
                     s = out.setdefault(f"layers.{i}.experts.{e}.{part}", {
                         "scaled": np.zeros(x.shape[1]), "unscaled": np.zeros(x.shape[1]),
@@ -249,7 +265,7 @@ def full_forward_stats(model: MoEModel, sequences, freq_mode: str = "argmax",
     return out
 
 
-def prune_recompute(model: MoEModel, stats, method: str, target, damp_frac: float = 0.01):
+def prune_recompute(model: MoEModel, stats, method: str, target):
     """prune_model(..., propagate="recompute") as full forwards: every
     parameter copied up front, and before each layer i (layer 0 included)
     the calibration windows run to the logits through the partly pruned
@@ -270,7 +286,7 @@ def prune_recompute(model: MoEModel, stats, method: str, target, damp_frac: floa
                 name = f"layers.{i}.experts.{e}.{part}"
                 wp = pruned.params[name].T.copy()
                 scores, h_inv, method_used = pruning._score_target(
-                    method, wp, name, scaled, unscaled, hess, damp_frac, inverses)
+                    method, wp, name, scaled, unscaled, hess, inverses)
                 keep = select_mask(scores, target)
                 zeroed = wp * keep
                 updated = pruning.obs_update(wp, keep, h_inv) if h_inv is not None else zeroed

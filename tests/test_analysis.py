@@ -6,12 +6,13 @@ import pytest
 
 import moeprune.model
 from moeprune.analysis import analyze_model, balance_score, ingest_frequencies
-from moeprune.calibration import CalibrationConfig, build_calibration_set, collect
+from moeprune.calibration import CalibrationConfig, build_calibration_set
 from moeprune.errors import FormatError, InputError
 from moeprune.model import MoEModel
 from moeprune.numerics import SeededRng
 
 from conftest import TINY, random_bytes_corpus
+from oracles import full_forward_stats
 
 
 class TestBalanceScore:
@@ -99,11 +100,12 @@ class TestAnalyzeModel:
 
     @pytest.mark.parametrize("mode", ["argmax", "topk"])
     def test_counts_equal_collect_frequencies(self, tiny_model, monkeypatch, mode):
-        # analyze stops at the last router: no expert of the last layer runs
+        # analyze stops at the last router: no expert of the last layer runs,
+        # and its counts equal those collected from forwards to the logits
         corpus = random_bytes_corpus(9, 64 * 32)
         calib = CalibrationConfig(nsamples=20, seed=3)
         cal = build_calibration_set(corpus, calib.nsamples, TINY.seq_len, calib.seed)
-        freq = collect(tiny_model, cal, freq_mode=mode).frequencies
+        want = full_forward_stats(tiny_model, cal.sequences, mode)
         swiglu, layers_run = moeprune.model._swiglu, set()
 
         def recording(pv, i, e, x):
@@ -113,8 +115,8 @@ class TestAnalyzeModel:
         monkeypatch.setattr(moeprune.model, "_swiglu", recording)
         report = analyze_model(tiny_model, corpus, calib, mode=mode)
         assert layers_run == set(range(TINY.n_layers - 1))
-        assert report.frequencies == freq.counts.tolist()
-        assert report.extra["total_tokens"] == freq.total_tokens == 20 * TINY.seq_len
+        assert report.frequencies == want["counts"].tolist()
+        assert report.extra["total_tokens"] == want["total_tokens"] == 20 * TINY.seq_len
 
 
 class TestIngestFrequencies:
@@ -158,3 +160,9 @@ class TestIngestFrequencies:
         p.write_text(json.dumps({"model_name": "m", "layers": [[1, -2]]}))
         with pytest.raises(FormatError):
             ingest_frequencies(p)
+
+    def test_names_echoed_as_given(self, tmp_path):
+        p = tmp_path / "freq.json"
+        p.write_text(json.dumps({"model_name": "m", "mode": "topk", "layers": [[1.5, 0]]}))
+        (report,) = ingest_frequencies(p)
+        assert (report.model_name, report.mode, report.frequencies) == ("m", "topk", [[1.5, 0.0]])

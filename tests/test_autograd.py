@@ -254,7 +254,6 @@ OP_CASES = {
     "elementwise-multiply": lambda t, x: _to_scalar(t, ag.mul(x, t.var(OTHER))),
     "mul_column_broadcast": lambda t, x: _to_scalar(t, ag.mul(x, t.var(COL))),
     "silu": lambda t, x: _to_scalar(t, ag.silu(x)),
-    "row_softmax": lambda t, x: _to_scalar(t, ag.row_softmax(x)),
     "row_softmax_masked": lambda t, x: _to_scalar(t, ag.row_softmax(x, mask=KEEP)),
     "rmsnorm": lambda t, x: _to_scalar(t, ag.rmsnorm(x)),
     "embedding-gather": lambda t, x: _to_scalar(t, ag.gather_rows(x, IDX)),

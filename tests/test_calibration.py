@@ -6,12 +6,13 @@ from moeprune.calibration import (
     ScaledNormAccumulator,
     build_calibration_set,
     collect,
+    count_dispatch,
     nonoverlapping_windows,
 )
 from moeprune.errors import InputError, ShapeError
 from moeprune.model import ModelConfig, MoEModel, model_forward, window_batches
 
-from conftest import TINY, synth_corpus
+from conftest import TINY, TOP1, synth_corpus
 from oracles import full_forward_stats
 
 
@@ -105,10 +106,15 @@ class TestCollect:
                          for e in range(TINY.n_experts))
             assert routed == 16 * TINY.seq_len * TINY.top_k
 
-    def test_gate_override_degenerates_to_plain_norms(self, tiny_model, corpus):
-        cal = build_calibration_set(corpus, 4, 32, seed=3)
-        st = collect(tiny_model, cal, gate_override=1.0)
+    def test_top1_scaled_norms_equal_plain_norms(self, corpus):
+        # gates of exactly 1.0 make the scaled statistic the plain one, bit for bit
+        model = MoEModel.init(TOP1)
+        cal = build_calibration_set(corpus, 4, TOP1.seq_len, seed=3)
+        st = collect(model, cal)
+        for lt in model_forward(model, np.stack(cal.sequences)).layers:
+            assert (lt.gates.values.max(axis=1) == 1.0).all()
         for name in st.scaled:
+            assert st.scaled[name].tokens_seen > 0
             assert np.array_equal(st.scaled[name].sum_sq, st.unscaled[name].sum_sq)
 
     def test_hessian_equals_xtx_of_captured(self, stats, stacked_inputs):
@@ -137,15 +143,17 @@ class TestCollect:
         stacked = np.vstack(rows)
         assert np.abs(st.scaled[name].norms() - np.sqrt((stacked ** 2).sum(axis=0))).max() < 1e-10
 
-    def test_argmax_frequency_total(self, stats):
+    def test_argmax_frequency_total(self, tiny_model, cal):
+        counts, total = count_dispatch(tiny_model, cal, "argmax")
+        assert total == 16 * TINY.seq_len
         for i in range(TINY.n_layers):
-            assert stats.frequencies.counts[i].sum() == stats.frequencies.total_tokens
+            assert counts[i].sum() == total
 
     def test_topk_frequency_total(self, tiny_model, corpus):
         cal = build_calibration_set(corpus, 4, 32, seed=8)
-        st = collect(tiny_model, cal, freq_mode="topk")
+        counts, total = count_dispatch(tiny_model, cal, "topk")
         for i in range(TINY.n_layers):
-            assert st.frequencies.counts[i].sum() == st.frequencies.total_tokens * TINY.top_k
+            assert counts[i].sum() == total * TINY.top_k
 
     def test_zero_gate_tokens_contribute_nothing(self, stats):
         # every accumulated token for an expert had a strictly positive gate,
@@ -177,11 +185,9 @@ class TestCollectEqualsFullForwards:
     statistics must equal those summed from forwards that run to the logits."""
 
     @staticmethod
-    def check(model, cal, mode="argmax", gate_override=None):
-        st = collect(model, cal, mode, gate_override)
-        want = full_forward_stats(model, cal.sequences, mode, gate_override)
-        assert np.array_equal(st.frequencies.counts, want["counts"])
-        assert st.frequencies.total_tokens == want["total_tokens"]
+    def check(model, cal):
+        st = collect(model, cal)
+        want = full_forward_stats(model, cal.sequences)
         for name in st.scaled:
             w = want.get(name.replace(".w_up", ".w_gate"))
             if w is None:  # an expert no token reached
@@ -198,9 +204,31 @@ class TestCollectEqualsFullForwards:
 
     def test_one_layer_sixteen_experts(self, corpus):
         cal = build_calibration_set(corpus, 6, WIDE_ONE_LAYER.seq_len, seed=2)
-        self.check(MoEModel.init(WIDE_ONE_LAYER), cal, mode="topk")
+        self.check(MoEModel.init(WIDE_ONE_LAYER), cal)
 
     def test_multi_batch(self, tiny_model, cal, monkeypatch):
         monkeypatch.setattr(moeprune.model, "ROWS_PER_FORWARD", 3 * TINY.seq_len)
         assert [len(b) for b in window_batches(cal.sequences)] == [3, 3, 3, 3, 3, 1]
-        self.check(tiny_model, cal, gate_override=0.5)
+        self.check(tiny_model, cal)
+
+
+class TestCountDispatchEqualsFullForwards:
+    """count_dispatch stops at the last layer's router; its counts must equal
+    those taken from forwards that run to the logits."""
+
+    @pytest.mark.parametrize("mode", ["argmax", "topk"])
+    @pytest.mark.parametrize("config", [TINY, TOY, WIDE_ONE_LAYER], ids=["tiny", "toy", "wide"])
+    def test_counts_over_several_batches(self, corpus, monkeypatch, mode, config):
+        monkeypatch.setattr(moeprune.model, "ROWS_PER_FORWARD", 3 * config.seq_len)
+        model = MoEModel.init(config)
+        cal = build_calibration_set(corpus, 8, config.seq_len, seed=4)
+        assert [len(b) for b in window_batches(cal.sequences)] == [3, 3, 2]
+        counts, total = count_dispatch(model, cal, mode)
+        want = full_forward_stats(model, cal.sequences, mode)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, want["counts"])
+        assert total == want["total_tokens"] == 8 * config.seq_len
+
+    def test_unknown_mode(self, tiny_model, cal):
+        with pytest.raises(InputError, match="mode"):
+            count_dispatch(tiny_model, cal, "softmax")

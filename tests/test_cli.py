@@ -145,6 +145,10 @@ BAD_FLAGS = [
     (["prune", "--pattern", "2:4:6"], "'2:4:6'", 2),
     (["prune", "--pattern", "a:b"], "'a:b'", 2),
     (["prune", "--pattern", "0.5"], "--sparsity", 2),
+    (["sweep", "--sparsities", ","], "--sparsities", 2),
+    (["sweep", "--sparsities", " "], "--sparsities", 2),
+    (["sweep", "--sparsities", ""], "--sparsities", 2),
+    (["sweep", "--nsamples-list", " , "], "--nsamples-list", 2),
 ]
 
 
@@ -170,6 +174,45 @@ def test_bad_flag_value_is_one_line_error(workdir, tmp_path, capsys, flags, name
     assert len(err.strip().splitlines()) == 1 and named in err
     assert "Traceback" not in err
     assert out == "" and not (tmp_path / "never").exists()
+
+
+def test_empty_sweep_list_exits_before_loading(tmp_path, capsys, monkeypatch):
+    def no_load(*_args):
+        raise AssertionError("the checkpoint must not be loaded")
+
+    monkeypatch.setattr("moeprune.cli.load_checkpoint", no_load)
+    rc = run(["sweep", "--ckpt", tmp_path / "missing", "--sparsities", ",",
+              "--calib", tmp_path / "c.txt", "--eval-corpus", tmp_path / "c.txt",
+              "--out", tmp_path / "never.csv"])
+    assert rc == 2 and "--sparsities" in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()
+
+
+BAD_FREQ_FILES = [
+    ({"layers": [[[1, 2]]]}, "'layers'"),
+    ([{"layers": [[True, False, 2]]}], "'layers'"),
+    ([{"layers": [["3", "4"]]}], "'layers'"),
+    ([], "no entries"),
+    ({"model_name": None, "layers": [[1, 2]]}, "'model_name'"),
+    ({"mode": 7, "layers": [[1, 2]]}, "'mode'"),
+    ({"layers": [[None, 1]]}, "'layers'"),
+    ({"layers": {"0": [1, 2]}}, "'layers'"),
+    ({"layers": [[1, 10 ** 400]]}, "too large"),
+]
+
+
+@pytest.mark.parametrize("payload,named", BAD_FREQ_FILES,
+                         ids=[f"freq{i}" for i in range(len(BAD_FREQ_FILES))])
+def test_bad_freq_file_is_one_line_error(tmp_path, capsys, payload, named):
+    p = tmp_path / "freq.json"
+    p.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = run(["analyze", "--freq", p])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert len(err.strip().splitlines()) == 1 and named in err
+    assert "Traceback" not in err
+    assert out == "" and sorted(tmp_path.iterdir()) == [p]
 
 
 @pytest.mark.parametrize("command", ["train", "distill"])

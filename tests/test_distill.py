@@ -18,7 +18,6 @@ from moeprune.errors import ContractError, NumericalError
 from moeprune.model import (
     ModelConfig,
     MoEModel,
-    ce_loss,
     _expert,
     forward_pass,
     make_param_vars,
@@ -31,7 +30,7 @@ from moeprune.pruning import SparsityTarget, prune_model
 from moeprune.calibration import build_calibration_set, collect
 
 from conftest import synth_corpus
-from oracles import ExpertWeights, expert_forward
+from oracles import ExpertWeights, ce_loss, expert_forward
 from test_autograd import grads_both_ways
 
 CFG = ModelConfig(d_model=8, n_heads=2, n_layers=1, n_experts=2, top_k=1,
@@ -114,7 +113,7 @@ def two_path_kd_graph(teacher, student, batch, lam, masks=None):
     teacher_trace = model_forward(teacher, batch)
     tape = ag.Tape()
     leaves, pv = make_param_vars(student, tape, masks)
-    strace = forward_pass(student, batch, tape=tape, params=(leaves, pv))
+    strace = forward_pass(student, batch, pv)
     rows, targets = next_token_targets(strace.tokens)
     l_ce = ag.cross_entropy(ag.gather_rows(strace.logits, rows), targets)
     terms = [ag.mse(_expert(pv, i, e, ag.gather_rows(strace.layer_input_vars[i], idx))[1],

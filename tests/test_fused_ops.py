@@ -12,8 +12,9 @@ import pytest
 
 from moeprune import autograd as ag
 from moeprune.errors import InputError, ShapeError
-from moeprune.model import ce_loss
 from moeprune.numerics import SeededRng
+
+import oracles
 
 
 def attention_oracle(q, k, v, g, batch, n_heads):
@@ -175,16 +176,43 @@ class TestGatherRowsBackward:
         assert np.array_equal(a.grad, want)
 
 
+def ce_case(kind):
+    """(logits, targets): random, peaked (one margin of 50 per row, loss 0)
+    or wide-vocabulary."""
+    rng = SeededRng(len(kind))
+    rows, vocab, std = {"random": (63, 256, 3.0), "peaked": (9, 16, 0.0),
+                        "wide": (5, 8192, 2.0)}[kind]
+    logits = rng.normal_matrix(rows, vocab, std=std) if std else np.zeros((rows, vocab))
+    targets = np.asarray(rng.integers(0, vocab, size=rows))
+    if kind == "peaked":
+        logits[np.arange(rows), targets] = 50.0
+    return logits, targets
+
+
 class TestCeLoss:
     @pytest.mark.parametrize("rows,vocab,std", [(1, 5, 1.0), (63, 256, 3.0), (8, 16, 400.0)])
     def test_matches_log_prob_form(self, rows, vocab, std):
         rng = SeededRng(rows)
         logits = rng.normal_matrix(rows, vocab, std=std)
         targets = np.asarray(rng.integers(0, vocab, size=rows))
-        assert ce_loss(logits, targets) == ce_loss_oracle(logits, targets)
+        loss = ag.cross_entropy(ag.Tape().const(logits), targets)
+        assert loss.value[0, 0] == ce_loss_oracle(logits, targets)
+
+    @pytest.mark.parametrize("kind", ["random", "peaked", "wide"])
+    def test_value_and_gradient_match_allocating_forms(self, kind):
+        logits, targets = ce_case(kind)
+        t = ag.Tape()
+        x = t.var(logits)
+        loss = ag.cross_entropy(x, targets)
+        run_backward(t, np.array([[0.7]]))
+        assert np.array_equal(loss.value[0, 0], oracles.ce_loss(logits, targets))
+        assert np.array_equal(x.grad, oracles.cross_entropy_grad(logits, targets, 0.7))
+        if kind == "peaked":
+            assert loss.value[0, 0] == 0.0
 
     def test_leaves_logits_untouched(self):
         logits = SeededRng(2).normal_matrix(4, 6)
         before = logits.copy()
-        ce_loss(logits, np.array([0, 1, 2, 3]))
+        t = ag.Tape()
+        t.backward(ag.cross_entropy(t.var(logits), np.array([0, 1, 2, 3])))
         assert np.array_equal(logits, before)

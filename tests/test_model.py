@@ -7,12 +7,12 @@ import pytest
 import moeprune.autograd
 import moeprune.model
 
+from moeprune import autograd as ag
 from moeprune.errors import ConfigError, ContractError, InputError, NumericalError
 from moeprune.model import (
     GateMatrix,
     ModelConfig,
     MoEModel,
-    ce_loss,
     forward_pass,
     model_forward,
 )
@@ -93,7 +93,7 @@ class TestRoute:
     def test_tie_breaks_to_lowest_index(self):
         layer = MoELayer(router=np.eye(4), experts=make_layer(SeededRng(7)).experts)
         gm = route(np.zeros((1, 4)), layer, k=2)  # all logits equal
-        assert list(gm.selected[0]) == [0, 1]
+        assert list(np.flatnonzero(gm.values[0])) == [0, 1]
 
 
 class TestExpertForward:
@@ -171,6 +171,11 @@ class TestMoELayerForward:
                             experts=[layer.experts[p] for p in perm])
         y2, _ = moe_layer_forward(x, permuted, k=2)
         assert np.abs(y - y2).max() < 1e-12
+
+
+def ce_loss(logits: np.ndarray, targets) -> float:
+    """The cross-entropy op's value on constant logits, as evaluation reads it."""
+    return float(ag.cross_entropy(ag.Tape().const(logits), targets).value[0, 0])
 
 
 class TestCeLoss:
@@ -349,8 +354,10 @@ class TestBatchedForward:
             other = np.sort((own[1] + 1) % n)
             assert not np.array_equal(other, own[1])
             forced.append({0: own[0], 1: other, 2: own[2][::2], 3: np.arange(n)})
-        tr = forward_pass(tiny_model, toks, forced_dispatch=forced)
-        assert np.allclose(tr.result.logits, plain.logits, rtol=1e-12, atol=1e-14)
+        tape = ag.Tape()
+        consts = {n: tape.const(p) for n, p in tiny_model.params.items()}
+        tr = forward_pass(tiny_model, toks, consts, forced_dispatch=forced)
+        assert np.allclose(tr.logits.value, plain.logits, rtol=1e-12, atol=1e-14)
         for i, (lt, pl) in enumerate(zip(tr.layers, plain.layers)):
             experts = moe_layer(tiny_model, i).experts
             assert list(tr.forced_outputs[i]) == [0, 1, 2, 3]
@@ -360,7 +367,8 @@ class TestBatchedForward:
                 assert np.allclose(lt.expert_hidden[e], pl.expert_hidden[e], rtol=1e-12, atol=1e-15)
                 want = expert_forward(pl.moe_input[rows], experts[e])
                 assert np.allclose(tr.forced_outputs[i][e].value, want, rtol=1e-12, atol=1e-15)
-        none = forward_pass(tiny_model, toks, forced_dispatch=[{e: np.arange(0) for e in range(4)}] * 2)
+        none = forward_pass(tiny_model, toks, consts,
+                            forced_dispatch=[{e: np.arange(0) for e in range(4)}] * 2)
         assert none.forced_outputs == [{}, {}]
 
     def test_model_forward_records_no_tape(self, tiny_model, monkeypatch):
@@ -373,7 +381,7 @@ class TestBatchedForward:
 
         monkeypatch.setattr(moeprune.model, "forward_pass", keep)
         model_forward(tiny_model, self.batch())
-        assert len(traces) == 1 and traces[0].tape.nodes == []
+        assert len(traces) == 1 and traces[0].logits.tape.nodes == []
 
     @pytest.mark.parametrize("until", ["router", "hidden"])
     def test_stopped_forward_runs_no_head_and_no_last_w_down(self, tiny_model, monkeypatch,
@@ -413,7 +421,7 @@ class TestBatchedForward:
         got, want = res.layers[last], full[last]
         assert np.array_equal(got.moe_input, want.moe_input)
         assert np.array_equal(got.gates.values, want.gates.values)
-        assert np.array_equal(got.gates.probs, want.gates.probs)
+        assert np.array_equal(got.gates.logits, want.gates.logits)
         if until == "router":
             assert got.expert_tokens == got.expert_hidden == {}
         for e, rows in got.expert_tokens.items():
@@ -452,6 +460,6 @@ class TestBatchedForward:
     (np.array([[np.nan, 1.0]]), "sum to 1"),
 ])
 def test_gate_validate_raises(values, message):
-    gm = GateMatrix(values=values, selected=np.zeros((len(values), 2), dtype=int), probs=values)
+    gm = GateMatrix(values=values, logits=values)
     with pytest.raises(NumericalError, match=message):
         gm.validate(2)

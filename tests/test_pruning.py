@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from moeprune.pruning import (
 )
 from moeprune.training import evaluate_perplexity
 
-from conftest import TINY, synth_corpus
+from conftest import TINY, TOP1, synth_corpus
 from oracles import prune_recompute
 from oracles import select_mask as argsort_select_mask
 
@@ -386,6 +387,14 @@ def model_and_stats():
     return model, collect(model, cal), corpus
 
 
+@pytest.fixture(scope="module")
+def top1_model_and_stats(model_and_stats):
+    """A top-1 model (gates of exactly 1.0) and its calibration statistics."""
+    model = MoEModel.init(TOP1)
+    cal = build_calibration_set(model_and_stats[2], 8, TOP1.seq_len, seed=21)
+    return model, collect(model, cal)
+
+
 class TestPruneModel:
     def test_zero_sparsity_is_bit_identical(self, model_and_stats):
         model, stats, corpus = model_and_stats
@@ -399,25 +408,21 @@ class TestPruneModel:
         p1, _ = evaluate_perplexity(pruned, eval_slice)
         assert abs(p0 - p1) < 1e-10
 
-    def test_uniform_gates_match_wanda(self, model_and_stats):
-        model, _, corpus = model_and_stats
-        cal = build_calibration_set(corpus, 8, TINY.seq_len, seed=21)
-        forced = collect(model, cal, gate_override=1.0)
+    def test_uniform_gates_match_wanda(self, top1_model_and_stats):
+        model, stats = top1_model_and_stats
         t = SparsityTarget.unstructured(0.5)
-        _, masks_moe, _ = prune_model(model, forced, "moe-pruner", t)
-        _, masks_wanda, _ = prune_model(model, forced, "wanda", t)
+        _, masks_moe, _ = prune_model(model, stats, "moe-pruner", t)
+        _, masks_wanda, _ = prune_model(model, stats, "wanda", t)
         for name in masks_moe:
             assert np.array_equal(masks_moe[name], masks_wanda[name])
 
-    def test_uniform_gates_match_wanda_under_recompute(self, model_and_stats):
-        # layer 0 comes from the stats and later layers are re-collected
-        # under the same override, so the degeneracy holds at every layer
-        model, _, corpus = model_and_stats
-        cal = build_calibration_set(corpus, 8, TINY.seq_len, seed=21)
-        forced = collect(model, cal, gate_override=1.0)
+    def test_uniform_gates_match_wanda_under_recompute(self, top1_model_and_stats):
+        # later layers are re-collected from the partly pruned top-1 model,
+        # whose gates are 1.0 too, so the degeneracy holds at every layer
+        model, stats = top1_model_and_stats
         t = SparsityTarget.unstructured(0.5)
-        _, masks_moe, _ = prune_model(model, forced, "moe-pruner", t, propagate="recompute")
-        _, masks_wanda, _ = prune_model(model, forced, "wanda", t, propagate="recompute")
+        _, masks_moe, _ = prune_model(model, stats, "moe-pruner", t, propagate="recompute")
+        _, masks_wanda, _ = prune_model(model, stats, "wanda", t, propagate="recompute")
         for name in masks_moe:
             assert np.array_equal(masks_moe[name], masks_wanda[name])
 
@@ -495,7 +500,7 @@ class TestPruneModel:
             assert np.array_equal(masks[name], want_masks[name])
         for name in model.param_names():
             assert pruned.params[name].tobytes() == want.params[name].tobytes()
-        assert report.to_dict() == want_report.to_dict()
+        assert asdict(report) == asdict(want_report)
 
     @pytest.mark.parametrize("propagate", ["dense", "recompute"])
     def test_input_model_untouched_and_unshared(self, model_and_stats, propagate):
