@@ -15,7 +15,7 @@ from .calibration import (
     build_calibration_set,
     collect,
 )
-from .distill import KDConfig, distill, init_lambda, kd_loss
+from .distill import KDConfig, distill
 from .model import ModelConfig, MoEModel, model_forward
 from .pruning import PruneReport, SparsityTarget, prune_model
 from .training import TrainConfig, evaluate_perplexity, train_model
@@ -32,8 +32,6 @@ __all__ = [
     "collect",
     "KDConfig",
     "distill",
-    "init_lambda",
-    "kd_loss",
     "ModelConfig",
     "MoEModel",
     "model_forward",

@@ -34,7 +34,7 @@ from .numerics import SeededRng
 from .optim import Adam, cosine_lr, finite_step
 from .persistence import nonzero_where_pruned
 
-__all__ = ["KDConfig", "KDLossBreakdown", "kd_loss", "init_lambda", "distill"]
+__all__ = ["KDConfig", "KDLossBreakdown", "distill"]
 
 
 @dataclass(frozen=True)
@@ -108,26 +108,21 @@ def _batch_targets(cache: list, picks, T: int) -> TeacherTargets:
 
 
 def _kd_graph(
-    teacher: MoEModel,
     student: MoEModel,
     batch: list[np.ndarray],
     lam: float | None,
-    masks: dict[str, np.ndarray] | None = None,
-    targets: TeacherTargets | None = None,
+    masks: dict[str, np.ndarray] | None,
+    targets: TeacherTargets,
 ):
     """Build the differentiable KD loss for one batch.
 
     Returns (total Var, breakdown, student leaf Vars, tape). targets are the
-    teacher's forced rows and expert outputs for this batch (_batch_targets);
-    without them the teacher is forwarded over the batch here, off-tape. One
-    student forward runs on the tape over the whole batch; each (layer,
+    teacher's forced rows and expert outputs for this batch (_batch_targets).
+    One student forward runs on the tape over the whole batch; each (layer,
     expert) contributes one MSE over the rows the teacher routed to it
     anywhere in the batch. lam None takes lambda = l_ce / l_expert from this
     batch; a zero l_expert falls back to 1 with a warning.
     """
-    if targets is None:
-        targets = _batch_targets(_teacher_windows(teacher, batch), range(len(batch)),
-                                 len(batch[0]))
     dispatch, t_outs = targets
     tape = ag.Tape()
     leaves, pv = make_param_vars(student, tape, masks)
@@ -156,26 +151,6 @@ def _kd_graph(
         total=float(total.value[0, 0]),
     )
     return total, breakdown, leaves, tape
-
-
-def kd_loss(
-    teacher: MoEModel,
-    student: MoEModel,
-    batch: list[np.ndarray],
-    lam: float,
-    masks: dict[str, np.ndarray] | None = None,
-) -> KDLossBreakdown:
-    """Measure the KD loss on one batch (no parameter updates)."""
-    _check_same_architecture(teacher, student)
-    _, breakdown, _, _ = _kd_graph(teacher, student, batch, lam, masks)
-    return breakdown
-
-
-def init_lambda(teacher: MoEModel, student: MoEModel, batch: list[np.ndarray]) -> float:
-    """lambda = l_ce / l_expert measured once on the probe batch; an identical
-    student (l_expert == 0) falls back to 1 with a warning."""
-    _check_same_architecture(teacher, student)
-    return _kd_graph(teacher, student, batch, None)[1].lam
 
 
 @dataclass
@@ -233,7 +208,7 @@ def distill(
             with finite_step("KD", step):
                 # an "auto" lambda comes from the first batch (masked weights are zero)
                 total, breakdown, leaves, tape = _kd_graph(
-                    teacher, out, batch, lam, masks, _batch_targets(cache, picks, T))
+                    out, batch, lam, masks, _batch_targets(cache, picks, T))
                 lam = breakdown.lam
                 if not np.isfinite(breakdown.total):
                     raise NumericalError(f"non-finite KD loss at step {step}: {breakdown.total}")

@@ -34,22 +34,27 @@ def spd_inverse(h: np.ndarray) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
         raise ShapeError(f"spd_inverse needs a non-empty square matrix, got {h.shape}")
     diff = h - h.T
-    asym = np.abs(diff, out=diff).max()
-    if asym > 1e-9 * max(1.0, float(np.abs(h).max())):
+    asym = max(diff.max(), -diff.min())
+    if asym > 1e-9 * max(1.0, h.max(), -h.min()):
         raise ShapeError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    factor, info = dpotrf(h, lower=1, clean=0)
+    # h is symmetric, so h.T is the same matrix stored column-major: potrf
+    # reads it with no transposing copy
+    factor, info = dpotrf(h.T, lower=1, clean=0)
     if info == 0:
-        inv, info = dpotri(factor, lower=1)
+        inv, info = dpotri(factor, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(
             "Cholesky factorization failed (matrix not positive definite); "
             "increase dampening"
         )
-    # potri fills the lower triangle only; mirroring it makes the result
-    # exactly symmetric, and adding 0.0 stores every zero as +0.0.
-    inv = np.where(np.tri(h.shape[0], dtype=bool), inv, inv.T)
+    # potri fills the lower triangle of its column-major result, which is
+    # the upper one of the row-major transpose; mirror it row by row, and
+    # adding 0.0 stores every zero as +0.0.
+    inv = inv.T
+    for i in range(1, h.shape[0]):
+        inv[i, :i] = inv[:i, i]
     inv += 0.0
-    return _check_finite(np.ascontiguousarray(inv), "spd_inverse")
+    return _check_finite(inv, "spd_inverse")
 
 
 class SeededRng:

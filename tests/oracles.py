@@ -4,13 +4,16 @@ Plain-NumPy kernels, a per-expert MoE layer forward (no tape, no
 batching), the cross-entropy loss and gradient as separate allocating
 expressions, mask selection by stable argsort, the SPD inverse mirrored by
 summing triangles, a central-difference gradient check for autograd ops,
-the allocating Adam step, and calibration statistics, dispatch counts and a
-recompute prune built from forwards that run to the logits.
+the allocating Adam step, calibration statistics, dispatch counts and a
+recompute prune built from forwards that run to the logits, the sequential
+OBS sweep and a prune that takes one weight at a time, and the KD loss and
+lambda of one batch.
 No command uses them; pytest does not collect this module.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,9 +24,13 @@ from scipy.linalg.lapack import dpotrf, dpotri
 from moeprune import autograd as ag
 from moeprune import pruning
 from moeprune.calibration import accumulate_layer, empty_accumulators
-from moeprune.errors import ConfigError, ContractError, InputError, ShapeError
+from moeprune.errors import ConfigError, ContractError, InputError, NumericalError, ShapeError
 from moeprune.model import GateMatrix, MoEModel, _topk_mask, model_forward, window_batches
 from moeprune.numerics import _check_finite
+
+# by module path: the package re-exports a `distill` function under the
+# submodule's name
+distill = importlib.import_module("moeprune.distill")
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -265,11 +272,32 @@ def full_forward_stats(model: MoEModel, sequences, mode: str = "argmax") -> dict
     return out
 
 
+def teacher_targets(teacher: MoEModel, batch) -> distill.TeacherTargets:
+    """The teacher's forced rows and expert outputs for `batch`, from one
+    teacher forward over it: what distill reads from its cache."""
+    return distill._batch_targets(distill._teacher_windows(teacher, batch),
+                                  range(len(batch)), len(batch[0]))
+
+
+def kd_loss(teacher: MoEModel, student: MoEModel, batch, lam: float,
+            masks=None) -> distill.KDLossBreakdown:
+    """The KD loss on one batch, with no parameter update."""
+    distill._check_same_architecture(teacher, student)
+    return distill._kd_graph(student, batch, lam, masks, teacher_targets(teacher, batch))[1]
+
+
+def init_lambda(teacher: MoEModel, student: MoEModel, batch) -> float:
+    """lambda = l_ce / l_expert measured once on the probe batch; an identical
+    student (l_expert == 0) falls back to 1 with a warning."""
+    distill._check_same_architecture(teacher, student)
+    return distill._kd_graph(student, batch, None, None, teacher_targets(teacher, batch))[1].lam
+
+
 def prune_recompute(model: MoEModel, stats, method: str, target):
     """prune_model(..., propagate="recompute") as full forwards: every
     parameter copied up front, and before each layer i (layer 0 included)
     the calibration windows run to the logits through the partly pruned
-    model."""
+    model, which prune_model's layer step then prunes."""
     cfg = model.config
     pruned = model.copy()
     masks: dict[str, np.ndarray] = {}
@@ -279,29 +307,77 @@ def prune_recompute(model: MoEModel, stats, method: str, target):
         acc = empty_accumulators(cfg, range(i, i + 1))
         for batch in window_batches(stats.sequences):
             accumulate_layer(acc, i, model_forward(pruned, batch).layers[i])
-        scaled, unscaled, hess = acc
+        layer_masks, rows = pruning._prune_layer(pruned, i, method, target, acc)
+        masks.update(layer_masks)
+        report.targets += rows
+    return pruned, masks, report.finalize()
+
+
+def obs_sweep(w: np.ndarray, mask: np.ndarray, h_inv: np.ndarray) -> np.ndarray:
+    """The sequential OBS column sweep in pruning orientation (output neuron
+    x input): for each column holding a pruned weight, divide the pruned
+    rows' values by the diagonal, subtract the outer product with H^-1's row
+    from every column to the right, and zero the column's pruned entries."""
+    out = w.copy()
+    for j in range(w.shape[1]):
+        d = h_inv[j, j]
+        if d <= 0:
+            raise NumericalError(f"H^-1 diagonal entry {j} is {d}; not positive")
+        pruned = mask[:, j] == 0
+        if not pruned.any():
+            continue
+        err = out[pruned, j] / d
+        out[np.ix_(pruned, np.arange(j + 1, w.shape[1]))] -= np.outer(err, h_inv[j, j + 1 :])
+        out[pruned, j] = 0.0
+    return out
+
+
+def prune_per_target(model: MoEModel, stats, method: str, target, propagate: str = "dense"):
+    """prune_model as a loop over its targets, one weight at a time in
+    pruning orientation: the method's scores, masks by stable argsort, an
+    H'^-1 inverted for each sparsegpt target and the sequential OBS sweep.
+    With propagate="recompute", layer i > 0 is scored from forwards that run
+    to the logits through the partly pruned model."""
+    cfg = model.config
+    pruned = model.copy()
+    masks: dict[str, np.ndarray] = {}
+    report = pruning.PruneReport(method=method, sparsity=target.describe(), propagate=propagate)
+    for i in range(cfg.n_layers):
+        scaled, unscaled, hess = stats.scaled, stats.unscaled, stats.hessians
+        if propagate == "recompute" and i > 0:
+            scaled, unscaled, hess = empty_accumulators(cfg, range(i, i + 1))
+            for batch in window_batches(stats.sequences):
+                accumulate_layer((scaled, unscaled, hess), i, model_forward(pruned, batch).layers[i])
         for e in range(cfg.n_experts):
-            inverses: dict = {}
             for part in ("w_gate", "w_up", "w_down"):
                 name = f"layers.{i}.experts.{e}.{part}"
                 wp = pruned.params[name].T.copy()
-                scores, h_inv, method_used = pruning._score_target(
-                    method, wp, name, scaled, unscaled, hess, inverses)
+                used, h_inv = method, None
+                if method == "wanda":
+                    scores = pruning.score_wanda(wp, unscaled[name].norms())
+                elif method == "moe-pruner":
+                    scores = pruning.score_moe_pruner(wp, scaled[name], target=name)
+                elif method == "sparsegpt" and hess[name].tokens_seen:
+                    h_inv = pruning.damped_inverse(hess[name].h)
+                    scores = pruning.score_sparsegpt(wp, h_inv)
+                else:
+                    scores = pruning.score_magnitude(wp)
+                    if method == "sparsegpt":
+                        used = "sparsegpt(magnitude-fallback:no-tokens)"
                 keep = select_mask(scores, target)
-                zeroed = wp * keep
-                updated = pruning.obs_update(wp, keep, h_inv) if h_inv is not None else zeroed
-                before = pruning._hessian_error(wp - zeroed, hess[name].h)
-                after = (pruning._hessian_error(wp - updated, hess[name].h)
-                         if h_inv is not None else before)
+                updated = wp * keep if h_inv is None else obs_sweep(wp, keep, h_inv)
+                before = pruning._hessian_error(wp - wp * keep, hess[name])
                 pruned.params[name] = np.ascontiguousarray(updated.T)
                 masks[name] = np.ascontiguousarray(keep.T)
                 report.targets.append({
-                    "name": name, "method": method_used,
+                    "name": name, "method": used,
                     "rows": int(wp.shape[0]), "cols": int(wp.shape[1]), "weights": int(wp.size),
                     "zeros": int(keep.size - int(keep.sum())),
                     "sparsity_achieved": 1.0 - float(keep.sum()) / keep.size,
                     "tokens_seen": int(scaled[name].tokens_seen),
                     "recon_error_before_update": before,
-                    "recon_error_after_update": after,
+                    "recon_error_after_update": (
+                        before if h_inv is None
+                        else pruning._hessian_error(wp - updated, hess[name])),
                 })
     return pruned, masks, report.finalize()

@@ -16,7 +16,7 @@ from moeprune.calibration import (
     collect,
 )
 from moeprune.cli import main as cli_main
-from moeprune.distill import KDConfig, distill, init_lambda, kd_loss
+from moeprune.distill import KDConfig, _kd_graph, distill
 from moeprune.analysis import balance_score
 from moeprune.model import ModelConfig, MoEModel, model_forward
 from moeprune.numerics import SeededRng, spd_inverse
@@ -36,6 +36,7 @@ from moeprune.pruning import (
 from moeprune.training import TrainConfig, evaluate_perplexity, train_model
 
 from conftest import synth_corpus
+from oracles import init_lambda, kd_loss, teacher_targets
 
 
 def report(n: int, detail: str) -> None:
@@ -161,7 +162,8 @@ def test_criterion_5_obs_update_improves():
         assert np.abs(damped @ spd_inverse(damped) - np.eye(8)).max() < 1e-8
         mask = select_mask(scores, HALF)
         plain = reconstruction_error(w, w * mask, x)
-        updated = reconstruction_error(w, obs_update(w, mask, h_inv), x)
+        # obs_update takes the stored (d_in, d_out) orientation
+        updated = reconstruction_error(w, obs_update(w.T, mask.T, h_inv).T, x)
         assert math.isfinite(updated)
         plain_errors.append(plain)
         updated_errors.append(updated)
@@ -190,9 +192,7 @@ def test_criterion_6_kd_gradient_fidelity():
         student.params[name] *= m
     lam = 1.5
 
-    from moeprune.distill import _kd_graph
-
-    total, _, leaves, tape = _kd_graph(teacher, student, cal, lam, masks)
+    total, _, leaves, tape = _kd_graph(student, cal, lam, masks, teacher_targets(teacher, cal))
     tape.backward(total)
 
     eps = 1e-5

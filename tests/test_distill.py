@@ -11,8 +11,6 @@ from moeprune.distill import (
     _kd_graph,
     _teacher_windows,
     distill,
-    init_lambda,
-    kd_loss,
 )
 from moeprune.errors import ContractError, NumericalError
 from moeprune.model import (
@@ -30,7 +28,7 @@ from moeprune.pruning import SparsityTarget, prune_model
 from moeprune.calibration import build_calibration_set, collect
 
 from conftest import synth_corpus
-from oracles import ExpertWeights, ce_loss, expert_forward
+from oracles import ExpertWeights, ce_loss, expert_forward, init_lambda, kd_loss, teacher_targets
 from test_autograd import grads_both_ways
 
 CFG = ModelConfig(d_model=8, n_heads=2, n_layers=1, n_experts=2, top_k=1,
@@ -165,7 +163,8 @@ class TestOneExpertCall:
     two-path oracle: loss and every gradient to 1e-12 relative."""
 
     def assert_matches_oracle(self, teacher, student, batch, masks=None, lam=1.7):
-        total, _, leaves, tape = _kd_graph(teacher, student, batch, lam, masks)
+        total, _, leaves, tape = _kd_graph(student, batch, lam, masks,
+                                           teacher_targets(teacher, batch))
         tape.backward(total)
         want_total, want = two_path_kd_graph(teacher, student, batch, lam, masks)
         assert total.value[0, 0] == pytest.approx(want_total, rel=1e-12, abs=0)
@@ -237,7 +236,7 @@ class TestOneExpertCall:
         targets = _batch_targets(_teacher_windows(teacher, batch), range(len(batch)),
                                  ROUTED.seq_len)
         monkeypatch.setattr(model_module, "_expert", counting_expert)
-        _kd_graph(teacher, student, batch, 1.0, targets=targets)
+        _kd_graph(student, batch, 1.0, None, targets)
         assert calls == routed
 
     def test_gradients_equal_zero_fill_oracle(self, monkeypatch):
@@ -245,7 +244,8 @@ class TestOneExpertCall:
         batch = routed_batch(seed=3)
 
         def build():
-            total, _, leaves, _ = _kd_graph(teacher, student, batch, 0.8)
+            total, _, leaves, _ = _kd_graph(student, batch, 0.8, None,
+                                            teacher_targets(teacher, batch))
             return total, list(leaves.values())
 
         new, old = grads_both_ways(monkeypatch, build)

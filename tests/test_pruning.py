@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 import moeprune.pruning
-from moeprune.calibration import ScaledNormAccumulator, build_calibration_set, collect
+from moeprune.calibration import (
+    HessianAccumulator,
+    ScaledNormAccumulator,
+    build_calibration_set,
+    collect,
+)
 from moeprune.errors import ConfigError, ContractError, NumericalError, ShapeError
 from moeprune.model import ModelConfig, MoEModel, model_forward
 from moeprune.numerics import SeededRng, spd_inverse
 from moeprune.pruning import (
     METHODS,
+    OBS_BLOCK,
     SparsityTarget,
     _hessian_error,
     damped_inverse,
@@ -27,7 +33,8 @@ from moeprune.pruning import (
 from moeprune.training import evaluate_perplexity
 
 from conftest import TINY, TOP1, synth_corpus
-from oracles import prune_recompute
+from oracles import obs_sweep as obs_sweep_oracle
+from oracles import prune_per_target, prune_recompute
 from oracles import select_mask as argsort_select_mask
 
 
@@ -230,34 +237,23 @@ class TestSelectMaskEqualsArgsort:
                 assert (mask.sum(axis=1) == 1).all()
 
 
-def obs_sweep_oracle(w: np.ndarray, mask: np.ndarray, h_inv: np.ndarray) -> np.ndarray:
-    """The sequential OBS column sweep: for each column holding a pruned
-    weight, divide the pruned rows' values by the diagonal, subtract the
-    outer product with H^-1's row from every column to the right, and zero
-    the column's pruned entries."""
-    out = w.copy()
-    for j in range(w.shape[1]):
-        d = h_inv[j, j]
-        if d <= 0:
-            raise NumericalError(f"H^-1 diagonal entry {j} is {d}; not positive")
-        pruned = mask[:, j] == 0
-        if not pruned.any():
-            continue
-        err = out[pruned, j] / d
-        out[np.ix_(pruned, np.arange(j + 1, w.shape[1]))] -= np.outer(err, h_inv[j, j + 1 :])
-        out[pruned, j] = 0.0
-    return out
-
-
 def _random_spd_inverse(rng: SeededRng, n: int) -> np.ndarray:
     a = rng.normal_matrix(n + 3, n)
     return spd_inverse(a.T @ a + 0.1 * np.eye(n))
 
 
+def _obs(w: np.ndarray, mask: np.ndarray, h_inv: np.ndarray) -> np.ndarray:
+    """obs_update in pruning orientation, as the oracle sweeps."""
+    return obs_update(w.T, mask.T, h_inv).T
+
+
 def _obs_cases():
-    """(weight, keep-mask, H^-1) triples over the mask kinds the sweep meets."""
+    """(weight, keep-mask, H^-1) triples in pruning orientation over the mask
+    kinds the sweep meets, and column counts around the block size."""
     rng = SeededRng(40)
-    for rows, cols in [(1, 8), (8, 1), (5, 8), (16, 12), (3, 16), (24, 32)]:
+    b = OBS_BLOCK
+    for rows, cols in [(1, 8), (8, 1), (5, 8), (16, 12), (3, 16), (24, 32),
+                       (4, b - 1), (4, b), (4, b + 1), (3, 2 * b + 3)]:
         w = rng.normal_matrix(rows, cols)
         h_inv = _random_spd_inverse(rng, cols)
         scores = np.abs(rng.normal_matrix(rows, cols))
@@ -269,6 +265,12 @@ def _obs_cases():
         column_pruned[:, cols // 2] = 0
         masks += [column_pruned, np.ones((rows, cols), dtype=np.uint8),
                   np.zeros((rows, cols), dtype=np.uint8)]
+        if cols > b:
+            skip_block = masks[1].copy()  # no pruned column in the first block
+            skip_block[:, :b] = 1
+            last_only = masks[1].copy()  # pruned columns only in the last block
+            last_only[:, : (cols - 1) // b * b] = 1
+            masks += [skip_block, last_only]
         for mask in masks:
             yield w, mask, h_inv
 
@@ -276,12 +278,38 @@ def _obs_cases():
 class TestObsUpdate:
     def test_matches_column_sweep_oracle(self):
         for w, mask, h_inv in _obs_cases():
-            got, want = obs_update(w, mask, h_inv), obs_sweep_oracle(w, mask, h_inv)
+            got, want = _obs(w, mask, h_inv), obs_sweep_oracle(w, mask, h_inv)
             scale = max(1.0, float(np.abs(want).max()))
             assert np.abs(got - want).max() <= 1e-12 * scale
             assert (got[mask == 0] == 0.0).all()
             if mask.all():
                 assert np.array_equal(got, w)
+
+    @pytest.mark.parametrize("n", [OBS_BLOCK - 1, 2 * OBS_BLOCK + 3])
+    def test_stacked_equals_slices(self, n):
+        # experts x (w_gate, w_up) sharing each expert's H^-1, in stored
+        # orientation; expert 1's w_up keeps every weight, and expert 2's
+        # first block is pruned only in its w_gate
+        rng = SeededRng(42)
+        w = rng.normal_matrix(3 * 2 * n, 5).reshape(3, 2, n, 5)
+        h_inv = np.stack([_random_spd_inverse(rng, n) for _ in range(3)])[:, None]
+        mask = (rng.integers(0, 2, size=w.size) == 1).astype(np.uint8).reshape(w.shape)
+        mask[1, 1] = 1
+        mask[2, 1, : min(n, OBS_BLOCK)] = 1
+        got = obs_update(w, mask, h_inv)
+        for j in range(3):
+            for p in range(2):
+                assert np.array_equal(got[j, p], obs_update(w[j, p], mask[j, p], h_inv[j, 0]))
+        flat = obs_update(w.reshape(6, n, 5), mask.reshape(6, n, 5), h_inv.repeat(2, axis=0)[:, 0])
+        assert np.array_equal(flat, got.reshape(6, n, 5))
+        assert (got[mask == 0] == 0.0).all() and not np.signbit(got[mask == 0]).any()
+
+    def test_h_inv_must_fit_weights(self):
+        w = np.ones((2, 4, 3))
+        mask = np.ones(w.shape, dtype=np.uint8)
+        for h_inv in (np.eye(3), np.stack([np.eye(4)] * 3), np.ones((2, 2, 4, 4))):
+            with pytest.raises(ShapeError, match="does not fit"):
+                obs_update(w, mask, h_inv)
 
     @pytest.mark.parametrize("bad", [(3,), (0, 5), (6, 2)])
     def test_non_positive_diagonal_matches_oracle_error(self, bad):
@@ -295,18 +323,18 @@ class TestObsUpdate:
         with pytest.raises(NumericalError) as want:
             obs_sweep_oracle(w, mask, h_inv)
         with pytest.raises(NumericalError) as got:
-            obs_update(w, mask, h_inv)
+            _obs(w, mask, h_inv)
         assert str(got.value) == str(want.value)
         assert f"entry {min(bad)} " in str(got.value)
 
     def test_identity_hinv_is_plain_zeroing(self):
         w = SeededRng(10).normal_matrix(3, 4)
         mask = select_mask(score_magnitude(w), SparsityTarget.unstructured(0.5))
-        assert np.array_equal(obs_update(w, mask, np.eye(4)), w * mask)
+        assert np.array_equal(_obs(w, mask, np.eye(4)), w * mask)
 
     def test_empty_mask_is_noop(self):
         w = SeededRng(11).normal_matrix(3, 4)
-        assert np.array_equal(obs_update(w, np.ones((3, 4), dtype=np.uint8), np.eye(4)), w)
+        assert np.array_equal(_obs(w, np.ones((3, 4), dtype=np.uint8), np.eye(4)), w)
 
     def test_update_reduces_reconstruction_error(self):
         rng = SeededRng(12)
@@ -316,7 +344,7 @@ class TestObsUpdate:
         s = score_sparsegpt(w, h_inv)
         mask = select_mask(s, SparsityTarget.unstructured(0.5))
         plain = reconstruction_error(w, w * mask, x)
-        updated = obs_update(w, mask, h_inv)
+        updated = _obs(w, mask, h_inv)
         compensated = reconstruction_error(w, updated, x)
         assert compensated <= plain
         assert (updated[mask == 0] == 0.0).all()
@@ -350,16 +378,22 @@ class TestHessianError:
         for _ in range(10):
             w = rng.normal_matrix(6, 8)
             x = rng.normal_matrix(tokens, 8) if tokens else np.zeros((0, 8))
-            h = x.T @ x
-            h_inv = damped_inverse(h + np.eye(8), damp_frac=0.01)
+            acc = HessianAccumulator.empty(("w",), 8)
+            acc.add(x)
+            h_inv = damped_inverse(acc.h + np.eye(8), damp_frac=0.01)
             s = score_sparsegpt(w, h_inv)
             mask = select_mask(s, SparsityTarget.unstructured(0.5))
-            for w_pruned in (w * mask, obs_update(w, mask, h_inv)):
+            for w_pruned in (w * mask, _obs(w, mask, h_inv)):
                 want = reconstruction_error(w, w_pruned, x)
-                got = _hessian_error(w - w_pruned, h)
+                got = _hessian_error(w - w_pruned, acc)
                 assert got == pytest.approx(want, rel=1e-9, abs=0.0)
                 if tokens == 0:
                     assert got == want == 0.0
+
+    def test_no_tokens_reads_no_hessian(self):
+        # a dead expert's accumulator: 0.0 without touching H
+        acc = HessianAccumulator(("w",), np.full((8, 8), np.nan))
+        assert _hessian_error(SeededRng(18).normal_matrix(6, 8), acc) == 0.0
 
     def test_prune_report_matches_stacked_inputs(self):
         cfg = ModelConfig(d_model=8, n_heads=2, n_layers=2, n_experts=4, top_k=2,
@@ -501,6 +535,46 @@ class TestPruneModel:
         for name in model.param_names():
             assert pruned.params[name].tobytes() == want.params[name].tobytes()
         assert asdict(report) == asdict(want_report)
+
+    @pytest.mark.parametrize("propagate", ["dense", "recompute"])
+    @pytest.mark.parametrize("target", [SparsityTarget.unstructured(0.5),
+                                        SparsityTarget.semi_structured(2, 4)],
+                             ids=["0.5", "2:4"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_equals_per_target_loop(self, model_and_stats, method, target, propagate):
+        model, stats, _ = model_and_stats
+        pruned, masks, report = prune_model(model, stats, method, target, propagate=propagate)
+        want, want_masks, want_report = prune_per_target(model, stats, method, target, propagate)
+        assert list(masks) == list(want_masks)
+        for name in masks:
+            assert masks[name].dtype == np.uint8
+            assert masks[name].tobytes() == want_masks[name].tobytes()
+        for name in model.param_names():
+            got, ref = pruned.params[name], want.params[name]
+            if method == "sparsegpt":
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            else:
+                assert got.tobytes() == ref.tobytes()
+        for name, mask in masks.items():
+            assert (pruned.params[name][mask == 0] == 0.0).all()
+        for row, ref in zip(report.targets, want_report.targets):
+            for key in ("recon_error_before_update", "recon_error_after_update"):
+                if method == "sparsegpt":
+                    assert row.pop(key) == pytest.approx(ref.pop(key), rel=1e-9)
+            assert row == ref
+
+    def test_expert_groups_do_not_change_the_result(self, model_and_stats, monkeypatch):
+        # one expert per stacked OBS update, against all of a layer's at once
+        model, stats, _ = model_and_stats
+        t = SparsityTarget.unstructured(0.5)
+        pruned, masks, report = prune_model(model, stats, "sparsegpt", t)
+        monkeypatch.setattr(moeprune.pruning, "STACK_BYTES", 1)
+        alone, alone_masks, alone_report = prune_model(model, stats, "sparsegpt", t)
+        for name in model.param_names():
+            assert pruned.params[name].tobytes() == alone.params[name].tobytes()
+        for name in masks:
+            assert masks[name].tobytes() == alone_masks[name].tobytes()
+        assert asdict(report) == asdict(alone_report)
 
     @pytest.mark.parametrize("propagate", ["dense", "recompute"])
     def test_input_model_untouched_and_unshared(self, model_and_stats, propagate):
