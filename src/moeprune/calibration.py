@@ -2,17 +2,18 @@
 Hessians (X^T X), streamed over a token sample; and the dispatch counts that
 load-balance analysis scores.
 
-For each expert input there is one scaled and one unscaled norm accumulator
-and one Hessian accumulator, keyed by the weights that read it: w_gate and
-w_up share the MoE-layer input restricted to the tokens routed to that expert;
-w_down reads the SwiGLU intermediate. Scaled accumulators weight each token's
-features by that token's normalized gate before squaring; Hessians always use
-unscaled inputs.
+Every statistic belongs to an expert input, so collect returns one
+InputStats record per (layer, expert, input), naming the weights that read
+it (EXPERT_INPUTS): w_gate and w_up read the MoE-layer input restricted to
+the tokens routed to that expert; w_down reads the SwiGLU intermediate. A
+record holds the gate-scaled norms, which weight each token's features by
+that token's normalized gate before squaring, the plain norms, the (always
+unscaled) X^T X and the token count.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +27,11 @@ __all__ = [
     "CalibrationSet",
     "ScaledNormAccumulator",
     "HessianAccumulator",
+    "InputStats",
     "CalibrationStats",
+    "EXPERT_INPUTS",
     "build_calibration_set",
-    "empty_accumulators",
+    "empty_layer",
     "accumulate_layer",
     "collect",
     "count_dispatch",
@@ -88,24 +91,19 @@ def build_calibration_set(corpus: bytes | str, nsamples: int, seq_len: int, seed
 
 @dataclass
 class ScaledNormAccumulator:
-    """Streaming sum over tokens of (x_j * g)^2 per feature j of the input `targets` read."""
+    """Streaming sum over tokens of (x_j * g)^2 per input feature j."""
 
-    targets: tuple[str, ...]
     sum_sq: np.ndarray
-    tokens_seen: int = 0
 
     @classmethod
-    def empty(cls, targets: tuple[str, ...], d_in: int) -> "ScaledNormAccumulator":
-        return cls(targets=targets, sum_sq=np.zeros(d_in))
+    def empty(cls, d_in: int) -> "ScaledNormAccumulator":
+        return cls(sum_sq=np.zeros(d_in))
 
     def add(self, x: np.ndarray, gates: np.ndarray | None = None) -> None:
         """Add the routed inputs x, each row scaled by its gate; without gates
         the plain x^2 (equal, bit for bit, to gates of ones)."""
-        if x.shape[1] != self.sum_sq.size:
-            raise ShapeError(f"{self.targets[0]}: input width {x.shape[1]} != {self.sum_sq.size}")
         scaled = x if gates is None else x * gates[:, None]
         self.sum_sq += (scaled * scaled).sum(axis=0)
-        self.tokens_seen += x.shape[0]
 
     def norms(self) -> np.ndarray:
         return np.sqrt(self.sum_sq)
@@ -113,79 +111,84 @@ class ScaledNormAccumulator:
 
 @dataclass
 class HessianAccumulator:
-    """Streaming X^T X over the routed (unscaled) calibration inputs `targets` read."""
+    """Streaming X^T X over routed (unscaled) calibration inputs."""
 
-    targets: tuple[str, ...]
     h: np.ndarray
+
+    @classmethod
+    def empty(cls, d_in: int) -> "HessianAccumulator":
+        return cls(h=np.zeros((d_in, d_in)))
+
+    def add(self, x: np.ndarray) -> None:
+        self.h += x.T @ x
+
+
+# The weights of an expert that read one input: w_gate and w_up share theirs
+EXPERT_INPUTS = (("w_gate", "w_up"), ("w_down",))
+
+
+@dataclass
+class InputStats:
+    """What calibration saw of one expert input: the weights that read it,
+    its gate-scaled and plain norms, its X^T X, and how many tokens."""
+
+    weights: tuple[str, ...]
+    scaled: ScaledNormAccumulator
+    unscaled: ScaledNormAccumulator
+    hessian: HessianAccumulator
     tokens_seen: int = 0
 
     @classmethod
-    def empty(cls, targets: tuple[str, ...], d_in: int) -> "HessianAccumulator":
-        return cls(targets=targets, h=np.zeros((d_in, d_in)))
+    def empty(cls, weights: tuple[str, ...], d_in: int) -> "InputStats":
+        return cls(weights, ScaledNormAccumulator.empty(d_in), ScaledNormAccumulator.empty(d_in),
+                   HessianAccumulator.empty(d_in))
 
-    def add(self, x: np.ndarray) -> None:
-        if x.shape[1] != self.h.shape[0]:
-            raise ShapeError(f"{self.targets[0]}: input width {x.shape[1]} != {self.h.shape[0]}")
-        self.h += x.T @ x
+    def add(self, x: np.ndarray, gates: np.ndarray) -> None:
+        """Add the routed inputs x (tokens, d_in) with their gates."""
+        if x.shape[1] != self.scaled.sum_sq.size:
+            raise ShapeError(f"{self.weights[0]}: input width {x.shape[1]} != "
+                             f"{self.scaled.sum_sq.size}")
+        self.scaled.add(x, gates)
+        self.unscaled.add(x)
+        self.hessian.add(x)
         self.tokens_seen += x.shape[0]
+
+
+# One layer's statistics: per expert, one record per entry of EXPERT_INPUTS
+LayerStats = list[tuple[InputStats, ...]]
 
 
 @dataclass
 class CalibrationStats:
     model_config: ModelConfig
-    scaled: dict[str, ScaledNormAccumulator]
-    unscaled: dict[str, ScaledNormAccumulator]
-    hessians: dict[str, HessianAccumulator]
+    layers: list[LayerStats]
     sequences: list[np.ndarray]
 
     def validate_for_model(self, model: MoEModel) -> None:
-        mc, sc = model.config, self.model_config
-        same = (
-            mc.d_model == sc.d_model and mc.n_layers == sc.n_layers
-            and mc.n_experts == sc.n_experts and mc.d_ff == sc.d_ff
-            and mc.vocab_size == sc.vocab_size
-        )
-        if not same:
-            raise ShapeError(
-                f"stats collected for architecture {asdict(sc)} do not match "
-                f"model architecture {asdict(mc)}"
-            )
+        diff = self.model_config.architecture_diff(model.config)
+        if diff:
+            raise ShapeError(f"stats and model architecture mismatch on {diff} (stats vs model)")
 
 
-Accumulators = tuple[
-    dict[str, ScaledNormAccumulator], dict[str, ScaledNormAccumulator], dict[str, HessianAccumulator]
-]
+def empty_layer(cfg: ModelConfig, i: int) -> LayerStats:
+    """Empty records for the expert inputs of layer i, in parameter order."""
+    widths = (cfg.d_model, cfg.d_ff)  # of the inputs of EXPERT_INPUTS
+    layer = []
+    for e in range(cfg.n_experts):
+        base = f"layers.{i}.experts.{e}"
+        layer.append(tuple(InputStats.empty(tuple(f"{base}.{part}" for part in parts), d)
+                           for parts, d in zip(EXPERT_INPUTS, widths)))
+    return layer
 
 
-def empty_accumulators(cfg: ModelConfig, layers: range) -> Accumulators:
-    """Empty (scaled, unscaled, Hessian) accumulators for every expert matrix
-    of `layers`, one per expert input: w_gate and w_up share theirs."""
-    acc = ({}, {}, {})
-    for i in layers:
-        for e in range(cfg.n_experts):
-            base = f"layers.{i}.experts.{e}"
-            for names, d in (((f"{base}.w_gate", f"{base}.w_up"), cfg.d_model),
-                             ((f"{base}.w_down",), cfg.d_ff)):
-                for table, cls in zip(acc, (ScaledNormAccumulator, ScaledNormAccumulator,
-                                            HessianAccumulator)):
-                    table.update(dict.fromkeys(names, cls.empty(names, d)))
-    return acc
-
-
-def accumulate_layer(acc: Accumulators, i: int, layer: LayerTrace) -> None:
-    """Add one forward's routed inputs at layer i into that layer's accumulators."""
-    scaled, unscaled, hessians = acc
+def accumulate_layer(records: LayerStats, layer: LayerTrace) -> None:
+    """Add one forward's routed inputs at a layer into that layer's records."""
     for e, idx in layer.expert_tokens.items():
         if idx.size == 0:
             continue
         g = layer.gates.values[idx, e]
-        base = f"layers.{i}.experts.{e}"
-        # w_up shares w_gate's accumulators
-        for tgt, x in ((f"{base}.w_gate", layer.moe_input[idx]),
-                       (f"{base}.w_down", layer.expert_hidden[e])):
-            scaled[tgt].add(x, g)
-            unscaled[tgt].add(x)
-            hessians[tgt].add(x)
+        for rec, x in zip(records[e], (layer.moe_input[idx], layer.expert_hidden[e])):
+            rec.add(x, g)
 
 
 def collect(model: MoEModel, cal: CalibrationSet) -> CalibrationStats:
@@ -195,14 +198,12 @@ def collect(model: MoEModel, cal: CalibrationSet) -> CalibrationStats:
     last layer's expert intermediates, the last input any statistic reads.
     Dispatch counts are not gathered here (see count_dispatch)."""
     cfg = model.config
-    acc = empty_accumulators(cfg, range(cfg.n_layers))
+    records = [empty_layer(cfg, i) for i in range(cfg.n_layers)]
     for batch in window_batches(cal.sequences):
         layers = model_forward(model, batch, stop=(cfg.n_layers - 1, "hidden")).layers
-        for i, layer in enumerate(layers):
-            accumulate_layer(acc, i, layer)
-    scaled, unscaled, hessians = acc
-    return CalibrationStats(model_config=cfg, scaled=scaled, unscaled=unscaled,
-                            hessians=hessians, sequences=list(cal.sequences))
+        for layer_records, layer in zip(records, layers):
+            accumulate_layer(layer_records, layer)
+    return CalibrationStats(model_config=cfg, layers=records, sequences=list(cal.sequences))
 
 
 def _full_softmax(x: np.ndarray) -> np.ndarray:

@@ -63,14 +63,9 @@ class KDLossBreakdown:
 
 
 def _check_same_architecture(teacher: MoEModel, student: MoEModel) -> None:
-    t, s = teacher.config, student.config
-    fields = ("d_model", "n_heads", "n_layers", "n_experts", "top_k", "d_ff", "vocab_size")
-    for f in fields:
-        if getattr(t, f) != getattr(s, f):
-            raise ContractError(
-                f"teacher/student architecture mismatch on {f}: "
-                f"{getattr(t, f)} vs {getattr(s, f)}"
-            )
+    diff = teacher.config.architecture_diff(student.config)
+    if diff:
+        raise ContractError(f"teacher/student architecture mismatch on {diff}")
 
 
 TeacherTargets = tuple[list[dict[int, np.ndarray]], list[dict[int, np.ndarray]]]

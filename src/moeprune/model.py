@@ -61,6 +61,14 @@ class ModelConfig(Section):
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
 
+    def architecture_diff(self, other: "ModelConfig") -> str:
+        """The first architecture field (any but seq_len and seed) on which
+        the two configs differ, as "field: mine vs other's"; "" if none."""
+        for f in ("d_model", "n_heads", "n_layers", "n_experts", "top_k", "d_ff", "vocab_size"):
+            if getattr(self, f) != getattr(other, f):
+                return f"{f}: {getattr(self, f)} vs {getattr(other, f)}"
+        return ""
+
 
 @dataclass
 class GateMatrix:
@@ -238,8 +246,6 @@ def make_param_vars(
     pv: dict[str, Var] = dict(leaf)
     if masks:
         for name, m in masks.items():
-            if name not in pv:
-                raise ShapeError(f"mask targets unknown parameter {name!r}")
             pv[name] = ag.masked_assign(leaf[name], m)
     return leaf, pv
 

@@ -9,6 +9,10 @@ masks are aligned to the stored weight, and the OBS update works in that
 orientation too. It sweeps the input features in SparseGPT's lazy batches of
 OBS_BLOCK, over a stack of weights at once: w_gate and w_up, which share one
 H^-1, and the live experts of a layer, in groups of at most STACK_BYTES.
+
+prune_model walks calibration's per-input records (InputStats): each names
+the weights that read its input, and every weight is scored, masked,
+updated and reported from its input's record.
 """
 
 from __future__ import annotations
@@ -18,15 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import (
-    Accumulators,
-    CalibrationStats,
-    HessianAccumulator,
-    ScaledNormAccumulator,
-    accumulate_layer,
-    empty_accumulators,
-)
-from .errors import ConfigError, ContractError, NumericalError, ShapeError, UsageError
+from .calibration import CalibrationStats, InputStats, LayerStats, accumulate_layer, empty_layer
+from .errors import ConfigError, NumericalError, ShapeError, UsageError
 from .model import MoEModel, model_forward, window_batches
 from .numerics import spd_inverse
 
@@ -54,8 +51,6 @@ OBS_BLOCK = 32
 # Bytes of H^-1, weights and updated weights that one stacked OBS update may
 # hold: the live experts of a layer are stacked up to this budget
 STACK_BYTES = 16 << 20
-# The weights of an expert that read one input: w_gate and w_up share theirs
-EXPERT_INPUTS = (("w_gate", "w_up"), ("w_down",))
 
 
 @dataclass(frozen=True)
@@ -105,40 +100,30 @@ def score_magnitude(w: np.ndarray) -> np.ndarray:
     return np.abs(w)
 
 
-def score_wanda(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """S_ij = |W_ij| * ||X_j|| with norms over unscaled calibration inputs."""
+def _norm_scores(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     norms = np.asarray(norms, dtype=np.float64).ravel()
     if norms.size != w.shape[1]:
         raise ShapeError(f"norms length {norms.size} != weight columns {w.shape[1]}")
     return np.abs(w) * norms[None, :]
 
 
-def score_moe_pruner(
-    w: np.ndarray, scaled_norms: ScaledNormAccumulator, target: str | None = None
-) -> np.ndarray:
+def score_wanda(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """S_ij = |W_ij| * ||X_j|| with norms over unscaled calibration inputs."""
+    return _norm_scores(w, norms)
+
+
+def score_moe_pruner(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """S_ij = |W_ij| * ||X_j * Gate_j||: weight magnitude times the norm of
-    gate-weighted input activations. A `target` weight name must be one of
-    the weights that read the accumulator's input."""
-    if target is not None and target not in scaled_norms.targets:
-        raise ContractError(
-            f"accumulator of {scaled_norms.targets!r} is not the input of weight {target!r}"
-        )
-    if scaled_norms.sum_sq.size != w.shape[1]:
-        raise ShapeError(
-            f"accumulator width {scaled_norms.sum_sq.size} != weight columns {w.shape[1]}"
-        )
-    return np.abs(w) * scaled_norms.norms()[None, :]
+    gate-weighted input activations (an InputStats record's scaled norms)."""
+    return _norm_scores(w, norms)
 
 
-def damped_inverse(h: np.ndarray, damp_frac: float = DAMP_FRAC) -> np.ndarray:
-    """H'^-1 with H' = H + damp_frac * mean(diag H) * I: what SparseGPT scores
+def damped_inverse(h: np.ndarray) -> np.ndarray:
+    """H'^-1 with H' = H + DAMP_FRAC * mean(diag H) * I: what SparseGPT scores
     and the OBS update read. Every weight that reads the same input shares it.
-    damp_frac=0 is a test hook; prune_model uses DAMP_FRAC.
     """
-    if damp_frac < 0:
-        raise ConfigError(f"damp_frac must be >= 0, got {damp_frac}")
     h = np.array(h, dtype=np.float64)
-    h.flat[:: h.shape[0] + 1] += damp_frac * float(np.mean(np.diag(h)))
+    h.flat[:: h.shape[0] + 1] += DAMP_FRAC * float(np.mean(np.diag(h)))
     return spd_inverse(h)
 
 
@@ -259,13 +244,13 @@ def reconstruction_error(w: np.ndarray, w_pruned: np.ndarray, x: np.ndarray) -> 
     return float(np.linalg.norm((w - w_pruned) @ x.T))
 
 
-def _hessian_error(dw: np.ndarray, acc: HessianAccumulator) -> float:
-    """||dW X^T||_F from H = X^T X alone: sqrt(tr(dW H dW^T)), clamped at 0
-    against rounding; dW is in pruning orientation. An accumulator that saw
-    no tokens holds H = 0, which gives 0.0 with no product."""
-    if acc.tokens_seen == 0:
+def _hessian_error(dw: np.ndarray, rec: InputStats) -> float:
+    """||dW X^T||_F from the record's H = X^T X alone: sqrt(tr(dW H dW^T)),
+    clamped at 0 against rounding; dW is in pruning orientation. An input
+    that saw no tokens has H = 0, which gives 0.0 with no product."""
+    if rec.tokens_seen == 0:
         return 0.0
-    return math.sqrt(max(0.0, float(np.sum((dw @ acc.h) * dw))))
+    return math.sqrt(max(0.0, float(np.sum((dw @ rec.hessian.h) * dw))))
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +297,15 @@ def _report_row(name: str, method: str, keep: np.ndarray, tokens_seen: int,
 
 
 def _zero_target(pruned: MoEModel, name: str, method: str, target: SparsityTarget,
-                 acc: Accumulators) -> tuple[np.ndarray, dict]:
-    """Prune one weight with no update: magnitude, wanda, moe-pruner, and
-    sparsegpt's fallback for an expert whose input saw no token."""
-    scaled, unscaled, hess = acc
+                 rec: InputStats) -> tuple[np.ndarray, dict]:
+    """Prune one weight, which reads `rec`'s input, with no update: magnitude,
+    wanda, moe-pruner, and sparsegpt's fallback for an expert whose input saw
+    no token."""
     wp = pruned.params[name].T.copy()  # (out, in) pruning orientation
     if method == "wanda":
-        scores = score_wanda(wp, unscaled[name].norms())
+        scores = score_wanda(wp, rec.unscaled.norms())
     elif method == "moe-pruner":
-        scores = score_moe_pruner(wp, scaled[name], target=name)
+        scores = score_moe_pruner(wp, rec.scaled.norms())
     else:
         scores = score_magnitude(wp)
     if method == "sparsegpt":
@@ -328,66 +313,63 @@ def _zero_target(pruned: MoEModel, name: str, method: str, target: SparsityTarge
         method = "sparsegpt(magnitude-fallback:no-tokens)"
     keep = select_mask(scores, target)
     zeroed = wp * keep
-    error = _hessian_error(wp - zeroed, hess[name])
+    error = _hessian_error(wp - zeroed, rec)
     pruned.params[name] = np.ascontiguousarray(zeroed.T)
     return (np.ascontiguousarray(keep.T),
-            _report_row(name, method, keep, scaled[name].tokens_seen, error, error))
+            _report_row(name, method, keep, rec.tokens_seen, error, error))
 
 
-def _sparsegpt_stack(pruned: MoEModel, group: list[list[str]], target: SparsityTarget,
-                     acc: Accumulators) -> dict[str, tuple[np.ndarray, dict]]:
-    """sparsegpt on the weights that read one input, for each expert of
-    `group` (whose input saw tokens): one H'^-1 per expert, masks from its
+def _sparsegpt_stack(pruned: MoEModel, group: list[InputStats],
+                     target: SparsityTarget) -> dict[str, tuple[np.ndarray, dict]]:
+    """sparsegpt on the weights that read each input of `group` (inputs of
+    one kind, each of which saw tokens): one H'^-1 per input, masks from its
     scores, then one OBS update over the stack of them all."""
-    scaled, _, hess = acc
-    d_in, d_out = pruned.params[group[0][0]].shape
-    w = np.empty((len(group), len(group[0]), d_in, d_out))
+    d_in, d_out = pruned.params[group[0].weights[0]].shape
+    w = np.empty((len(group), len(group[0].weights), d_in, d_out))
     stored = np.empty(w.shape, dtype=np.uint8)
     h_inv = np.empty((len(group), 1, d_in, d_in))
     rows = {}
-    for j, names in enumerate(group):
-        h_inv[j, 0] = damped_inverse(hess[names[0]].h)
-        for p, name in enumerate(names):
+    for j, rec in enumerate(group):
+        h_inv[j, 0] = damped_inverse(rec.hessian.h)
+        for p, name in enumerate(rec.weights):
             w[j, p] = pruned.params[name]
             wp = w[j, p].T.copy()  # (out, in) pruning orientation
             keep = select_mask(score_sparsegpt(wp, h_inv[j, 0]), target)
             stored[j, p] = keep.T
-            rows[name] = (keep, _hessian_error(wp - wp * keep, hess[name]))
+            rows[name] = (keep, _hessian_error(wp - wp * keep, rec))
     out = obs_update(w, stored, h_inv)
     done = {}
-    for j, names in enumerate(group):
-        for p, name in enumerate(names):
+    for j, rec in enumerate(group):
+        for p, name in enumerate(rec.weights):
             keep, before = rows[name]
-            after = _hessian_error((w[j, p] - out[j, p]).T, hess[name])
+            after = _hessian_error((w[j, p] - out[j, p]).T, rec)
             pruned.params[name] = out[j, p]
             done[name] = (stored[j, p], _report_row(name, "sparsegpt", keep,
-                                                    scaled[name].tokens_seen, before, after))
+                                                    rec.tokens_seen, before, after))
     return done
 
 
-def _prune_layer(pruned: MoEModel, i: int, method: str, target: SparsityTarget,
-                 acc: Accumulators) -> tuple[dict[str, np.ndarray], list[dict]]:
-    """Prune layer i's expert weights of `pruned` in place, scored from the
-    accumulators `acc` of that layer's inputs. Returns the keep-masks aligned
-    to the stored weights and the report rows, both in parameter order."""
-    cfg, hess = pruned.config, acc[2]
+def _prune_layer(pruned: MoEModel, method: str, target: SparsityTarget,
+                 records: LayerStats) -> tuple[dict[str, np.ndarray], list[dict]]:
+    """Prune in place the expert weights of `pruned` that `records`, one
+    layer's input records, name. Returns the keep-masks aligned to the stored
+    weights and the report rows, both in parameter order."""
     done: dict[str, tuple[np.ndarray, dict]] = {}
-    for parts in EXPERT_INPUTS:
+    for inputs in zip(*records):  # one kind of input, over the layer's experts
         stack = []
-        for e in range(cfg.n_experts):
-            names = [f"layers.{i}.experts.{e}.{part}" for part in parts]
-            if method == "sparsegpt" and hess[names[0]].tokens_seen:
-                stack.append(names)
+        for rec in inputs:
+            if method == "sparsegpt" and rec.tokens_seen:
+                stack.append(rec)
                 continue
-            for name in names:
-                done[name] = _zero_target(pruned, name, method, target, acc)
+            for name in rec.weights:
+                done[name] = _zero_target(pruned, name, method, target, rec)
         if stack:
-            d_in, d_out = pruned.params[stack[0][0]].shape
-            per = max(1, STACK_BYTES // (8 * d_in * (d_in + 2 * len(parts) * d_out)))
+            names = stack[0].weights
+            d_in, d_out = pruned.params[names[0]].shape
+            per = max(1, STACK_BYTES // (8 * d_in * (d_in + 2 * len(names) * d_out)))
             for g in range(0, len(stack), per):
-                done.update(_sparsegpt_stack(pruned, stack[g : g + per], target, acc))
-    order = [f"layers.{i}.experts.{e}.{part}" for e in range(cfg.n_experts)
-             for parts in EXPERT_INPUTS for part in parts]
+                done.update(_sparsegpt_stack(pruned, stack[g : g + per], target))
+    order = [name for expert in records for rec in expert for name in rec.weights]
     return {name: done[name][0] for name in order}, [done[name][1] for name in order]
 
 
@@ -405,9 +387,10 @@ def prune_model(
     calibration sequences through the partly pruned model, up to layer i's
     expert intermediates, before scoring each layer i > 0. Layer 0's inputs
     are the dense ones, so both take it from `stats`, which must therefore
-    be collected from `model`. Reconstruction errors come from the same
-    (undamped) X^T X that the layer was scored from. w_gate and w_up share
-    their input's statistics, so sparsegpt inverts one Hessian for both, and
+    be collected from `model`. Either way each layer is pruned from one
+    InputStats record per expert input. Reconstruction errors come from the
+    same (undamped) X^T X that the layer was scored from. w_gate and w_up
+    share their input's record, so sparsegpt inverts one Hessian for both, and
     updates both, for a group of experts at once, in one stacked OBS sweep.
 
     Attention and router matrices are untouched. Returns the pruned model, the
@@ -418,9 +401,6 @@ def prune_model(
     if propagate not in ("dense", "recompute"):
         raise ConfigError(f"propagate must be 'dense' or 'recompute', got {propagate!r}")
     stats.validate_for_model(model)
-    for name in model.expert_param_names():
-        if name not in stats.scaled:
-            raise ContractError(f"stats are missing accumulator for target {name!r}")
 
     cfg = model.config
     # every expert weight is replaced below; until then the pruned model
@@ -429,14 +409,13 @@ def prune_model(
                             for n, p in model.params.items()})
     masks: dict[str, np.ndarray] = {}
     report = PruneReport(method=method, sparsity=target.describe(), propagate=propagate)
-    for i in range(cfg.n_layers):
-        acc: Accumulators = (stats.scaled, stats.unscaled, stats.hessians)
+    for i, records in enumerate(stats.layers):
         if propagate == "recompute" and i > 0:
-            acc = empty_accumulators(cfg, range(i, i + 1))
+            records = empty_layer(cfg, i)
             for batch in window_batches(stats.sequences):
                 layer = model_forward(pruned, batch, stop=(i, "hidden")).layers[i]
-                accumulate_layer(acc, i, layer)
-        layer_masks, rows = _prune_layer(pruned, i, method, target, acc)
+                accumulate_layer(records, layer)
+        layer_masks, rows = _prune_layer(pruned, method, target, records)
         masks.update(layer_masks)
         report.targets += rows
     return pruned, masks, report.finalize()

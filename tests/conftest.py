@@ -33,6 +33,12 @@ def synth_corpus(seed: int = 0, size: int = 1 << 20) -> bytes:
     return "".join(parts).encode()[:size]
 
 
+def input_records(stats) -> dict:
+    """Each of collect's InputStats records, by the first weight that reads
+    its input (w_gate or w_down)."""
+    return {rec.weights[0]: rec for layer in stats.layers for expert in layer for rec in expert}
+
+
 def random_bytes_corpus(seed: int = 0, size: int = 1 << 14) -> bytes:
     rng = np.random.default_rng(seed)
     return bytes(rng.integers(0, 256, size).astype(np.uint8))

@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from moeprune import autograd as ag
 from moeprune import pruning
-from moeprune.calibration import accumulate_layer, empty_accumulators
+from moeprune.calibration import accumulate_layer, empty_layer
 from moeprune.errors import ConfigError, ContractError, InputError, NumericalError, ShapeError
 from moeprune.model import GateMatrix, MoEModel, _topk_mask, model_forward, window_batches
 from moeprune.numerics import _check_finite
@@ -304,10 +304,10 @@ def prune_recompute(model: MoEModel, stats, method: str, target):
     report = pruning.PruneReport(method=method, sparsity=target.describe(),
                                  propagate="recompute")
     for i in range(cfg.n_layers):
-        acc = empty_accumulators(cfg, range(i, i + 1))
+        records = empty_layer(cfg, i)
         for batch in window_batches(stats.sequences):
-            accumulate_layer(acc, i, model_forward(pruned, batch).layers[i])
-        layer_masks, rows = pruning._prune_layer(pruned, i, method, target, acc)
+            accumulate_layer(records, model_forward(pruned, batch).layers[i])
+        layer_masks, rows = pruning._prune_layer(pruned, method, target, records)
         masks.update(layer_masks)
         report.targets += rows
     return pruned, masks, report.finalize()
@@ -343,22 +343,25 @@ def prune_per_target(model: MoEModel, stats, method: str, target, propagate: str
     masks: dict[str, np.ndarray] = {}
     report = pruning.PruneReport(method=method, sparsity=target.describe(), propagate=propagate)
     for i in range(cfg.n_layers):
-        scaled, unscaled, hess = stats.scaled, stats.unscaled, stats.hessians
+        records = stats.layers[i]
         if propagate == "recompute" and i > 0:
-            scaled, unscaled, hess = empty_accumulators(cfg, range(i, i + 1))
+            records = empty_layer(cfg, i)
             for batch in window_batches(stats.sequences):
-                accumulate_layer((scaled, unscaled, hess), i, model_forward(pruned, batch).layers[i])
+                accumulate_layer(records, model_forward(pruned, batch).layers[i])
+        # the record of the input each weight reads
+        read = {name: rec for expert in records for rec in expert for name in rec.weights}
         for e in range(cfg.n_experts):
             for part in ("w_gate", "w_up", "w_down"):
                 name = f"layers.{i}.experts.{e}.{part}"
+                rec = read[name]
                 wp = pruned.params[name].T.copy()
                 used, h_inv = method, None
                 if method == "wanda":
-                    scores = pruning.score_wanda(wp, unscaled[name].norms())
+                    scores = pruning.score_wanda(wp, rec.unscaled.norms())
                 elif method == "moe-pruner":
-                    scores = pruning.score_moe_pruner(wp, scaled[name], target=name)
-                elif method == "sparsegpt" and hess[name].tokens_seen:
-                    h_inv = pruning.damped_inverse(hess[name].h)
+                    scores = pruning.score_moe_pruner(wp, rec.scaled.norms())
+                elif method == "sparsegpt" and rec.tokens_seen:
+                    h_inv = pruning.damped_inverse(rec.hessian.h)
                     scores = pruning.score_sparsegpt(wp, h_inv)
                 else:
                     scores = pruning.score_magnitude(wp)
@@ -366,7 +369,7 @@ def prune_per_target(model: MoEModel, stats, method: str, target, propagate: str
                         used = "sparsegpt(magnitude-fallback:no-tokens)"
                 keep = select_mask(scores, target)
                 updated = wp * keep if h_inv is None else obs_sweep(wp, keep, h_inv)
-                before = pruning._hessian_error(wp - wp * keep, hess[name])
+                before = pruning._hessian_error(wp - wp * keep, rec)
                 pruned.params[name] = np.ascontiguousarray(updated.T)
                 masks[name] = np.ascontiguousarray(keep.T)
                 report.targets.append({
@@ -374,10 +377,10 @@ def prune_per_target(model: MoEModel, stats, method: str, target, propagate: str
                     "rows": int(wp.shape[0]), "cols": int(wp.shape[1]), "weights": int(wp.size),
                     "zeros": int(keep.size - int(keep.sum())),
                     "sparsity_achieved": 1.0 - float(keep.sum()) / keep.size,
-                    "tokens_seen": int(scaled[name].tokens_seen),
+                    "tokens_seen": int(rec.tokens_seen),
                     "recon_error_before_update": before,
                     "recon_error_after_update": (
                         before if h_inv is None
-                        else pruning._hessian_error(wp - updated, hess[name])),
+                        else pruning._hessian_error(wp - updated, rec)),
                 })
     return pruned, masks, report.finalize()

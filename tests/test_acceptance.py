@@ -54,11 +54,11 @@ def test_criterion_1_degeneration_equivalences():
         x = rng.normal_matrix(24, 16)
         ones = np.ones(24)
 
-        scaled = ScaledNormAccumulator.empty(("t",), 16)
+        scaled = ScaledNormAccumulator.empty(16)
         scaled.add(x, ones)                       # unit gates
-        unscaled = ScaledNormAccumulator.empty(("t",), 16)
+        unscaled = ScaledNormAccumulator.empty(16)
         unscaled.add(x, ones)
-        m_moe = select_mask(score_moe_pruner(w, scaled), HALF)
+        m_moe = select_mask(score_moe_pruner(w, scaled.norms()), HALF)
         m_wanda = select_mask(score_wanda(w, unscaled.norms()), HALF)
         assert np.array_equal(m_moe, m_wanda)
 
@@ -66,7 +66,7 @@ def test_criterion_1_degeneration_equivalences():
         m_mag = select_mask(score_magnitude(w), HALF)
         assert np.array_equal(m_unit, m_mag)
 
-        s_gpt = score_sparsegpt(w, damped_inverse(np.eye(16), damp_frac=0.0))  # identity Hessian
+        s_gpt = score_sparsegpt(w, spd_inverse(np.eye(16)))  # identity Hessian
         assert np.array_equal(select_mask(s_gpt, HALF), m_mag)
     assert time.time() - t0 < 10
     report(1, "unit gates==wanda, unit norms==magnitude, identity H==magnitude; "
@@ -119,14 +119,14 @@ def test_criterion_3_brute_force_oracle():
         for cols in (4, 6, 8):
             w = rng.normal_matrix(3, cols)
             x = rng.normal_matrix(12, cols)
-            acc = ScaledNormAccumulator.empty(("t",), cols)
+            acc = ScaledNormAccumulator.empty(cols)
             acc.add(x, np.abs(rng.normal_matrix(1, 12)).ravel())
             h = x.T @ x + 0.05 * np.eye(cols)
             score_sets = [
                 score_magnitude(w),
                 score_wanda(w, np.sqrt((x * x).sum(axis=0))),
-                score_moe_pruner(w, acc),
-                score_sparsegpt(w, damped_inverse(h, damp_frac=0.01)),
+                score_moe_pruner(w, acc.norms()),
+                score_sparsegpt(w, damped_inverse(h)),
             ]
             keep_n = cols // 2
             for scores in score_sets:
@@ -139,9 +139,9 @@ def test_criterion_3_brute_force_oracle():
 
 
 def test_criterion_4_worked_metric_value():
-    acc = ScaledNormAccumulator.empty(("t",), 2)
+    acc = ScaledNormAccumulator.empty(2)
     acc.add(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, 1.0]))
-    s = score_moe_pruner(np.array([[2.0, -1.0]]), acc)
+    s = score_moe_pruner(np.array([[2.0, -1.0]]), acc.norms())
     assert abs(s[0, 0] - 2.0 * math.sqrt(9.25)) < 1e-12
     assert abs(s[0, 1] - math.sqrt(17.0)) < 1e-12
     assert np.array_equal(select_mask(s, HALF), [[1, 0]])
@@ -156,7 +156,7 @@ def test_criterion_5_obs_update_improves():
     for _ in range(100):
         w = rng.normal_matrix(8, 8)
         x = rng.normal_matrix(24, 8)
-        h_inv = damped_inverse(x.T @ x, damp_frac=0.01)
+        h_inv = damped_inverse(x.T @ x)
         scores = score_sparsegpt(w, h_inv)
         damped = x.T @ x + 0.01 * np.mean(np.diag(x.T @ x)) * np.eye(8)
         assert np.abs(damped @ spd_inverse(damped) - np.eye(8)).max() < 1e-8

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import moeprune.model
 from moeprune.calibration import (
+    InputStats,
     ScaledNormAccumulator,
     build_calibration_set,
     collect,
@@ -12,7 +15,7 @@ from moeprune.calibration import (
 from moeprune.errors import InputError, ShapeError
 from moeprune.model import ModelConfig, MoEModel, model_forward, window_batches
 
-from conftest import TINY, TOP1, synth_corpus
+from conftest import TINY, TOP1, input_records, synth_corpus
 from oracles import full_forward_stats
 
 
@@ -74,20 +77,23 @@ class TestBuildCalibrationSet:
 
 class TestAccumulator:
     def test_single_token_hand_case(self):
-        acc = ScaledNormAccumulator.empty(("layers.0.experts.0.w_gate",), 2)
-        acc.add(np.array([[1.0, 2.0]]), np.array([0.5]))
-        assert np.array_equal(acc.sum_sq, [0.25, 1.0])  # (1*0.5)^2, (2*0.5)^2
-        assert acc.tokens_seen == 1
+        rec = InputStats.empty(("layers.0.experts.0.w_gate",), 2)
+        rec.add(np.array([[1.0, 2.0]]), np.array([0.5]))
+        assert np.array_equal(rec.scaled.sum_sq, [0.25, 1.0])  # (1*0.5)^2, (2*0.5)^2
+        assert np.array_equal(rec.unscaled.sum_sq, [1.0, 4.0])
+        assert np.array_equal(rec.hessian.h, [[1.0, 2.0], [2.0, 4.0]])
+        assert rec.tokens_seen == 1
 
     def test_norm_is_sqrt_of_sum(self):
-        acc = ScaledNormAccumulator.empty(("t",), 2)
+        acc = ScaledNormAccumulator.empty(2)
         acc.add(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, 1.0]))
         assert np.allclose(acc.norms(), [np.sqrt(9.25), np.sqrt(17.0)])
 
     def test_width_mismatch(self):
-        acc = ScaledNormAccumulator.empty(("t",), 3)
-        with pytest.raises(ShapeError):
-            acc.add(np.zeros((2, 2)), np.ones(2))
+        rec = InputStats.empty(("layers.0.experts.0.w_down",), 3)
+        with pytest.raises(ShapeError, match="w_down: input width 2 != 3"):
+            rec.add(np.zeros((2, 2)), np.ones(2))
+        assert rec.tokens_seen == 0 and not rec.scaled.sum_sq.any()
 
 
 class TestCollect:
@@ -97,14 +103,31 @@ class TestCollect:
         model = MoEModel.init(cfg)
         cal = build_calibration_set(corpus, 4, 32, seed=2)
         st = collect(model, cal)
-        total = sum(st.scaled[f"layers.0.experts.{e}.w_gate"].tokens_seen for e in range(2))
+        total = sum(inp.tokens_seen for inp, _ in st.layers[0])
         assert total == 4 * 32  # k=1 partitions tokens exactly
 
     def test_topk_coverage(self, stats):
-        for i in range(TINY.n_layers):
-            routed = sum(stats.scaled[f"layers.{i}.experts.{e}.w_gate"].tokens_seen
-                         for e in range(TINY.n_experts))
+        for layer in stats.layers:
+            routed = sum(inp.tokens_seen for inp, _ in layer)
             assert routed == 16 * TINY.seq_len * TINY.top_k
+
+    def test_one_record_per_expert_input(self, tiny_model, stats):
+        assert len(stats.layers) == TINY.n_layers
+        seen = []
+        for i, layer in enumerate(stats.layers):
+            assert len(layer) == TINY.n_experts
+            for e, expert in enumerate(layer):
+                base = f"layers.{i}.experts.{e}"
+                assert [rec.weights for rec in expert] == [
+                    (f"{base}.w_gate", f"{base}.w_up"), (f"{base}.w_down",)]
+                seen += [name for rec in expert for name in rec.weights]
+        # every expert weight reads exactly one record
+        assert sorted(seen) == sorted(tiny_model.expert_param_names())
+        assert len(seen) == len(set(seen))
+        # and no accumulator is shared between records
+        accs = [id(a) for layer in stats.layers for expert in layer for rec in expert
+                for a in (rec.scaled, rec.unscaled, rec.hessian)]
+        assert len(accs) == len(set(accs))
 
     def test_top1_scaled_norms_equal_plain_norms(self, corpus):
         # gates of exactly 1.0 make the scaled statistic the plain one, bit for bit
@@ -113,22 +136,27 @@ class TestCollect:
         st = collect(model, cal)
         for lt in model_forward(model, np.stack(cal.sequences)).layers:
             assert (lt.gates.values.max(axis=1) == 1.0).all()
-        for name in st.scaled:
-            assert st.scaled[name].tokens_seen > 0
-            assert np.array_equal(st.scaled[name].sum_sq, st.unscaled[name].sum_sq)
+        for rec in input_records(st).values():
+            assert rec.tokens_seen > 0
+            assert np.array_equal(rec.scaled.sum_sq, rec.unscaled.sum_sq)
 
     def test_hessian_equals_xtx_of_captured(self, stats, stacked_inputs):
-        assert set(stacked_inputs) == set(stats.hessians)
-        for name, x in stacked_inputs.items():
-            h = stats.hessians[name].h
-            assert np.abs(h - x.T @ x).max() < 1e-10
-            assert np.abs(h - h.T).max() < 1e-9
-            assert (np.diag(h) >= 0).all()
+        records = input_records(stats).values()
+        assert set(stacked_inputs) == {name for rec in records for name in rec.weights}
+        for rec in records:
+            for name in rec.weights:
+                x = stacked_inputs[name]
+                h = rec.hessian.h
+                assert np.abs(h - x.T @ x).max() < 1e-10
+                assert np.abs(h - h.T).max() < 1e-9
+                assert (np.diag(h) >= 0).all()
 
     def test_unscaled_matches_batch_computation(self, stats, stacked_inputs):
-        for name, x in stacked_inputs.items():
-            batch = np.sqrt((x * x).sum(axis=0))
-            assert np.abs(stats.unscaled[name].norms() - batch).max() < 1e-10
+        for rec in input_records(stats).values():
+            for name in rec.weights:
+                x = stacked_inputs[name]
+                batch = np.sqrt((x * x).sum(axis=0))
+                assert np.abs(rec.unscaled.norms() - batch).max() < 1e-10
 
     def test_scaled_matches_batch_recomputation(self, tiny_model, corpus):
         cal = build_calibration_set(corpus, 4, 32, seed=7)
@@ -141,7 +169,8 @@ class TestCollect:
             idx = lt.expert_tokens[0]
             rows.append(lt.moe_input[idx] * lt.gates.values[idx, 0][:, None])
         stacked = np.vstack(rows)
-        assert np.abs(st.scaled[name].norms() - np.sqrt((stacked ** 2).sum(axis=0))).max() < 1e-10
+        scaled = input_records(st)[name].scaled
+        assert np.abs(scaled.norms() - np.sqrt((stacked ** 2).sum(axis=0))).max() < 1e-10
 
     def test_argmax_frequency_total(self, tiny_model, cal):
         counts, total = count_dispatch(tiny_model, cal, "argmax")
@@ -158,10 +187,8 @@ class TestCollect:
     def test_zero_gate_tokens_contribute_nothing(self, stats):
         # every accumulated token for an expert had a strictly positive gate,
         # so token counts equal the gate-support sizes exactly
-        for i in range(TINY.n_layers):
-            for e in range(TINY.n_experts):
-                down = stats.scaled[f"layers.{i}.experts.{e}.w_down"]
-                gate = stats.scaled[f"layers.{i}.experts.{e}.w_gate"]
+        for layer in stats.layers:
+            for gate, down in layer:
                 assert down.tokens_seen == gate.tokens_seen
 
 
@@ -172,6 +199,15 @@ class TestValidateForModel:
                                           seq_len=32, vocab_size=256, seed=0))
         with pytest.raises(ShapeError, match="architecture"):
             stats.validate_for_model(other)
+
+    def test_other_top_k_rejected(self, stats):
+        # TOP1 is TINY with top-1 routing: only the router's k differs
+        with pytest.raises(ShapeError, match="architecture mismatch on top_k: 2 vs 1"):
+            stats.validate_for_model(MoEModel.init(TOP1))
+
+    def test_same_architecture_accepted(self, stats):
+        # seq_len and seed are not architecture
+        stats.validate_for_model(MoEModel.init(replace(TINY, seq_len=16, seed=99)))
 
 
 TOY = ModelConfig(d_model=64, n_heads=4, n_layers=2, n_experts=4, top_k=2,
@@ -188,15 +224,15 @@ class TestCollectEqualsFullForwards:
     def check(model, cal):
         st = collect(model, cal)
         want = full_forward_stats(model, cal.sequences)
-        for name in st.scaled:
-            w = want.get(name.replace(".w_up", ".w_gate"))
+        for name, rec in input_records(st).items():
+            w = want.get(name)
             if w is None:  # an expert no token reached
-                assert st.scaled[name].tokens_seen == 0 and not st.hessians[name].h.any()
+                assert rec.tokens_seen == 0 and not rec.hessian.h.any()
                 continue
-            assert np.array_equal(st.scaled[name].sum_sq, w["scaled"]), name
-            assert np.array_equal(st.unscaled[name].sum_sq, w["unscaled"]), name
-            assert np.array_equal(st.hessians[name].h, w["h"]), name
-            assert st.scaled[name].tokens_seen == st.hessians[name].tokens_seen == w["tokens"]
+            assert np.array_equal(rec.scaled.sum_sq, w["scaled"]), name
+            assert np.array_equal(rec.unscaled.sum_sq, w["unscaled"]), name
+            assert np.array_equal(rec.hessian.h, w["h"]), name
+            assert rec.tokens_seen == w["tokens"]
 
     def test_toy_two_layers(self, corpus):
         cal = build_calibration_set(corpus, 6, TOY.seq_len, seed=1)

@@ -395,6 +395,12 @@ class TestDistill:
         with pytest.raises(ContractError, match="nonzero under the mask"):
             distill(teacher, student, masks, kd_corpus, KDConfig(epochs=1, samples=4))
 
+    def test_mask_on_unknown_parameter_rejected(self, kd_corpus):
+        teacher, student, masks = pruned_pair(kd_corpus)
+        masks = {**masks, "no.such.weight": np.ones((2, 2), dtype=np.uint8)}
+        with pytest.raises(ContractError, match="unknown parameter 'no.such.weight'"):
+            distill(teacher, student, masks, kd_corpus, KDConfig(epochs=1, samples=4))
+
 
 class TestSchedule:
     def test_cosine_endpoints(self):

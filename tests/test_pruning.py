@@ -7,12 +7,12 @@ import pytest
 
 import moeprune.pruning
 from moeprune.calibration import (
-    HessianAccumulator,
+    InputStats,
     ScaledNormAccumulator,
     build_calibration_set,
     collect,
 )
-from moeprune.errors import ConfigError, ContractError, NumericalError, ShapeError
+from moeprune.errors import ConfigError, NumericalError, ShapeError
 from moeprune.model import ModelConfig, MoEModel, model_forward
 from moeprune.numerics import SeededRng, spd_inverse
 from moeprune.pruning import (
@@ -32,7 +32,7 @@ from moeprune.pruning import (
 )
 from moeprune.training import evaluate_perplexity
 
-from conftest import TINY, TOP1, synth_corpus
+from conftest import TINY, TOP1, input_records, synth_corpus
 from oracles import obs_sweep as obs_sweep_oracle
 from oracles import prune_per_target, prune_recompute
 from oracles import select_mask as argsort_select_mask
@@ -81,9 +81,9 @@ class TestScoreWanda:
 class TestScoreMoePruner:
     def test_worked_instance(self):
         # W row [2,-1]; tokens X=[[1,2],[3,4]]; gates [0.5, 1.0]
-        acc = ScaledNormAccumulator.empty(("t",), 2)
+        acc = ScaledNormAccumulator.empty(2)
         acc.add(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, 1.0]))
-        s = score_moe_pruner(np.array([[2.0, -1.0]]), acc)
+        s = score_moe_pruner(np.array([[2.0, -1.0]]), acc.norms())
         assert abs(s[0, 0] - 2 * math.sqrt(9.25)) < 1e-12
         assert abs(s[0, 1] - math.sqrt(17.0)) < 1e-12
         mask = select_mask(s, SparsityTarget.unstructured(0.5))
@@ -93,22 +93,21 @@ class TestScoreMoePruner:
         rng = SeededRng(3)
         x = rng.normal_matrix(10, 6)
         w = rng.normal_matrix(4, 6)
-        acc = ScaledNormAccumulator.empty(("t",), 6)
+        acc = ScaledNormAccumulator.empty(6)
         acc.add(x, np.ones(10))
-        assert np.array_equal(score_moe_pruner(w, acc),
+        assert np.array_equal(score_moe_pruner(w, acc.norms()),
                               score_wanda(w, np.sqrt((x * x).sum(axis=0))))
 
     def test_dead_expert_all_zero_scores(self):
-        acc = ScaledNormAccumulator.empty(("t",), 4)
-        s = score_moe_pruner(SeededRng(4).normal_matrix(2, 4), acc)
+        acc = ScaledNormAccumulator.empty(4)
+        s = score_moe_pruner(SeededRng(4).normal_matrix(2, 4), acc.norms())
         assert np.array_equal(s, np.zeros((2, 4)))
         mask = select_mask(s, SparsityTarget.unstructured(0.5))
         assert np.array_equal(mask, [[0, 0, 1, 1], [0, 0, 1, 1]])  # index tie-break
 
-    def test_target_mismatch(self):
-        acc = ScaledNormAccumulator.empty(("layers.0.experts.0.w_up",), 4)
-        with pytest.raises(ContractError):
-            score_moe_pruner(np.zeros((2, 4)), acc, target="layers.0.experts.0.w_gate")
+    def test_length_mismatch(self):
+        with pytest.raises(ShapeError):
+            score_moe_pruner(np.zeros((2, 4)), np.ones(3))
 
     def test_gate_scaling_invariance_of_masks(self):
         # scaling one expert's gates by c>0 scales scores uniformly: same masks
@@ -116,19 +115,19 @@ class TestScoreMoePruner:
         x = rng.normal_matrix(12, 8)
         g = np.abs(rng.normal_matrix(12, 1)).ravel()
         w = rng.normal_matrix(6, 8)
-        a1 = ScaledNormAccumulator.empty(("t",), 8)
-        a2 = ScaledNormAccumulator.empty(("t",), 8)
+        a1 = ScaledNormAccumulator.empty(8)
+        a2 = ScaledNormAccumulator.empty(8)
         a1.add(x, g)
         a2.add(x, 3.7 * g)
         t = SparsityTarget.unstructured(0.5)
-        assert np.array_equal(select_mask(score_moe_pruner(w, a1), t),
-                              select_mask(score_moe_pruner(w, a2), t))
+        assert np.array_equal(select_mask(score_moe_pruner(w, a1.norms()), t),
+                              select_mask(score_moe_pruner(w, a2.norms()), t))
 
 
 class TestScoreSparsegpt:
     def test_identity_hessian_equals_magnitude_masks(self):
         w = SeededRng(6).normal_matrix(4, 6)
-        h_inv = damped_inverse(np.eye(6), damp_frac=0.0)
+        h_inv = spd_inverse(np.eye(6))
         s = score_sparsegpt(w, h_inv)
         assert np.abs(s - w * w).max() < 1e-12
         t = SparsityTarget.unstructured(0.5)
@@ -137,15 +136,15 @@ class TestScoreSparsegpt:
 
     def test_diagonal_hessian_column_scaling(self):
         w = np.ones((1, 2))
-        s = score_sparsegpt(w, damped_inverse(np.diag([4.0, 1.0]), damp_frac=0.0))
+        s = score_sparsegpt(w, spd_inverse(np.diag([4.0, 1.0])))
         # H'^-1 = diag(1/4, 1); S = W^2 / diag(H'^-1) scales columns by [4, 1]
         assert np.allclose(s, [[4.0, 1.0]])
 
     def test_singular_hessian_rescued_by_dampening(self):
         h = np.outer([1.0, 1.0], [1.0, 1.0])  # rank 1
         with pytest.raises(NumericalError):
-            damped_inverse(h, damp_frac=0.0)
-        h_inv = damped_inverse(h, damp_frac=0.01)
+            spd_inverse(h)
+        h_inv = damped_inverse(h)
         s = score_sparsegpt(np.ones((1, 2)), h_inv)
         assert np.isfinite(s).all() and np.isfinite(h_inv).all()
 
@@ -340,7 +339,7 @@ class TestObsUpdate:
         rng = SeededRng(12)
         w = rng.normal_matrix(4, 4)
         x = rng.normal_matrix(16, 4)
-        h_inv = damped_inverse(x.T @ x, damp_frac=0.01)
+        h_inv = damped_inverse(x.T @ x)
         s = score_sparsegpt(w, h_inv)
         mask = select_mask(s, SparsityTarget.unstructured(0.5))
         plain = reconstruction_error(w, w * mask, x)
@@ -378,22 +377,23 @@ class TestHessianError:
         for _ in range(10):
             w = rng.normal_matrix(6, 8)
             x = rng.normal_matrix(tokens, 8) if tokens else np.zeros((0, 8))
-            acc = HessianAccumulator.empty(("w",), 8)
-            acc.add(x)
-            h_inv = damped_inverse(acc.h + np.eye(8), damp_frac=0.01)
+            rec = InputStats.empty(("w",), 8)
+            rec.add(x, np.ones(tokens))
+            h_inv = damped_inverse(rec.hessian.h + np.eye(8))
             s = score_sparsegpt(w, h_inv)
             mask = select_mask(s, SparsityTarget.unstructured(0.5))
             for w_pruned in (w * mask, _obs(w, mask, h_inv)):
                 want = reconstruction_error(w, w_pruned, x)
-                got = _hessian_error(w - w_pruned, acc)
+                got = _hessian_error(w - w_pruned, rec)
                 assert got == pytest.approx(want, rel=1e-9, abs=0.0)
                 if tokens == 0:
                     assert got == want == 0.0
 
     def test_no_tokens_reads_no_hessian(self):
-        # a dead expert's accumulator: 0.0 without touching H
-        acc = HessianAccumulator(("w",), np.full((8, 8), np.nan))
-        assert _hessian_error(SeededRng(18).normal_matrix(6, 8), acc) == 0.0
+        # a dead expert's input: 0.0 without touching H
+        rec = InputStats.empty(("w",), 8)
+        rec.hessian.h.fill(np.nan)
+        assert _hessian_error(SeededRng(18).normal_matrix(6, 8), rec) == 0.0
 
     def test_prune_report_matches_stacked_inputs(self):
         cfg = ModelConfig(d_model=8, n_heads=2, n_layers=2, n_experts=4, top_k=2,
@@ -487,7 +487,8 @@ class TestPruneModel:
         _, masks, _ = prune_model(model, stats, "moe-pruner", SparsityTarget.unstructured(0.5))
         for e in range(2):
             name = f"layers.0.experts.{e}.w_gate"
-            scores = score_moe_pruner(model.params[name].T, stats.scaled[name])
+            scores = score_moe_pruner(model.params[name].T,
+                                      input_records(stats)[name].scaled.norms())
             for r in range(scores.shape[0]):
                 kept = tuple(np.nonzero(masks[name].T[r])[0])
                 assert kept == oracle_keep_set(scores[r], scores.shape[1] // 2)
@@ -653,7 +654,10 @@ class TestPruneModel:
         for i in range(TINY.n_layers):
             for e in range(TINY.n_experts):
                 base = f"layers.{i}.experts.{e}"
-                assert stats.scaled[f"{base}.w_gate"] is stats.scaled[f"{base}.w_up"]
+                gate, down = stats.layers[i][e]
+                assert gate.weights == (f"{base}.w_gate", f"{base}.w_up")
+                assert down.weights == (f"{base}.w_down",)
+                assert by_name[f"{base}.w_gate"]["tokens_seen"] == gate.tokens_seen
                 assert (by_name[f"{base}.w_gate"]["tokens_seen"]
                         == by_name[f"{base}.w_up"]["tokens_seen"]
                         == by_name[f"{base}.w_down"]["tokens_seen"])
@@ -702,5 +706,5 @@ class TestDegenerationChain:
         t = SparsityTarget.unstructured(0.5)
         for _ in range(20):
             w = rng.normal_matrix(5, 8)
-            s = score_sparsegpt(w, damped_inverse(np.eye(8), damp_frac=0.0))
+            s = score_sparsegpt(w, spd_inverse(np.eye(8)))
             assert np.array_equal(select_mask(s, t), select_mask(score_magnitude(w), t))
