@@ -1,10 +1,14 @@
 """Tape-based reverse-mode autodiff over 2-D float64 arrays.
 
 The op vocabulary is fixed and small: exactly the kinds the toy MoE model needs
-(matmul, add, mul, silu, row_softmax, rmsnorm, gather_rows, scatter_rows,
-cross_entropy, mse, scale, masked_assign, causal_attention, moe_combine), each
-with a hand-written backward rule (no general closures from user code). Scalars
-are 1x1 matrices. Gradients accumulate across reuses of a Var
+(matmul, add, mul, silu, swiglu, row_softmax, rmsnorm, gather_rows,
+scatter_rows, cross_entropy, mse, scale, masked_assign, causal_attention,
+moe_combine), each with a hand-written backward rule (no general closures from
+user code). Scalars are 1x1 matrices. The forward's expert intermediate is one
+fused `swiglu` node, which keeps two activations where the silu/mul chain kept
+four. `silu`, `mul` and `scatter_rows`, which no forward calls, remain:
+bench/tracer.py wraps each op kind by name, and the tests build swiglu's and
+moe_combine's oracles from them. Gradients accumulate across reuses of a Var
 (`Var.accumulate`: the first write takes the backward rule's fresh array);
 training code builds a fresh tape per step, so there is nothing to zero.
 `Tape.backward` sweeps the tape: the recorded nodes (and the closures holding
@@ -27,6 +31,7 @@ __all__ = [
     "add",
     "mul",
     "silu",
+    "swiglu",
     "row_softmax",
     "rmsnorm",
     "gather_rows",
@@ -164,23 +169,76 @@ def mul(a: Var, b: Var) -> Var:
     return t._emit(a.value * b.value, bwd, a, b)
 
 
-def silu(a: Var) -> Var:
-    x = a.value
-    sig = np.clip(x, -60.0, 60.0)  # sigmoid(x), built in this one buffer
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """sigmoid(x) of x clipped to [-60, 60], built in one fresh buffer."""
+    sig = np.clip(x, -60.0, 60.0)
     np.negative(sig, out=sig)
     np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
+    return sig
+
+
+def _silu_grad(x: np.ndarray, sig: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * sig * (1 + x * (1 - sig)), the SiLU derivative at x times g."""
+    d = np.subtract(1.0, sig)
+    d *= x
+    d += 1.0
+    d *= sig
+    d *= g
+    return d
+
+
+def silu(a: Var) -> Var:
+    x = a.value
+    sig = _sigmoid(x)
 
     def bwd(g: np.ndarray) -> None:
-        d = np.subtract(1.0, sig)  # g * sig * (1 + x * (1 - sig))
-        d *= x
-        d += 1.0
-        d *= sig
-        d *= g
-        a.accumulate(d)
+        a.accumulate(_silu_grad(x, sig, g))
 
     return a.tape._emit(x * sig, bwd, a)
+
+
+def swiglu(x: Var, w_gate: Var, w_up: Var) -> Var:
+    """silu(x @ w_gate) * (x @ w_up) as one node: the value and every
+    gradient equal those of the matmul/silu/matmul/mul chain bit for bit.
+
+    The node keeps only the two projections; backward rebuilds the sigmoid
+    and silu(x @ w_gate) with the forward's operations, then applies the
+    chain's gradients in its backward order: the up branch (x, then w_up),
+    then the gate branch (x, then w_gate).
+    """
+    t = _same_tape(x, w_gate, w_up)
+    xv, wg, wu = x.value, w_gate.value, w_up.value
+    if xv.shape[1] != wg.shape[0] or wg.shape != wu.shape:
+        raise ShapeError(f"swiglu shape mismatch: {xv.shape} x {wg.shape}, {wu.shape}")
+    up_grad = x.requires_grad or w_up.requires_grad
+    gate_grad = x.requires_grad or w_gate.requires_grad
+    gp = xv @ wg
+    out = _sigmoid(gp)
+    out *= gp  # silu(x @ w_gate)
+    # a node that is not taped keeps nothing: x @ w_up then takes gp's buffer
+    up = xv @ wu if up_grad or gate_grad else np.matmul(xv, wu, out=gp)
+    out *= up
+
+    def bwd(g: np.ndarray) -> None:
+        sig = _sigmoid(gp)
+        if up_grad:
+            gu = gp * sig  # silu(x @ w_gate), then times g
+            gu *= g
+            if x.requires_grad:
+                x.accumulate(gu @ wu.T)
+            if w_up.requires_grad:
+                w_up.accumulate(xv.T @ gu)
+            del gu
+        if gate_grad:
+            ga = _silu_grad(gp, sig, g * up)
+            if x.requires_grad:
+                x.accumulate(ga @ wg.T)
+            if w_gate.requires_grad:
+                w_gate.accumulate(xv.T @ ga)
+
+    return t._emit(out, bwd, x, w_gate, w_up)
 
 
 def row_softmax(a: Var, mask: np.ndarray) -> Var:

@@ -252,10 +252,11 @@ def make_param_vars(
 
 def _swiglu(pv: dict[str, Var], i: int, e: int, x: Var) -> Var:
     """The SwiGLU intermediate of expert e of layer i on rows x: what its
-    w_down reads."""
+    w_down reads. One fused node (ag.swiglu) in every forward (training,
+    KD, calibration, eval); a taped one keeps two (rows x d_ff) arrays for
+    backward."""
     base = f"layers.{i}.experts.{e}"
-    return ag.mul(ag.silu(ag.matmul(x, pv[f"{base}.w_gate"])),
-                  ag.matmul(x, pv[f"{base}.w_up"]))
+    return ag.swiglu(x, pv[f"{base}.w_gate"], pv[f"{base}.w_up"])
 
 
 def _expert(pv: dict[str, Var], i: int, e: int, x: Var) -> tuple[Var, Var]:

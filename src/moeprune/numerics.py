@@ -23,6 +23,18 @@ def _check_finite(m: np.ndarray, op: str) -> np.ndarray:
     return m
 
 
+def _max_asymmetry(h: np.ndarray, strip: int = 64) -> float:
+    """max |h[i, j] - h[j, i]| (NaN if any difference is NaN), from the
+    upper-triangle row strips h[i:i+strip, i:] against their transposed
+    columns: about half of a full h - h.T, in strip-sized temporaries."""
+    n = h.shape[0]
+    worst = []
+    for i in range(0, n, strip):
+        d = h[i : i + strip, i:] - h[i:, i : i + strip].T
+        worst += [d.max(), -d.min()]
+    return np.max(worst)
+
+
 def spd_inverse(h: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via Cholesky (LAPACK
     potrf, then potri on the factor).
@@ -33,8 +45,7 @@ def spd_inverse(h: np.ndarray) -> np.ndarray:
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
         raise ShapeError(f"spd_inverse needs a non-empty square matrix, got {h.shape}")
-    diff = h - h.T
-    asym = max(diff.max(), -diff.min())
+    asym = _max_asymmetry(h)
     if asym > 1e-9 * max(1.0, h.max(), -h.min()):
         raise ShapeError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     # h is symmetric, so h.T is the same matrix stored column-major: potrf

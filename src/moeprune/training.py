@@ -52,23 +52,24 @@ def train_model(
     model: MoEModel, corpus: bytes | str, cfg: TrainConfig
 ) -> tuple[MoEModel, list[dict]]:
     """Adam + cosine CE training on randomly offset windows. Deterministic per
-    seed. Aborts (NumericalError naming the step) on a non-finite loss or a
-    step that overflows."""
+    seed. Trains `model` in place (no copy of the weights) and returns it with
+    the step log; a step holds the weights, Adam's two moments, the gradients
+    and the forward's activations. Aborts (NumericalError naming the step) on
+    a non-finite loss or a step that overflows, leaving the model part-trained."""
     toks = corpus_tokens(corpus)
     seq_len = model.config.seq_len
     if toks.size < seq_len + 1:
         raise InputError(f"corpus has {toks.size} tokens; need more than seq_len={seq_len}")
-    out = model.copy()
     if cfg.steps == 0:
-        return out, []
+        return model, []
     rng = SeededRng(cfg.seed)
-    opt = Adam(out.params)
+    opt = Adam(model.params)
     log = []
     for step in range(cfg.steps):
         offsets = np.asarray(rng.integers(0, toks.size - seq_len + 1, size=cfg.batch_size))
         batch = [toks[o : o + seq_len] for o in offsets]
         with finite_step("training", step):
-            loss, leaves, tape = batch_ce_graph(out, batch)
+            loss, leaves, tape = batch_ce_graph(model, batch)
             value = float(loss.value[0, 0])
             if not math.isfinite(value):
                 raise NumericalError(f"non-finite training loss at step {step}: {value}")
@@ -76,7 +77,7 @@ def train_model(
             lr = cosine_lr(step, cfg.steps, cfg.learning_rate)
             opt.step({n: v.grad for n, v in leaves.items()}, lr)
         log.append({"step": step, "lr": lr, "loss": value})
-    return out, log
+    return model, log
 
 
 def evaluate_perplexity(model: MoEModel, corpus: bytes | str) -> tuple[float, int]:

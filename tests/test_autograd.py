@@ -254,6 +254,10 @@ OP_CASES = {
     "elementwise-multiply": lambda t, x: _to_scalar(t, ag.mul(x, t.var(OTHER))),
     "mul_column_broadcast": lambda t, x: _to_scalar(t, ag.mul(x, t.var(COL))),
     "silu": lambda t, x: _to_scalar(t, ag.silu(x)),
+    "swiglu_x": lambda t, x: _to_scalar(t, ag.swiglu(x, t.var(OTHER), t.var(QK[0]))),
+    "swiglu_gate": lambda t, x: _to_scalar(t, ag.swiglu(t.var(OTHER), x, t.var(QK[0]))),
+    "swiglu_up": lambda t, x: _to_scalar(t, ag.swiglu(t.var(OTHER), t.var(QK[0]), x)),
+    "swiglu_shared": lambda t, x: _to_scalar(t, ag.swiglu(x, x, x)),
     "row_softmax_masked": lambda t, x: _to_scalar(t, ag.row_softmax(x, mask=KEEP)),
     "rmsnorm": lambda t, x: _to_scalar(t, ag.rmsnorm(x)),
     "embedding-gather": lambda t, x: _to_scalar(t, ag.gather_rows(x, IDX)),

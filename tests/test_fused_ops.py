@@ -6,15 +6,18 @@ equal bit for bit, not merely close.
 """
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from moeprune import autograd as ag
 from moeprune.errors import InputError, ShapeError
+from moeprune.model import forward_pass, make_param_vars
 from moeprune.numerics import SeededRng
 
 import oracles
+from conftest import TINY
 
 
 def attention_oracle(q, k, v, g, batch, n_heads):
@@ -160,6 +163,67 @@ class TestSilu:
         want_value, want_grad = silu_oracle(x, g)
         assert np.array_equal(out.value, want_value)
         assert np.array_equal(xv.grad, want_grad)
+
+
+def swiglu_chain(x, w_gate, w_up):
+    """The four-node chain ag.swiglu replaced."""
+    return ag.mul(ag.silu(ag.matmul(x, w_gate)), ag.matmul(x, w_up))
+
+
+class TestSwiglu:
+    @pytest.mark.parametrize("case", ["rows", "one-row", "clipped", "x-shared", "weights-shared"])
+    def test_value_and_gradients_match_chain(self, case):
+        rng = SeededRng(len(case))
+        n = 1 if case == "one-row" else 5
+        x = rng.normal_matrix(n, 6)
+        w_gate = rng.normal_matrix(6, 8, std=40.0 if case == "clipped" else 1.0)
+        w_up = rng.normal_matrix(6, 8)
+        other, target = rng.normal_matrix(6, 3), rng.normal_matrix(n, 8)
+        if case == "clipped":
+            assert (np.abs(x @ w_gate) > 60.0).any() and (x @ w_gate < -60.0).any()
+        results = []
+        for op in (ag.swiglu, swiglu_chain):
+            t = ag.Tape()
+            xv, gv = t.var(x), t.var(w_gate)
+            uv = gv if case == "weights-shared" else t.var(w_up)
+            if case == "x-shared":  # x also feeds ops on both sides of the op
+                before = ag.matmul(xv, t.var(other))  # backward reaches it last
+            out = op(xv, gv, uv)
+            loss = ag.mse(out, t.const(target))
+            if case == "x-shared":
+                after = ag.scale(xv, 0.5)  # backward reaches it first
+                loss = ag.add(ag.add(loss, ag.mse(before, t.const(np.zeros((n, 3))))),
+                              ag.mse(after, t.const(x)))
+            t.backward(loss)
+            results.append((out.value, xv.grad, gv.grad, uv.grad))
+        for fused, chain in zip(*results):
+            assert np.array_equal(fused, chain)
+
+    def test_keeps_two_arrays(self):
+        rng = SeededRng(8)
+        t = ag.Tape()
+        ag.swiglu(*(t.var(rng.normal_matrix(r, c)) for r, c in ((5, 6), (6, 8), (6, 8))))
+        (_, bwd), = t.nodes
+        kept = [c.cell_contents for c in bwd.__closure__]
+        assert sum(isinstance(v, np.ndarray) and v.shape == (5, 8) for v in kept) == 2
+
+    def test_training_forward_records_one_node_per_expert_call(self, tiny_model):
+        tape = ag.Tape()
+        _, pv = make_param_vars(tiny_model, tape)
+        tokens = np.asarray(SeededRng(9).integers(0, 256, size=(3, TINY.seq_len)))
+        tr = forward_pass(tiny_model, tokens, pv)
+        kinds = Counter(bwd.__qualname__.split(".")[0] for _, bwd in tape.nodes)
+        calls = sum(rows.size > 0 for layer in tr.layers for rows in layer.expert_tokens.values())
+        assert calls > TINY.n_layers and kinds["swiglu"] == calls
+        assert kinds["silu"] == kinds["mul"] == 0
+        # four attention projections and the router per layer, w_down per
+        # expert call, and the head
+        assert kinds["matmul"] == 5 * TINY.n_layers + calls + 1
+
+    def test_shape_mismatch(self):
+        t = ag.Tape()
+        with pytest.raises(ShapeError, match="swiglu"):
+            ag.swiglu(t.var(np.zeros((2, 3))), t.var(np.zeros((3, 4))), t.var(np.zeros((3, 5))))
 
 
 class TestGatherRowsBackward:

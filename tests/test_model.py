@@ -387,18 +387,23 @@ class TestBatchedForward:
     def test_stopped_forward_runs_no_head_and_no_last_w_down(self, tiny_model, monkeypatch,
                                                              until):
         operands, combines = [], []
-        matmul, moe_combine = moeprune.autograd.matmul, moeprune.autograd.moe_combine
+        matmul, swiglu, moe_combine = ag.matmul, ag.swiglu, ag.moe_combine
 
         def recording_matmul(a, b):
             operands.append(b.value)
             return matmul(a, b)
 
+        def recording_swiglu(x, w_gate, w_up):
+            operands.extend((w_gate.value, w_up.value))
+            return swiglu(x, w_gate, w_up)
+
         def counting_combine(*args):
             combines.append(1)
             return moe_combine(*args)
 
-        monkeypatch.setattr(moeprune.autograd, "matmul", recording_matmul)
-        monkeypatch.setattr(moeprune.autograd, "moe_combine", counting_combine)
+        monkeypatch.setattr(ag, "matmul", recording_matmul)
+        monkeypatch.setattr(ag, "swiglu", recording_swiglu)
+        monkeypatch.setattr(ag, "moe_combine", counting_combine)
         last = TINY.n_layers - 1
         toks = self.batch()
         res = model_forward(tiny_model, toks, stop=(last, until))

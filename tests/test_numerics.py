@@ -97,6 +97,32 @@ class TestSpdInverse:
         with pytest.raises(ShapeError, match="symmetric"):
             spd_inverse(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @staticmethod
+    def spd(n: int) -> np.ndarray:
+        a = SeededRng(n).normal_matrix(n + 3, n)
+        return a.T @ a + np.eye(n)
+
+    @pytest.mark.parametrize("i,j", [(0, 150), (150, 0), (197, 199), (199, 198)],
+                             ids=["first-row", "first-column", "last-strip", "last-strip-lower"])
+    def test_asymmetry_found_in_any_strip(self, i, j):
+        # 200 rows span four 64-row strips; the full h - h.T is the oracle
+        h = self.spd(200)
+        h[i, j] += 1e-3
+        d = h - h.T
+        want = max(d.max(), -d.min())
+        with pytest.raises(ShapeError, match=f"not symmetric .max asymmetry {want:.3e}.$"):
+            spd_inverse(h)
+
+    def test_asymmetry_at_the_tolerance(self):
+        h = self.spd(200)
+        tol = 1e-9 * max(1.0, h.max(), -h.min())
+        inside, outside = h.copy(), h.copy()
+        inside[199, 0] = h[0, 199] + 0.9 * tol
+        outside[199, 0] = h[0, 199] + 1.1 * tol
+        assert np.isfinite(spd_inverse(inside)).all()
+        with pytest.raises(ShapeError, match="symmetric"):
+            spd_inverse(outside)
+
     def test_residual_on_random_spd(self):
         rng = SeededRng(7)
         for i in range(100):
