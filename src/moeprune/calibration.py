@@ -1,14 +1,14 @@
-"""Calibration statistics: gate-scaled input norms, plain input norms and
-Hessians (X^T X), streamed over a token sample; and the dispatch counts that
-load-balance analysis scores.
+"""Calibration statistics: gate-scaled input norms and Hessians (X^T X),
+streamed over a token sample; and the dispatch counts that load-balance
+analysis scores.
 
 Every statistic belongs to an expert input, so collect returns one
 InputStats record per (layer, expert, input), naming the weights that read
 it (EXPERT_INPUTS): w_gate and w_up read the MoE-layer input restricted to
 the tokens routed to that expert; w_down reads the SwiGLU intermediate. A
 record holds the gate-scaled norms, which weight each token's features by
-that token's normalized gate before squaring, the plain norms, the (always
-unscaled) X^T X and the token count.
+that token's normalized gate before squaring, the (always unscaled) X^T X
+and the token count. The plain norms ||X_j|| are sqrt(diag(X^T X)).
 """
 
 from __future__ import annotations
@@ -99,10 +99,9 @@ class ScaledNormAccumulator:
     def empty(cls, d_in: int) -> "ScaledNormAccumulator":
         return cls(sum_sq=np.zeros(d_in))
 
-    def add(self, x: np.ndarray, gates: np.ndarray | None = None) -> None:
-        """Add the routed inputs x, each row scaled by its gate; without gates
-        the plain x^2 (equal, bit for bit, to gates of ones)."""
-        scaled = x if gates is None else x * gates[:, None]
+    def add(self, x: np.ndarray, gates: np.ndarray) -> None:
+        """Add the routed inputs x, each row scaled by its gate."""
+        scaled = x * gates[:, None]
         self.sum_sq += (scaled * scaled).sum(axis=0)
 
     def norms(self) -> np.ndarray:
@@ -130,18 +129,16 @@ EXPERT_INPUTS = (("w_gate", "w_up"), ("w_down",))
 @dataclass
 class InputStats:
     """What calibration saw of one expert input: the weights that read it,
-    its gate-scaled and plain norms, its X^T X, and how many tokens."""
+    its gate-scaled norms, its X^T X, and how many tokens."""
 
     weights: tuple[str, ...]
     scaled: ScaledNormAccumulator
-    unscaled: ScaledNormAccumulator
     hessian: HessianAccumulator
     tokens_seen: int = 0
 
     @classmethod
     def empty(cls, weights: tuple[str, ...], d_in: int) -> "InputStats":
-        return cls(weights, ScaledNormAccumulator.empty(d_in), ScaledNormAccumulator.empty(d_in),
-                   HessianAccumulator.empty(d_in))
+        return cls(weights, ScaledNormAccumulator.empty(d_in), HessianAccumulator.empty(d_in))
 
     def add(self, x: np.ndarray, gates: np.ndarray) -> None:
         """Add the routed inputs x (tokens, d_in) with their gates."""
@@ -149,7 +146,6 @@ class InputStats:
             raise ShapeError(f"{self.weights[0]}: input width {x.shape[1]} != "
                              f"{self.scaled.sum_sq.size}")
         self.scaled.add(x, gates)
-        self.unscaled.add(x)
         self.hessian.add(x)
         self.tokens_seen += x.shape[0]
 
@@ -192,8 +188,8 @@ def accumulate_layer(records: LayerStats, layer: LayerTrace) -> None:
 
 
 def collect(model: MoEModel, cal: CalibrationSet) -> CalibrationStats:
-    """The statistics pruning reads, per expert input: gate-scaled and plain
-    input norms and X^T X. One streaming pass over the calibration set, in
+    """The statistics pruning reads, per expert input: gate-scaled input
+    norms and X^T X. One streaming pass over the calibration set, in
     fixed sequence order and batches of windows; each forward stops after the
     last layer's expert intermediates, the last input any statistic reads.
     Dispatch counts are not gathered here (see count_dispatch)."""

@@ -7,8 +7,8 @@ teacher's router dispatched to expert i, with each model using its own hidden
 state at that layer. The frozen teacher is forwarded once over all windows
 before the first step; each step reads its batch's dispatch and expert
 outputs from that pass. Sparsity masks are enforced inside the graph
-(masked-assign) and re-zeroed after each optimizer step, so pruned weights
-stay exactly zero.
+(masked-assign): a pruned weight's gradient is +-0, so Adam's moments and
+step stay +0 there and the weight keeps its exact zero.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .numerics import SeededRng
 from .optim import Adam, cosine_lr, finite_step
 from .persistence import nonzero_where_pruned
 
-__all__ = ["KDConfig", "KDLossBreakdown", "distill"]
+__all__ = ["KDConfig", "distill"]
 
 
 @dataclass(frozen=True)
@@ -48,24 +48,6 @@ class KDConfig(Section):
     samples: int = 1000
     seed: int = 0
     router_frozen: bool = True
-
-
-@dataclass
-class KDLossBreakdown:
-    l_ce: float
-    l_expert: float
-    lam: float
-    total: float
-
-    def to_dict(self) -> dict:
-        return {"l_ce": self.l_ce, "l_expert": self.l_expert,
-                "lambda": self.lam, "total": self.total}
-
-
-def _check_same_architecture(teacher: MoEModel, student: MoEModel) -> None:
-    diff = teacher.config.architecture_diff(student.config)
-    if diff:
-        raise ContractError(f"teacher/student architecture mismatch on {diff}")
 
 
 TeacherTargets = tuple[list[dict[int, np.ndarray]], list[dict[int, np.ndarray]]]
@@ -111,7 +93,8 @@ def _kd_graph(
 ):
     """Build the differentiable KD loss for one batch.
 
-    Returns (total Var, breakdown, student leaf Vars, tape). targets are the
+    Returns (total Var, the step's losses {l_ce, l_expert, lambda, total},
+    student leaf Vars, tape). targets are the
     teacher's forced rows and expert outputs for this batch (_batch_targets).
     One student forward runs on the tape over the whole batch; each (layer,
     expert) contributes one MSE over the rows the teacher routed to it
@@ -139,13 +122,9 @@ def _kd_graph(
                           RuntimeWarning, stacklevel=3)
         lam = float(l_ce.value[0, 0]) / l_e if l_e else 1.0
     total = ag.add(l_ce, ag.scale(l_expert, lam))
-    breakdown = KDLossBreakdown(
-        l_ce=float(l_ce.value[0, 0]),
-        l_expert=float(l_expert.value[0, 0]),
-        lam=float(lam),
-        total=float(total.value[0, 0]),
-    )
-    return total, breakdown, leaves, tape
+    losses = {"l_ce": float(l_ce.value[0, 0]), "l_expert": float(l_expert.value[0, 0]),
+              "lambda": float(lam), "total": float(total.value[0, 0])}
+    return total, losses, leaves, tape
 
 
 @dataclass
@@ -168,14 +147,16 @@ def distill(
     cfg.router_frozen is False. The log holds one record per step:
     {step, lr, l_ce, l_expert, lambda, total}.
     """
-    _check_same_architecture(teacher, student)
+    diff = teacher.config.architecture_diff(student.config)
+    if diff:
+        raise ContractError(f"teacher/student architecture mismatch on {diff}")
     out = student.copy()
     for name, m in masks.items():
         if name not in out.params:
             raise ContractError(f"mask targets unknown parameter {name!r}")
         if nonzero_where_pruned(out.params[name], m):
             raise ContractError(f"student weights at {name!r} are nonzero under the mask")
-    # as float64 once: every step's masked-assign and re-zeroing multiply by them
+    # as float64 once: every step's masked-assign multiplies by them
     masks = {name: m.astype(np.float64) for name, m in masks.items()}
 
     cal = build_calibration_set(corpus, cfg.samples, out.config.seq_len, cfg.seed)
@@ -202,17 +183,15 @@ def distill(
             batch = [cal.sequences[j] for j in picks]
             with finite_step("KD", step):
                 # an "auto" lambda comes from the first batch (masked weights are zero)
-                total, breakdown, leaves, tape = _kd_graph(
+                total, losses, leaves, tape = _kd_graph(
                     out, batch, lam, masks, _batch_targets(cache, picks, T))
-                lam = breakdown.lam
-                if not np.isfinite(breakdown.total):
-                    raise NumericalError(f"non-finite KD loss at step {step}: {breakdown.total}")
+                lam = losses["lambda"]
+                if not np.isfinite(losses["total"]):
+                    raise NumericalError(f"non-finite KD loss at step {step}: {losses['total']}")
                 tape.backward(total)
                 lr = cosine_lr(step, total_steps, cfg.learning_rate)
                 opt.step({n: leaves[n].grad for n in trainable}, lr)
-                for name, m in masks.items():
-                    out.params[name] *= m
-            result.log.append({"step": step, "lr": lr, **breakdown.to_dict()})
+            result.log.append({"step": step, "lr": lr, **losses})
             step += 1
     result.lam = lam if lam is not None else 1.0
     return result

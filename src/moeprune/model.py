@@ -89,32 +89,18 @@ class GateMatrix:
             raise NumericalError("gate rows must sum to 1")
 
 
-def _canonical_param_names(cfg: ModelConfig) -> list[str]:
-    names = ["token_embedding"]
+def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Every parameter's shape, by name, in canonical order."""
+    d, f = cfg.d_model, cfg.d_ff
+    shapes = {"token_embedding": (cfg.vocab_size, d)}
     for i in range(cfg.n_layers):
-        names += [f"layers.{i}.attn.wq", f"layers.{i}.attn.wk",
-                  f"layers.{i}.attn.wv", f"layers.{i}.attn.wo",
-                  f"layers.{i}.router"]
+        shapes |= {f"layers.{i}.attn.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")}
+        shapes[f"layers.{i}.router"] = (d, cfg.n_experts)
         for e in range(cfg.n_experts):
-            names += [f"layers.{i}.experts.{e}.w_gate",
-                      f"layers.{i}.experts.{e}.w_up",
-                      f"layers.{i}.experts.{e}.w_down"]
-    names.append("lm_head")
-    return names
-
-
-def _param_shape(name: str, cfg: ModelConfig) -> tuple[int, int]:
-    if name == "token_embedding":
-        return (cfg.vocab_size, cfg.d_model)
-    if name == "lm_head":
-        return (cfg.d_model, cfg.vocab_size)
-    if name.endswith(".router"):
-        return (cfg.d_model, cfg.n_experts)
-    if ".attn." in name:
-        return (cfg.d_model, cfg.d_model)
-    if name.endswith(".w_down"):
-        return (cfg.d_ff, cfg.d_model)
-    return (cfg.d_model, cfg.d_ff)  # w_gate / w_up
+            base = f"layers.{i}.experts.{e}"
+            shapes |= {f"{base}.w_gate": (d, f), f"{base}.w_up": (d, f), f"{base}.w_down": (f, d)}
+    shapes["lm_head"] = (d, cfg.vocab_size)
+    return shapes
 
 
 class MoEModel:
@@ -122,12 +108,11 @@ class MoEModel:
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
-        expected = _canonical_param_names(config)
+        expected = _param_shapes(config)
         missing = [n for n in expected if n not in params]
         if missing:
             raise ShapeError(f"missing parameters: {missing[:3]}...")
-        for name in expected:
-            shape = _param_shape(name, config)
+        for name, shape in expected.items():
             if params[name].shape != shape:
                 raise ShapeError(f"parameter {name} has shape {params[name].shape}, expected {shape}")
         self.params = {n: np.ascontiguousarray(params[n], dtype=np.float64) for n in expected}
@@ -138,8 +123,7 @@ class MoEModel:
         order. upcycle=True clones expert 0 across each layer."""
         rng = SeededRng(config.seed)
         params: dict[str, np.ndarray] = {}
-        for name in _canonical_param_names(config):
-            r, c = _param_shape(name, config)
+        for name, (r, c) in _param_shapes(config).items():
             params[name] = rng.normal_matrix(r, c, INIT_STD)
         if upcycle:
             for i in range(config.n_layers):
@@ -150,7 +134,7 @@ class MoEModel:
         return cls(config, params)
 
     def param_names(self) -> list[str]:
-        return _canonical_param_names(self.config)
+        return list(_param_shapes(self.config))
 
     def expert_param_names(self) -> list[str]:
         return [n for n in self.param_names() if ".experts." in n]

@@ -160,6 +160,8 @@ def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
         raise FormatError(f"cannot read {mpath}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{mpath}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{mpath}: manifest root is not a JSON object")
 
     version = manifest.get("format_version")
     if version != CHECKPOINT_VERSION:
@@ -181,11 +183,11 @@ def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
 
     masks = None
     if "masks" in manifest:
-        mask_blob = _read_file(d / "masks.bin", int(manifest["masks_crc32"]))
         try:
+            mask_blob = _read_file(d / "masks.bin", int(manifest["masks_crc32"]))
             masks = {name: _read_mask(name, entry, mask_blob, model)
                      for name, entry in manifest["masks"].items()}
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{mpath}: malformed mask index: {exc}") from exc
     return model, masks
 

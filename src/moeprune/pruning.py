@@ -12,7 +12,8 @@ H^-1, and the live experts of a layer, in groups of at most STACK_BYTES.
 
 prune_model walks calibration's per-input records (InputStats): each names
 the weights that read its input, and every weight is scored, masked,
-updated and reported from its input's record.
+updated and reported from its input's record. One path prunes a group of
+inputs of one kind for every method; only sparsegpt adds a step, the OBS update.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def _norm_scores(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 
 def score_wanda(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """S_ij = |W_ij| * ||X_j|| with norms over unscaled calibration inputs."""
+    """S_ij = |W_ij| * ||X_j|| with norms over unscaled calibration inputs:
+    sqrt(diag(X^T X)) of an InputStats record's Hessian."""
     return _norm_scores(w, norms)
 
 
@@ -296,56 +298,47 @@ def _report_row(name: str, method: str, keep: np.ndarray, tokens_seen: int,
     }
 
 
-def _zero_target(pruned: MoEModel, name: str, method: str, target: SparsityTarget,
-                 rec: InputStats) -> tuple[np.ndarray, dict]:
-    """Prune one weight, which reads `rec`'s input, with no update: magnitude,
-    wanda, moe-pruner, and sparsegpt's fallback for an expert whose input saw
-    no token."""
-    wp = pruned.params[name].T.copy()  # (out, in) pruning orientation
-    if method == "wanda":
-        scores = score_wanda(wp, rec.unscaled.norms())
-    elif method == "moe-pruner":
-        scores = score_moe_pruner(wp, rec.scaled.norms())
-    else:
-        scores = score_magnitude(wp)
-    if method == "sparsegpt":
-        # the all-zero Hessian cannot be inverted even with dampening
-        method = "sparsegpt(magnitude-fallback:no-tokens)"
-    keep = select_mask(scores, target)
-    zeroed = wp * keep
-    error = _hessian_error(wp - zeroed, rec)
-    pruned.params[name] = np.ascontiguousarray(zeroed.T)
-    return (np.ascontiguousarray(keep.T),
-            _report_row(name, method, keep, rec.tokens_seen, error, error))
-
-
-def _sparsegpt_stack(pruned: MoEModel, group: list[InputStats],
-                     target: SparsityTarget) -> dict[str, tuple[np.ndarray, dict]]:
-    """sparsegpt on the weights that read each input of `group` (inputs of
-    one kind, each of which saw tokens): one H'^-1 per input, masks from its
-    scores, then one OBS update over the stack of them all."""
+def _prune_group(pruned: MoEModel, method: str, target: SparsityTarget,
+                 group: list[InputStats]) -> dict[str, tuple[np.ndarray, dict]]:
+    """Prune the weights that read each input of `group` (inputs of one
+    kind): masks from each weight's scores, then sparsegpt's one OBS update
+    over the stack of them all, with one H'^-1 per input; the other methods
+    zero the pruned weights. sparsegpt on inputs that saw no token, whose
+    all-zero Hessian no dampening makes invertible, is magnitude relabelled."""
+    label = method
+    if method == "sparsegpt" and not group[0].tokens_seen:
+        method, label = "magnitude", "sparsegpt(magnitude-fallback:no-tokens)"
     d_in, d_out = pruned.params[group[0].weights[0]].shape
     w = np.empty((len(group), len(group[0].weights), d_in, d_out))
     stored = np.empty(w.shape, dtype=np.uint8)
-    h_inv = np.empty((len(group), 1, d_in, d_in))
+    h_inv = np.empty((len(group), 1, d_in, d_in)) if method == "sparsegpt" else None
     rows = {}
     for j, rec in enumerate(group):
-        h_inv[j, 0] = damped_inverse(rec.hessian.h)
+        if h_inv is not None:
+            h_inv[j, 0] = damped_inverse(rec.hessian.h)
         for p, name in enumerate(rec.weights):
             w[j, p] = pruned.params[name]
             wp = w[j, p].T.copy()  # (out, in) pruning orientation
-            keep = select_mask(score_sparsegpt(wp, h_inv[j, 0]), target)
+            if method == "wanda":
+                scores = score_wanda(wp, np.sqrt(np.diagonal(rec.hessian.h)))
+            elif method == "moe-pruner":
+                scores = score_moe_pruner(wp, rec.scaled.norms())
+            elif h_inv is not None:
+                scores = score_sparsegpt(wp, h_inv[j, 0])
+            else:
+                scores = score_magnitude(wp)
+            keep = select_mask(scores, target)
             stored[j, p] = keep.T
             rows[name] = (keep, _hessian_error(wp - wp * keep, rec))
-    out = obs_update(w, stored, h_inv)
+    out = w * stored if h_inv is None else obs_update(w, stored, h_inv)
     done = {}
     for j, rec in enumerate(group):
         for p, name in enumerate(rec.weights):
             keep, before = rows[name]
-            after = _hessian_error((w[j, p] - out[j, p]).T, rec)
+            after = before if h_inv is None else _hessian_error((w[j, p] - out[j, p]).T, rec)
             pruned.params[name] = out[j, p]
-            done[name] = (stored[j, p], _report_row(name, "sparsegpt", keep,
-                                                    rec.tokens_seen, before, after))
+            done[name] = (stored[j, p], _report_row(name, label, keep, rec.tokens_seen,
+                                                    before, after))
     return done
 
 
@@ -356,19 +349,13 @@ def _prune_layer(pruned: MoEModel, method: str, target: SparsityTarget,
     weights and the report rows, both in parameter order."""
     done: dict[str, tuple[np.ndarray, dict]] = {}
     for inputs in zip(*records):  # one kind of input, over the layer's experts
-        stack = []
-        for rec in inputs:
-            if method == "sparsegpt" and rec.tokens_seen:
-                stack.append(rec)
-                continue
-            for name in rec.weights:
-                done[name] = _zero_target(pruned, name, method, target, rec)
-        if stack:
-            names = stack[0].weights
-            d_in, d_out = pruned.params[names[0]].shape
-            per = max(1, STACK_BYTES // (8 * d_in * (d_in + 2 * len(names) * d_out)))
-            for g in range(0, len(stack), per):
-                done.update(_sparsegpt_stack(pruned, stack[g : g + per], target))
+        names = inputs[0].weights
+        d_in, d_out = pruned.params[names[0]].shape
+        per = max(1, STACK_BYTES // (8 * d_in * (d_in + 2 * len(names) * d_out)))
+        for seen in (True, False):
+            group = [rec for rec in inputs if bool(rec.tokens_seen) == seen]
+            for g in range(0, len(group), per):
+                done.update(_prune_group(pruned, method, target, group[g : g + per]))
     order = [name for expert in records for rec in expert for name in rec.weights]
     return {name: done[name][0] for name in order}, [done[name][1] for name in order]
 

@@ -239,8 +239,8 @@ class Adam:
 
 def full_forward_stats(model: MoEModel, sequences, mode: str = "argmax") -> dict:
     """Calibration statistics from forwards that run to the logits: per
-    expert input, the sums of squared gate-scaled and (gates of ones) plain
-    routed inputs, X^T X and the token count, plus the dispatch counts, summed
+    expert input, the sums of squared gate-scaled and plain routed inputs,
+    X^T X and the token count, plus the dispatch counts, summed
     batch by batch over the windows in order. Argmax counts take the argmax
     of each token's full router softmax; topk counts take its k largest
     router logits, lowest index first among equals."""
@@ -262,11 +262,11 @@ def full_forward_stats(model: MoEModel, sequences, mode: str = "argmax") -> dict
                 g = lt.gates.values[idx, e]
                 for part, x in (("w_gate", lt.moe_input[idx]), ("w_down", lt.expert_hidden[e])):
                     s = out.setdefault(f"layers.{i}.experts.{e}.{part}", {
-                        "scaled": np.zeros(x.shape[1]), "unscaled": np.zeros(x.shape[1]),
+                        "scaled": np.zeros(x.shape[1]), "plain": np.zeros(x.shape[1]),
                         "h": np.zeros((x.shape[1], x.shape[1])), "tokens": 0})
-                    scaled, plain = x * g[:, None], x * np.ones(idx.size)[:, None]
+                    scaled = x * g[:, None]
                     s["scaled"] += (scaled * scaled).sum(axis=0)
-                    s["unscaled"] += (plain * plain).sum(axis=0)
+                    s["plain"] += (x * x).sum(axis=0)
                     s["h"] += x.T @ x
                     s["tokens"] += idx.size
     return out
@@ -279,18 +279,17 @@ def teacher_targets(teacher: MoEModel, batch) -> distill.TeacherTargets:
                                   range(len(batch)), len(batch[0]))
 
 
-def kd_loss(teacher: MoEModel, student: MoEModel, batch, lam: float,
-            masks=None) -> distill.KDLossBreakdown:
-    """The KD loss on one batch, with no parameter update."""
-    distill._check_same_architecture(teacher, student)
+def kd_loss(teacher: MoEModel, student: MoEModel, batch, lam: float, masks=None) -> dict:
+    """The KD losses {l_ce, l_expert, lambda, total} on one batch, with no
+    parameter update."""
     return distill._kd_graph(student, batch, lam, masks, teacher_targets(teacher, batch))[1]
 
 
 def init_lambda(teacher: MoEModel, student: MoEModel, batch) -> float:
     """lambda = l_ce / l_expert measured once on the probe batch; an identical
     student (l_expert == 0) falls back to 1 with a warning."""
-    distill._check_same_architecture(teacher, student)
-    return distill._kd_graph(student, batch, None, None, teacher_targets(teacher, batch))[1].lam
+    return distill._kd_graph(student, batch, None, None,
+                             teacher_targets(teacher, batch))[1]["lambda"]
 
 
 def prune_recompute(model: MoEModel, stats, method: str, target):
@@ -357,7 +356,7 @@ def prune_per_target(model: MoEModel, stats, method: str, target, propagate: str
                 wp = pruned.params[name].T.copy()
                 used, h_inv = method, None
                 if method == "wanda":
-                    scores = pruning.score_wanda(wp, rec.unscaled.norms())
+                    scores = pruning.score_wanda(wp, np.sqrt(np.diagonal(rec.hessian.h)))
                 elif method == "moe-pruner":
                     scores = pruning.score_moe_pruner(wp, rec.scaled.norms())
                 elif method == "sparsegpt" and rec.tokens_seen:

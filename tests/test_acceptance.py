@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from moeprune.calibration import (
+    HessianAccumulator,
     ScaledNormAccumulator,
     build_calibration_set,
     collect,
@@ -56,10 +57,10 @@ def test_criterion_1_degeneration_equivalences():
 
         scaled = ScaledNormAccumulator.empty(16)
         scaled.add(x, ones)                       # unit gates
-        unscaled = ScaledNormAccumulator.empty(16)
-        unscaled.add(x, ones)
+        hessian = HessianAccumulator.empty(16)    # Wanda's norms: sqrt(diag(X^T X))
+        hessian.add(x)
         m_moe = select_mask(score_moe_pruner(w, scaled.norms()), HALF)
-        m_wanda = select_mask(score_wanda(w, unscaled.norms()), HALF)
+        m_wanda = select_mask(score_wanda(w, np.sqrt(np.diagonal(hessian.h))), HALF)
         assert np.array_equal(m_moe, m_wanda)
 
         m_unit = select_mask(score_wanda(w, np.ones(16)), HALF)   # unit norms
@@ -205,9 +206,9 @@ def test_criterion_6_kd_gradient_fidelity():
             ij = it.multi_index
             orig = p[ij]
             p[ij] = orig + eps
-            up = kd_loss(teacher, student, cal, lam, masks).total
+            up = kd_loss(teacher, student, cal, lam, masks)["total"]
             p[ij] = orig - eps
-            down = kd_loss(teacher, student, cal, lam, masks).total
+            down = kd_loss(teacher, student, cal, lam, masks)["total"]
             p[ij] = orig
             numeric = (up - down) / (2 * eps)
             worst = max(worst, abs(analytic[ij] - numeric) / max(1.0, abs(analytic[ij])))
@@ -252,7 +253,7 @@ def test_criterion_8_lambda_initialization():
 
     lam = init_lambda(teacher, student, batch)
     probe = kd_loss(teacher, student, batch, lam=1.0)
-    assert lam == pytest.approx(probe.l_ce / probe.l_expert, rel=1e-12)
+    assert lam == pytest.approx(probe["l_ce"] / probe["l_expert"], rel=1e-12)
 
     with pytest.warns(RuntimeWarning):
         fallback = init_lambda(teacher, teacher.copy(), batch)

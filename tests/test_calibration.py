@@ -80,7 +80,7 @@ class TestAccumulator:
         rec = InputStats.empty(("layers.0.experts.0.w_gate",), 2)
         rec.add(np.array([[1.0, 2.0]]), np.array([0.5]))
         assert np.array_equal(rec.scaled.sum_sq, [0.25, 1.0])  # (1*0.5)^2, (2*0.5)^2
-        assert np.array_equal(rec.unscaled.sum_sq, [1.0, 4.0])
+        assert np.array_equal(np.diagonal(rec.hessian.h), [1.0, 4.0])  # plain 1^2, 2^2
         assert np.array_equal(rec.hessian.h, [[1.0, 2.0], [2.0, 4.0]])
         assert rec.tokens_seen == 1
 
@@ -126,19 +126,22 @@ class TestCollect:
         assert len(seen) == len(set(seen))
         # and no accumulator is shared between records
         accs = [id(a) for layer in stats.layers for expert in layer for rec in expert
-                for a in (rec.scaled, rec.unscaled, rec.hessian)]
+                for a in (rec.scaled, rec.hessian)]
         assert len(accs) == len(set(accs))
 
     def test_top1_scaled_norms_equal_plain_norms(self, corpus):
-        # gates of exactly 1.0 make the scaled statistic the plain one, bit for bit
+        # gates of exactly 1.0 make the scaled statistic the plain one, bit for
+        # bit, and the plain one is X^T X's diagonal
         model = MoEModel.init(TOP1)
         cal = build_calibration_set(corpus, 4, TOP1.seq_len, seed=3)
         st = collect(model, cal)
+        want = full_forward_stats(model, cal.sequences)
         for lt in model_forward(model, np.stack(cal.sequences)).layers:
             assert (lt.gates.values.max(axis=1) == 1.0).all()
-        for rec in input_records(st).values():
+        for name, rec in input_records(st).items():
             assert rec.tokens_seen > 0
-            assert np.array_equal(rec.scaled.sum_sq, rec.unscaled.sum_sq)
+            assert np.array_equal(rec.scaled.sum_sq, want[name]["plain"])
+            assert np.abs(rec.scaled.sum_sq - np.diagonal(rec.hessian.h)).max() < 1e-10
 
     def test_hessian_equals_xtx_of_captured(self, stats, stacked_inputs):
         records = input_records(stats).values()
@@ -156,7 +159,7 @@ class TestCollect:
             for name in rec.weights:
                 x = stacked_inputs[name]
                 batch = np.sqrt((x * x).sum(axis=0))
-                assert np.abs(rec.unscaled.norms() - batch).max() < 1e-10
+                assert np.abs(np.sqrt(np.diagonal(rec.hessian.h)) - batch).max() < 1e-10
 
     def test_scaled_matches_batch_recomputation(self, tiny_model, corpus):
         cal = build_calibration_set(corpus, 4, 32, seed=7)
@@ -230,7 +233,6 @@ class TestCollectEqualsFullForwards:
                 assert rec.tokens_seen == 0 and not rec.hessian.h.any()
                 continue
             assert np.array_equal(rec.scaled.sum_sq, w["scaled"]), name
-            assert np.array_equal(rec.unscaled.sum_sq, w["unscaled"]), name
             assert np.array_equal(rec.hessian.h, w["h"]), name
             assert rec.tokens_seen == w["tokens"]
 

@@ -266,12 +266,15 @@ def test_non_finite_weight_at_load_is_numerical_error(workdir, tmp_path, capsys,
 
 
 def _move(name, offset):
-    def mutate(index):
+    def mutate(manifest):
+        index = manifest["tensors"]
         index[name]["byte_offset"] = offset(index)
+        return manifest
     return mutate
 
 
-# tensor index edits that leave tensors.bin and its CRC valid
+# manifest edits that leave tensors.bin, masks.bin and their CRCs valid: the
+# tensor index's ranges, then the manifest's root and the masks' CRC
 BAD_RANGES = {
     "negative": (_move("lm_head", lambda ix: -2 * ix["lm_head"]["byte_length"]), "lm_head"),
     "aliased": (_move("layers.0.attn.wk", lambda ix: ix["layers.0.attn.wq"]["byte_offset"]),
@@ -282,6 +285,11 @@ BAD_RANGES = {
     "string": (_move("lm_head", lambda ix: str(ix["lm_head"]["byte_offset"])), "lm_head"),
     "float": (_move("lm_head", lambda ix: float(ix["lm_head"]["byte_offset"])), "lm_head"),
     "past-end": (_move("lm_head", lambda ix: ix["lm_head"]["byte_offset"] + 8), "lm_head"),
+    "root-array": (lambda m: [m], "root is not a JSON object"),
+    "masks-without-crc": (lambda m: {k: v for k, v in m.items() if k != "masks_crc32"},
+                          "masks_crc32"),
+    "masks-crc-not-integer": (lambda m: {**m, "masks_crc32": [m["masks_crc32"]]},
+                              "malformed mask index"),
 }
 
 
@@ -290,10 +298,10 @@ def test_bad_tensor_range_is_format_error(workdir, tmp_path, capsys, case):
     mutate, named = BAD_RANGES[case]
     ckpt = tmp_path / "ckpt"
     model, _ = load_checkpoint(workdir / "init_ckpt")
-    save_checkpoint(model, ckpt)
+    save_checkpoint(model, ckpt, masks={n: np.ones(model.params[n].shape, dtype=np.uint8)
+                                        for n in model.expert_param_names()})
     manifest = json.loads((ckpt / "manifest.json").read_text())
-    mutate(manifest["tensors"])
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    (ckpt / "manifest.json").write_text(json.dumps(mutate(manifest)))
     capsys.readouterr()
     rc = run(["prune", "--ckpt", ckpt, "--sparsity", "0.5", "--calib", workdir / "corpus.txt",
               "--out", tmp_path / "never"])

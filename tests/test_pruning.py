@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from moeprune.calibration import (
     ScaledNormAccumulator,
     build_calibration_set,
     collect,
+    empty_layer,
 )
 from moeprune.errors import ConfigError, NumericalError, ShapeError
 from moeprune.model import ModelConfig, MoEModel, model_forward
@@ -644,6 +645,27 @@ class TestPruneModel:
         live = {t["name"].rsplit(".", 1)[0] for t in report.targets if t["method"] == "sparsegpt"}
         assert live and len(calls) == 2 * len(live)
         assert calls.count((TINY.d_model, TINY.d_model)) == len(live)
+
+    def test_idle_input_takes_labelled_magnitude_fallback(self, model_and_stats):
+        # no calibration token reached expert 1 of layer 0: sparsegpt cannot
+        # invert its all-zero Hessian, so it prunes it by magnitude, labelled
+        model, stats, _ = model_and_stats
+        idle = replace(stats, layers=[list(layer) for layer in stats.layers])
+        idle.layers[0][1] = empty_layer(TINY, 0)[1]
+        t = SparsityTarget.unstructured(0.5)
+        pruned, masks, report = prune_model(model, idle, "sparsegpt", t)
+        _, magnitude_masks, _ = prune_model(model, idle, "magnitude", t)
+        rows = {r["name"]: r for r in report.targets}
+        for name in rows:
+            fallback = name.startswith("layers.0.experts.1.")
+            assert rows[name]["method"] == ("sparsegpt(magnitude-fallback:no-tokens)"
+                                            if fallback else "sparsegpt")
+            if fallback:
+                assert rows[name]["tokens_seen"] == 0
+                assert rows[name]["recon_error_after_update"] == 0.0
+                assert masks[name].tobytes() == magnitude_masks[name].tobytes()
+                assert (pruned.params[name].tobytes()
+                        == (model.params[name] * masks[name]).tobytes())
 
     def test_shared_statistics_report_every_target(self, model_and_stats):
         model, stats, _ = model_and_stats
