@@ -41,15 +41,18 @@ class BalanceReport:
 def balance_score(f) -> float:
     """Coefficient of variation sigma/mu of dispatch counts, population
     (1/n) standard deviation. 0 = perfectly balanced, sqrt(n-1) = fully
-    concentrated."""
+    concentrated. Counts so large that the score overflows raise InputError."""
     f = np.asarray(f, dtype=np.float64).ravel()
     if f.size == 0 or (f < 0).any():
         raise InputError("frequencies must be a nonempty nonnegative vector")
-    mu = f.mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = f.mean()
+        score = np.sqrt(((f - mu) ** 2).mean()) / mu
     if mu == 0.0:
         raise InputError("all-zero frequency vector has no balance score")
-    sigma = np.sqrt(((f - mu) ** 2).mean())
-    return float(sigma / mu)
+    if not np.isfinite(score):
+        raise InputError("frequencies too large for a finite balance score")
+    return float(score)
 
 
 def _report_from_counts(counts: np.ndarray, name: str, mode: str) -> BalanceReport:

@@ -72,10 +72,6 @@ class Var:
         else:
             self._grad += g
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.value.shape
-
 
 class Tape:
     """Topologically ordered record of operations; backward visits each once."""

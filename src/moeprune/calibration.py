@@ -69,8 +69,6 @@ def nonoverlapping_windows(corpus: bytes | str, seq_len: int) -> list[np.ndarray
 @dataclass
 class CalibrationSet:
     sequences: list[np.ndarray]
-    nsamples: int
-    seed: int
 
 
 def build_calibration_set(corpus: bytes | str, nsamples: int, seq_len: int, seed: int) -> CalibrationSet:
@@ -86,7 +84,7 @@ def build_calibration_set(corpus: bytes | str, nsamples: int, seq_len: int, seed
     rng = SeededRng(seed)
     offsets = rng.integers(0, toks.size - seq_len + 1, size=nsamples)
     seqs = [toks[o : o + seq_len].copy() for o in np.asarray(offsets)]
-    return CalibrationSet(sequences=seqs, nsamples=nsamples, seed=seed)
+    return CalibrationSet(sequences=seqs)
 
 
 @dataclass

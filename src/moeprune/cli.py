@@ -9,7 +9,6 @@ numerical error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import warnings
@@ -20,7 +19,8 @@ from .analysis import analyze_model, ingest_frequencies
 from .calibration import CalibrationConfig, build_calibration_set, collect
 from .config import Section
 from .distill import KDConfig, distill
-from .errors import FormatError, InputError, MoePruneError, NumericalError, UsageError
+from .errors import (FormatError, InputError, MoePruneError, NumericalError, StorageError,
+                     UsageError)
 from .model import ModelConfig, MoEModel
 from .persistence import load_checkpoint, save_checkpoint
 from .pruning import METHODS, SparsityTarget, prune_model
@@ -54,16 +54,21 @@ def _section(cls: type[Section], file_cfg: dict, **flags) -> Section:
     return cls.from_dict(file_cfg.get(cls.SECTION, {}), **flags)
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise StorageError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for r in records:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
+    _write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
 def cmd_train(args) -> int:
@@ -198,6 +203,9 @@ def cmd_sweep(args) -> int:
         target = SparsityTarget.unstructured(args.sparsity)
         settings = [(v, replace(calib, nsamples=v), target)
                     for v in _sweep_list("--nsamples-list", args.nsamples_list, int)]
+    out = Path(args.out)
+    if out.is_dir():
+        raise StorageError(f"cannot write {out}: it is a directory")
     model, _ = load_checkpoint(args.ckpt)
     calib_corpus = _read_corpus(args.calib)
     eval_corpus = _read_corpus(args.eval_corpus)
@@ -213,15 +221,11 @@ def cmd_sweep(args) -> int:
         pruned, _, _ = prune_model(model, stats, args.method, target,
                                    propagate=args.propagate)
         ppl, _ = evaluate_perplexity(pruned, eval_corpus)
-        rows.append({"setting": value, "perplexity": ppl})
+        rows.append(f"{value},{ppl}\r\n")
         print(f"{kind}={value}: perplexity={ppl:.4f}", file=sys.stderr)
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["setting", "perplexity"])
-        writer.writeheader()
-        writer.writerows(rows)
+    # CSV with RFC 4180 line ends (\r\n)
+    _write_text(out, "setting,perplexity\r\n" + "".join(rows))
     print(json.dumps({"out": str(out), "rows": len(rows)}))
     return 0
 

@@ -136,9 +136,6 @@ class MoEModel:
     def param_names(self) -> list[str]:
         return list(_param_shapes(self.config))
 
-    def expert_param_names(self) -> list[str]:
-        return [n for n in self.param_names() if ".experts." in n]
-
     def copy(self) -> "MoEModel":
         return MoEModel(self.config, {n: p.copy() for n, p in self.params.items()})
 
@@ -168,15 +165,9 @@ class LayerTrace:
 
 @dataclass
 class ForwardResult:
-    logits: np.ndarray | None                # None when the pass stopped early
-    layers: list[LayerTrace]
+    """One forward's Vars, for building losses, plus its plain trace."""
 
-
-@dataclass
-class _TapeTrace:
-    """Internal forward handle: Var references for loss building."""
-
-    logits: Var | None
+    logits: Var | None                       # None when the pass stopped early
     tokens: np.ndarray                       # (B, T) validated batch
     layers: list[LayerTrace]
     layer_input_vars: list[Var]
@@ -234,21 +225,6 @@ def make_param_vars(
     return leaf, pv
 
 
-def _swiglu(pv: dict[str, Var], i: int, e: int, x: Var) -> Var:
-    """The SwiGLU intermediate of expert e of layer i on rows x: what its
-    w_down reads. One fused node (ag.swiglu) in every forward (training,
-    KD, calibration, eval); a taped one keeps two (rows x d_ff) arrays for
-    backward."""
-    base = f"layers.{i}.experts.{e}"
-    return ag.swiglu(x, pv[f"{base}.w_gate"], pv[f"{base}.w_up"])
-
-
-def _expert(pv: dict[str, Var], i: int, e: int, x: Var) -> tuple[Var, Var]:
-    """SwiGLU expert e of layer i on rows x: (intermediate, output)."""
-    hid = _swiglu(pv, i, e, x)
-    return hid, ag.matmul(hid, pv[f"layers.{i}.experts.{e}.w_down"])
-
-
 def _subset_rows(y: Var, rows: np.ndarray, sub: np.ndarray) -> Var:
     """The rows of y (one per entry of the increasing `rows`) at `sub`, an
     increasing subset of rows: y itself when sub is all of them."""
@@ -261,10 +237,11 @@ def forward_pass(
     pv: dict[str, Var],
     forced_dispatch: list[dict[int, np.ndarray]] | None = None,
     stop: tuple[int, str] | None = None,
-) -> _TapeTrace:
+) -> ForwardResult:
     """Build the causal forward graph of a (B, T) batch of equal-length
     windows (a 1-D sequence is B = 1) on the tape of the parameter Vars pv;
-    returns Vars plus a plain trace.
+    returns its ForwardResult: the Vars losses are built from, plus a plain
+    trace.
 
     pv maps every parameter name to the Var the graph reads: the effective
     Vars of make_param_vars (masked parameters go through masked-assign, so
@@ -334,11 +311,12 @@ def forward_pass(
             expert_hidden[e] = np.zeros((0, cfg.d_ff))
             if rows.size == 0:
                 continue
-            x = ag.gather_rows(m, rows)
-            if stop_here == "hidden":
-                hid = _swiglu(pv, i, e, x)
-            else:
-                hid, y = _expert(pv, i, e, x)
+            # the SwiGLU intermediate: one fused node, which keeps two
+            # (rows x d_ff) arrays for backward when taped
+            base = f"layers.{i}.experts.{e}"
+            hid = ag.swiglu(ag.gather_rows(m, rows), pv[f"{base}.w_gate"], pv[f"{base}.w_up"])
+            if stop_here != "hidden":
+                y = ag.matmul(hid, pv[f"{base}.w_down"])
                 if forced.size:
                     forced_outs[e] = _subset_rows(y, rows, forced)
                 if own.size:
@@ -354,18 +332,17 @@ def forward_pass(
         h = ag.add(h, ag.moe_combine(gates, outs, expert_tokens))
 
     logits = ag.matmul(ag.rmsnorm(h), pv["lm_head"]) if until is None else None
-    return _TapeTrace(logits=logits, tokens=toks, layers=layers,
-                      layer_input_vars=layer_input_vars,
-                      forced_outputs=forced_outputs if forced_dispatch is not None else None)
+    return ForwardResult(logits=logits, tokens=toks, layers=layers,
+                         layer_input_vars=layer_input_vars,
+                         forced_outputs=forced_outputs if forced_dispatch is not None else None)
 
 
 def model_forward(model: MoEModel, tokens, stop: tuple[int, str] | None = None) -> ForwardResult:
-    """Causal next-token logits of a (B, T) batch, one row per token, plus the
-    per-layer trace calibration and distillation consume (MoE inputs, gates,
-    per-expert outputs). Parameters enter as constants, so nothing is taped.
-    stop ends the pass early, as in forward_pass."""
+    """forward_pass with every parameter a constant, so nothing is taped: the
+    causal next-token logits of a (B, T) batch as a constant Var, one row per
+    token, plus the per-layer trace calibration and distillation consume (MoE
+    inputs, gates, per-expert outputs). stop ends the pass early, as in
+    forward_pass."""
     tape = Tape()
-    tr = forward_pass(model, tokens, {n: tape.const(p) for n, p in model.params.items()},
-                      stop=stop)
-    return ForwardResult(logits=None if tr.logits is None else tr.logits.value,
-                         layers=tr.layers)
+    return forward_pass(model, tokens, {n: tape.const(p) for n, p in model.params.items()},
+                        stop=stop)

@@ -17,12 +17,6 @@ from .errors import NumericalError, ShapeError
 __all__ = ["spd_inverse", "SeededRng"]
 
 
-def _check_finite(m: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(m).all():
-        raise NumericalError(f"{op} produced non-finite entries")
-    return m
-
-
 def _max_asymmetry(h: np.ndarray, strip: int = 64) -> float:
     """max |h[i, j] - h[j, i]| (NaN if any difference is NaN), from the
     upper-triangle row strips h[i:i+strip, i:] against their transposed
@@ -65,7 +59,9 @@ def spd_inverse(h: np.ndarray) -> np.ndarray:
     for i in range(1, h.shape[0]):
         inv[i, :i] = inv[:i, i]
     inv += 0.0
-    return _check_finite(inv, "spd_inverse")
+    if not np.isfinite(inv).all():
+        raise NumericalError("spd_inverse produced non-finite entries")
+    return inv
 
 
 class SeededRng:

@@ -11,6 +11,8 @@ from .errors import NumericalError
 
 __all__ = ["Adam", "cosine_lr", "finite_step"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     """base_lr at step 0, exactly 0 at the final step (total_steps - 1)."""
@@ -33,10 +35,8 @@ def finite_step(kind: str, step: int):
 
 
 class Adam:
-    def __init__(self, params: dict[str, np.ndarray],
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -49,7 +49,7 @@ class Adam:
         p -= lr (m / bc1) / (sqrt(v / bc2) + eps): in place, one operation
         at a time in that order, so the result is that of the expression."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -67,6 +67,6 @@ class Adam:
             s *= lr
             np.divide(v, bc2, out=r)
             np.sqrt(r, out=r)
-            r += self.eps
+            r += EPS
             s /= r
             p -= s

@@ -93,7 +93,7 @@ def evaluate_perplexity(model: MoEModel, corpus: bytes | str) -> tuple[float, in
     total_tokens = 0
     for batch in window_batches(windows):
         rows, targets = next_token_targets(batch)
-        logits = ag.Tape().const(model_forward(model, batch).logits[rows])
+        logits = ag.Tape().const(model_forward(model, batch).logits.value[rows])
         total_ce += float(ag.cross_entropy(logits, targets).value[0, 0]) * rows.size
         total_tokens += rows.size
     mean_ce = total_ce / total_tokens

@@ -39,6 +39,11 @@ def input_records(stats) -> dict:
     return {rec.weights[0]: rec for layer in stats.layers for expert in layer for rec in expert}
 
 
+def expert_names(model: MoEModel) -> list[str]:
+    """The expert matrices' parameter names, in canonical order."""
+    return [n for n in model.params if ".experts." in n]
+
+
 def random_bytes_corpus(seed: int = 0, size: int = 1 << 14) -> bytes:
     rng = np.random.default_rng(seed)
     return bytes(rng.integers(0, 256, size).astype(np.uint8))

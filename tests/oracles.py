@@ -13,7 +13,6 @@ No command uses them; pytest does not collect this module.
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -22,15 +21,16 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from moeprune import autograd as ag
-from moeprune import pruning
+from moeprune import distill, pruning
 from moeprune.calibration import accumulate_layer, empty_layer
 from moeprune.errors import ConfigError, ContractError, InputError, NumericalError, ShapeError
 from moeprune.model import GateMatrix, MoEModel, _topk_mask, model_forward, window_batches
-from moeprune.numerics import _check_finite
 
-# by module path: the package re-exports a `distill` function under the
-# submodule's name
-distill = importlib.import_module("moeprune.distill")
+
+def _check_finite(m: np.ndarray, op: str) -> np.ndarray:
+    if not np.isfinite(m).all():
+        raise NumericalError(f"{op} produced non-finite entries")
+    return m
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from moeprune.pruning import (
 )
 from moeprune.training import TrainConfig, evaluate_perplexity, train_model
 
-from conftest import synth_corpus
+from conftest import expert_names, synth_corpus
 from oracles import init_lambda, kd_loss, teacher_targets
 
 
@@ -181,7 +181,7 @@ def test_criterion_6_kd_gradient_fidelity():
     teacher = MoEModel.init(cfg)
     student = teacher.copy()
     srng = np.random.default_rng(1)
-    for name in student.expert_param_names():
+    for name in expert_names(student):
         student.params[name] += 0.2 * srng.normal(size=student.params[name].shape)
     cal = [srng.integers(0, 32, 10) for _ in range(2)]
     masks = prune_model(
@@ -247,7 +247,7 @@ def test_criterion_8_lambda_initialization():
     teacher = MoEModel.init(cfg)
     student = teacher.copy()
     rng = np.random.default_rng(2)
-    for name in student.expert_param_names():
+    for name in expert_names(student):
         student.params[name] += 0.3 * rng.normal(size=student.params[name].shape)
     batch = [rng.integers(0, 256, 14) for _ in range(3)]
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-import moeprune.model
+from moeprune import autograd as ag
 from moeprune.analysis import analyze_model, balance_score, ingest_frequencies
 from moeprune.calibration import CalibrationConfig, build_calibration_set
 from moeprune.errors import FormatError, InputError
@@ -106,13 +106,15 @@ class TestAnalyzeModel:
         calib = CalibrationConfig(nsamples=20, seed=3)
         cal = build_calibration_set(corpus, calib.nsamples, TINY.seq_len, calib.seed)
         want = full_forward_stats(tiny_model, cal.sequences, mode)
-        swiglu, layers_run = moeprune.model._swiglu, set()
+        swiglu, layers_run = ag.swiglu, set()
+        layer_of = {id(tiny_model.params[f"layers.{i}.experts.{e}.w_gate"]): i
+                    for i in range(TINY.n_layers) for e in range(TINY.n_experts)}
 
-        def recording(pv, i, e, x):
-            layers_run.add(i)
-            return swiglu(pv, i, e, x)
+        def recording(x, w_gate, w_up):
+            layers_run.add(layer_of[id(w_gate.value)])
+            return swiglu(x, w_gate, w_up)
 
-        monkeypatch.setattr(moeprune.model, "_swiglu", recording)
+        monkeypatch.setattr(ag, "swiglu", recording)
         report = analyze_model(tiny_model, corpus, calib, mode=mode)
         assert layers_run == set(range(TINY.n_layers - 1))
         assert report.frequencies == want["counts"].tolist()

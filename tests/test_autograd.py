@@ -186,7 +186,7 @@ class TestFirstWriteTakesArray:
         a, b = t.var(self.X), t.var(self.X[::-1].copy())
         p, q = ag.scale(a, 2.0), ag.scale(b, 3.0)
         s = ag.add(p, q) if join == "add" else ag.mse(p, q)
-        t.backward(ag.mse(s, t.const(np.zeros(s.shape))))
+        t.backward(ag.mse(s, t.const(np.zeros(s.value.shape))))
         held = [a, b, p, q, s]
         for i, u in enumerate(held):
             for v in held[i + 1:]:

@@ -15,7 +15,7 @@ from moeprune.calibration import (
 from moeprune.errors import InputError, ShapeError
 from moeprune.model import ModelConfig, MoEModel, model_forward, window_batches
 
-from conftest import TINY, TOP1, input_records, synth_corpus
+from conftest import TINY, TOP1, expert_names, input_records, synth_corpus
 from oracles import full_forward_stats
 
 
@@ -59,7 +59,7 @@ class TestBuildCalibrationSet:
 
     def test_128_sequences_from_1mb(self):
         cal = build_calibration_set(synth_corpus(0, 1 << 20), 128, 64, seed=1)
-        assert cal.nsamples == 128
+        assert len(cal.sequences) == 128
         assert all(len(s) == 64 for s in cal.sequences)
 
     def test_corpus_shorter_than_window(self):
@@ -122,7 +122,7 @@ class TestCollect:
                     (f"{base}.w_gate", f"{base}.w_up"), (f"{base}.w_down",)]
                 seen += [name for rec in expert for name in rec.weights]
         # every expert weight reads exactly one record
-        assert sorted(seen) == sorted(tiny_model.expert_param_names())
+        assert sorted(seen) == sorted(expert_names(tiny_model))
         assert len(seen) == len(set(seen))
         # and no accumulator is shared between records
         accs = [id(a) for layer in stats.layers for expert in layer for rec in expert

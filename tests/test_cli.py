@@ -8,7 +8,7 @@ from moeprune.cli import main
 from moeprune.model import ModelConfig, MoEModel
 from moeprune.persistence import load_checkpoint, save_checkpoint
 
-from conftest import synth_corpus
+from conftest import expert_names, synth_corpus
 
 CLI_MODEL = {"d_model": 16, "n_heads": 2, "n_layers": 1, "n_experts": 2,
              "top_k": 2, "d_ff": 16, "seq_len": 32, "vocab_size": 256, "seed": 5}
@@ -198,9 +198,13 @@ BAD_FREQ_FILES = [
     ({"layers": [[None, 1]]}, "'layers'"),
     ({"layers": {"0": [1, 2]}}, "'layers'"),
     ({"layers": [[1, 10 ** 400]]}, "too large"),
+    # finite counts whose balance score overflows: no NaN or Infinity in the JSON
+    ({"layers": [[1e308, 1e308]]}, "too large"),
+    ({"layers": [[1e200, 1e200, 1]]}, "too large"),
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("payload,named", BAD_FREQ_FILES,
                          ids=[f"freq{i}" for i in range(len(BAD_FREQ_FILES))])
 def test_bad_freq_file_is_one_line_error(tmp_path, capsys, payload, named):
@@ -213,6 +217,28 @@ def test_bad_freq_file_is_one_line_error(tmp_path, capsys, payload, named):
     assert len(err.strip().splitlines()) == 1 and named in err
     assert "Traceback" not in err
     assert out == "" and sorted(tmp_path.iterdir()) == [p]
+
+
+# each command, with the file under its --out made a directory so that the
+# command cannot write it ("" blocks --out itself)
+@pytest.mark.parametrize("command,blocked", [("prune", "prune_report.json"),
+                                             ("train", "train_log.jsonl"), ("sweep", "")])
+def test_unwritable_output_is_storage_error(workdir, tmp_path, capsys, command, blocked):
+    args = {
+        "prune": ["--ckpt", workdir / "init_ckpt", "--sparsity", "0.5",
+                  "--calib", workdir / "corpus.txt", "--nsamples", "2"],
+        "train": ["--config", workdir / "config.json", "--corpus", workdir / "corpus.txt",
+                  "--steps", "1"],
+        "sweep": ["--ckpt", workdir / "init_ckpt", "--sparsities", "0.5", "--nsamples", "2",
+                  "--calib", workdir / "corpus.txt", "--eval-corpus", workdir / "corpus.txt"],
+    }[command]
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    capsys.readouterr()
+    rc = run([command, *args, "--out", tmp_path / "out"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert len(err.strip().splitlines()) == 1 and "cannot write" in err
+    assert "Traceback" not in err and out == ""
 
 
 @pytest.mark.parametrize("command", ["train", "distill"])
@@ -299,7 +325,7 @@ def test_bad_tensor_range_is_format_error(workdir, tmp_path, capsys, case):
     ckpt = tmp_path / "ckpt"
     model, _ = load_checkpoint(workdir / "init_ckpt")
     save_checkpoint(model, ckpt, masks={n: np.ones(model.params[n].shape, dtype=np.uint8)
-                                        for n in model.expert_param_names()})
+                                        for n in expert_names(model)})
     manifest = json.loads((ckpt / "manifest.json").read_text())
     (ckpt / "manifest.json").write_text(json.dumps(mutate(manifest)))
     capsys.readouterr()

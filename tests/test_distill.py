@@ -1,8 +1,9 @@
-import importlib
+import types
 
 import numpy as np
 import pytest
 
+import moeprune.distill as kd
 import moeprune.model as model_module
 from moeprune import autograd as ag
 from moeprune.distill import (
@@ -16,7 +17,6 @@ from moeprune.errors import ContractError, NumericalError
 from moeprune.model import (
     ModelConfig,
     MoEModel,
-    _expert,
     forward_pass,
     make_param_vars,
     model_forward,
@@ -27,12 +27,18 @@ from moeprune.optim import cosine_lr
 from moeprune.pruning import SparsityTarget, prune_model
 from moeprune.calibration import build_calibration_set, collect
 
-from conftest import synth_corpus
+from conftest import expert_names, synth_corpus
 from oracles import ExpertWeights, ce_loss, expert_forward, init_lambda, kd_loss, teacher_targets
 from test_autograd import grads_both_ways
 
 CFG = ModelConfig(d_model=8, n_heads=2, n_layers=1, n_experts=2, top_k=1,
                   d_ff=16, seq_len=16, vocab_size=256, seed=17)
+
+
+def test_submodule_import_yields_the_module():
+    # the package re-exports no name, so no function shadows its submodule
+    assert isinstance(kd, types.ModuleType)
+    assert kd.distill is distill
 
 
 def small_batch(seed=0, n=3, length=12):
@@ -43,7 +49,7 @@ def small_batch(seed=0, n=3, length=12):
 def perturbed_student(teacher: MoEModel, scale=0.3, seed=1) -> MoEModel:
     student = teacher.copy()
     rng = np.random.default_rng(seed)
-    for name in student.expert_param_names():
+    for name in expert_names(student):
         student.params[name] += scale * rng.normal(size=student.params[name].shape)
     return student
 
@@ -89,7 +95,7 @@ class TestKdLoss:
         for seq in batch:
             ttr = model_forward(teacher, seq)
             strc = model_forward(student, seq)
-            ce_terms.append(ce_loss(strc.logits[:-1], seq[1:]))
+            ce_terms.append(ce_loss(strc.logits.value[:-1], seq[1:]))
             for i in range(CFG.n_layers):
                 for e, idx in ttr.layers[i].expert_tokens.items():
                     if idx.size == 0:
@@ -111,13 +117,19 @@ def two_path_kd_graph(teacher, student, batch, lam, masks=None):
     once per step. The student forwards on its own routing, then each
     teacher-routed row set goes through a second call of that expert.
     Returns (total, leaf gradients)."""
+
+    def expert(i, e, x):
+        base = f"layers.{i}.experts.{e}"
+        return ag.matmul(ag.swiglu(x, pv[f"{base}.w_gate"], pv[f"{base}.w_up"]),
+                         pv[f"{base}.w_down"])
+
     teacher_trace = model_forward(teacher, batch)
     tape = ag.Tape()
     leaves, pv = make_param_vars(student, tape, masks)
     strace = forward_pass(student, batch, pv)
     rows, targets = next_token_targets(strace.tokens)
     l_ce = ag.cross_entropy(ag.gather_rows(strace.logits, rows), targets)
-    terms = [ag.mse(_expert(pv, i, e, ag.gather_rows(strace.layer_input_vars[i], idx))[1],
+    terms = [ag.mse(expert(i, e, ag.gather_rows(strace.layer_input_vars[i], idx)),
                     tape.const(lt.expert_outputs[e]))
              for i, lt in enumerate(teacher_trace.layers)
              for e, idx in lt.expert_tokens.items() if idx.size]
@@ -230,15 +242,19 @@ class TestOneExpertCall:
         batch = routed_batch(seed=1)
         calls = []
 
-        def counting_expert(pv, i, e, x):
-            calls.append((i, e))
-            return _expert(pv, i, e, x)
+        swiglu = ag.swiglu
+        expert_of = {id(student.params[f"layers.{i}.experts.{e}.w_gate"]): (i, e)
+                     for i in range(ROUTED.n_layers) for e in range(ROUTED.n_experts)}
+
+        def counting_swiglu(x, w_gate, w_up):
+            calls.append(expert_of[id(w_gate.value)])
+            return swiglu(x, w_gate, w_up)
 
         routed = [(i, e) for i, layer in enumerate(dispatch_sets(teacher, student, batch))
                   for e, (t, s) in layer.items() if t.size or s.size]
         targets = _batch_targets(_teacher_windows(teacher, batch), range(len(batch)),
                                  ROUTED.seq_len)
-        monkeypatch.setattr(model_module, "_expert", counting_expert)
+        monkeypatch.setattr(ag, "swiglu", counting_swiglu)
         _kd_graph(student, batch, 1.0, None, targets)
         assert calls == routed
 
@@ -348,7 +364,6 @@ class TestDistill:
                 rec["l_ce"] + rec["lambda"] * rec["l_expert"], abs=1e-12)
 
     def test_first_batch_graph_also_sets_auto_lambda(self, kd_corpus, monkeypatch):
-        kd = importlib.import_module("moeprune.distill")
         teacher, student, masks = pruned_pair(kd_corpus)
         cfg = KDConfig(epochs=1, samples=8, batch_size=4, learning_rate=1e-3, seed=4)
         cal = build_calibration_set(kd_corpus, cfg.samples, CFG.seq_len, cfg.seed)

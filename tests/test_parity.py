@@ -27,9 +27,9 @@ def test_smoke_matrix_is_deterministic(parity, tmp_path):
     a, b = parity.hashes(first), parity.hashes(second)
     assert parity.differing(a, b) == []
     logs = sorted(first.glob("*/*.log"))
-    # 3 configs x (train, 16 prunes and their evals, distill and its eval,
-    # 2 analyses, 2 sweeps)
-    assert len(logs) == 3 * 39
+    # 3 configs x (2 trains, 16 prunes and their evals, 2 distills and their
+    # evals, 3 analyses, 2 sweeps)
+    assert len(logs) == 3 * 43
     assert all(p.read_text().startswith("exit 0\n") for p in logs)
     # the top-1 config has idle experts, so sparsegpt's fallback runs
     report = json.loads((first / "top1" / "sparsegpt-0.5-dense" / "prune_report.json").read_text())

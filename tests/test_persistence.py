@@ -13,7 +13,7 @@ from moeprune.errors import (
 from moeprune.model import MoEModel
 from moeprune.persistence import load_checkpoint, save_checkpoint
 
-from conftest import TINY
+from conftest import TINY, expert_names
 
 
 def test_round_trip_bit_exact(tiny_model, tmp_path):
@@ -55,7 +55,7 @@ def test_masks_round_trip(tiny_model, tmp_path):
     model = tiny_model.copy()
     rng = np.random.default_rng(0)
     masks = {}
-    for name in model.expert_param_names()[:4]:
+    for name in expert_names(model)[:4]:
         m = (rng.random(model.params[name].shape) > 0.5).astype(np.uint8)
         model.params[name] *= m
         masks[name] = m
@@ -87,7 +87,7 @@ def test_version_mismatch(tiny_model, tmp_path):
 
 def test_mask_marking_nonzero_weight_rejected(tiny_model, tmp_path):
     model = tiny_model.copy()
-    name = model.expert_param_names()[0]
+    name = expert_names(model)[0]
     masks = {name: np.ones(model.params[name].shape, dtype=np.uint8)}
     masks[name][0, 0] = 0  # claims pruned, but the weight is nonzero
     save_checkpoint(model, tmp_path / "ckpt", masks=masks)
@@ -128,7 +128,7 @@ def _rename_mask(masks, name):
     pytest.param(_rename_mask, id="unknown-name"),
 ])
 def test_bad_mask_index_is_format_error(tiny_model, tmp_path, mutate):
-    name = tiny_model.expert_param_names()[0]
+    name = expert_names(tiny_model)[0]
     rows, cols = tiny_model.params[name].shape
     assert rows != cols  # a swapped shape must disagree with the parameter
     save_checkpoint(tiny_model, tmp_path / "ckpt",
@@ -150,8 +150,8 @@ def test_unwritable_target_raises_storage_error(tiny_model, tmp_path):
 
 def test_no_temp_files_left_behind(tiny_model, tmp_path):
     save_checkpoint(tiny_model, tmp_path / "ckpt",
-                    masks={tiny_model.expert_param_names()[0]:
-                           np.ones(tiny_model.params[tiny_model.expert_param_names()[0]].shape,
+                    masks={expert_names(tiny_model)[0]:
+                           np.ones(tiny_model.params[expert_names(tiny_model)[0]].shape,
                                    dtype=np.uint8)})
     leftovers = list((tmp_path / "ckpt").glob("*.tmp"))
     assert leftovers == []

@@ -33,7 +33,7 @@ from moeprune.pruning import (
 )
 from moeprune.training import evaluate_perplexity
 
-from conftest import TINY, TOP1, input_records, synth_corpus
+from conftest import TINY, TOP1, expert_names, input_records, synth_corpus
 from oracles import obs_sweep as obs_sweep_oracle
 from oracles import prune_per_target, prune_recompute
 from oracles import select_mask as argsort_select_mask
@@ -671,7 +671,7 @@ class TestPruneModel:
         model, stats, _ = model_and_stats
         _, _, report = prune_model(model, stats, "moe-pruner", SparsityTarget.unstructured(0.5))
         names = [t["name"] for t in report.targets]
-        assert names == model.expert_param_names()
+        assert names == expert_names(model)
         by_name = {t["name"]: t for t in report.targets}
         for i in range(TINY.n_layers):
             for e in range(TINY.n_experts):

@@ -6,9 +6,11 @@ checks `<ref>` out as a git worktree in a temporary directory and runs one
 fixed command matrix with each tree's `src/`, each in its own subprocess
 with single-thread BLAS. On three configs (TOY; WIDE, one 16-expert d_ff=512
 layer; TOP1, a top-1 16-expert layer whose idle experts take sparsegpt's
-magnitude fallback) the matrix is: train; prune with 4 methods x {0.5, 2:4}
-x {dense, recompute}, each followed by an eval; distill and its eval;
-analyze argmax and topk; a sparsity sweep with recompute; an nsamples sweep.
+magnitude fallback) the matrix is: train, and train --upcycle; prune with 4
+methods x {0.5, 2:4} x {dense, recompute}, each followed by an eval; distill,
+and distill --full-parameter --lam 0.5, each followed by an eval; analyze
+argmax and topk, and analyze --freq on a fixed file; a sparsity sweep with
+recompute; an nsamples sweep.
 
 Every file the matrix writes, and each command's stdout, stderr (warnings
 included) and exit code, is hashed with the run's output directory masked.
@@ -56,6 +58,9 @@ SMOKE = {
     "wide": (_model(16, 2, 1, 16, 2, 32, 16, 78), 1, 1e-4, 4),
     "top1": (_model(8, 2, 1, 16, 1, 8, 8, 79), 1, 1e-4, 2),
 }
+# analyze --freq's input: two entries, integer and fractional counts
+FREQ = [{"model_name": "counts", "layers": [[3, 1, 0, 4], [2, 2, 2, 2]]},
+        {"mode": "topk", "layers": [[0.5, 1.5, 2.25]]}]
 # smoke -> (calibration corpus bytes, held-out bytes)
 CORPUS_BYTES = {False: (1 << 16, 2048), True: (1 << 12, 256)}
 
@@ -77,6 +82,8 @@ def commands(name: str, root: Path, smoke: bool) -> list[tuple[str, list[str]]]:
     root.mkdir(parents=True)
     text = corpus(model["seed"], size + heldout_size)
     calib, heldout, config = root / "corpus.txt", root / "heldout.txt", root / "config.json"
+    freq = root / "freq.json"
+    freq.write_text(json.dumps(FREQ))
     calib.write_bytes(text[:size])
     heldout.write_bytes(text[size:])
     config.write_text(json.dumps({
@@ -86,7 +93,9 @@ def commands(name: str, root: Path, smoke: bool) -> list[tuple[str, list[str]]]:
         "kd": {"samples": 8, "epochs": 2, "batch_size": 4, "learning_rate": 1e-4, "seed": 3},
     }))
     cfg, teacher = ["--config", str(config)], str(root / "teacher")
-    cmds = [("train", ["train", *cfg, "--corpus", str(calib), "--out", teacher])]
+    cmds = [("train", ["train", *cfg, "--corpus", str(calib), "--out", teacher]),
+            ("train-upcycle", ["train", *cfg, "--corpus", str(calib), "--upcycle",
+                               "--out", str(root / "upcycled")])]
 
     def evaluate(ckpt: str) -> tuple[str, list[str]]:
         return f"eval-{Path(ckpt).name}", ["eval", "--ckpt", ckpt, "--corpus", str(heldout)]
@@ -99,14 +108,18 @@ def commands(name: str, root: Path, smoke: bool) -> list[tuple[str, list[str]]]:
                           ["prune", *cfg, "--ckpt", teacher, "--method", method, flag, target,
                            "--calib", str(calib), "--propagate", propagate, "--out", out]),
                          evaluate(out)]
-    distilled = str(root / "distilled")
-    cmds += [("distill", ["distill", *cfg, "--teacher", teacher, "--student",
-                          str(root / "moe-pruner-0.5-dense"), "--corpus", str(calib),
+    for label, name, flags in (("distill", "distilled", []),
+                               ("distill-full", "distilled-full",
+                                ["--full-parameter", "--lam", "0.5"])):
+        distilled = str(root / name)
+        cmds += [(label, ["distill", *cfg, "--teacher", teacher, "--student",
+                          str(root / "moe-pruner-0.5-dense"), "--corpus", str(calib), *flags,
                           "--out", distilled]),
-             evaluate(distilled)]
+                 evaluate(distilled)]
     for mode in ("argmax", "topk"):
         cmds.append((f"analyze-{mode}", ["analyze", "--ckpt", teacher, "--corpus", str(calib),
                                          "--nsamples", str(nsamples), "--mode", mode]))
+    cmds.append(("analyze-freq", ["analyze", "--freq", str(freq)]))
     sweep = ["sweep", "--ckpt", teacher, "--calib", str(calib), "--eval-corpus", str(heldout)]
     cmds += [("sweep-sparsities", [*sweep, "--sparsities", "0.25,0.5", "--propagate",
                                    "recompute", "--nsamples", str(nsamples),
