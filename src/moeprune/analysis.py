@@ -5,7 +5,6 @@ on externally measured frequency files."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -15,27 +14,7 @@ from .calibration import collect  # noqa: F401  (bench/tracer.py wraps analysis.
 from .errors import FormatError, InputError
 from .model import MoEModel
 
-__all__ = ["BalanceReport", "balance_score", "analyze_model", "ingest_frequencies"]
-
-
-@dataclass
-class BalanceReport:
-    model_name: str
-    layer_scores: list[float]
-    model_score: float
-    frequencies: list[list[int]] | list[list[float]]
-    mode: str = "argmax"
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "mode": self.mode,
-            "model_score": self.model_score,
-            "layer_scores": self.layer_scores,
-            "frequencies": self.frequencies,
-            **self.extra,
-        }
+__all__ = ["balance_score", "analyze_model", "ingest_frequencies"]
 
 
 def balance_score(f) -> float:
@@ -55,16 +34,11 @@ def balance_score(f) -> float:
     return float(score)
 
 
-def _report_from_counts(counts: np.ndarray, name: str, mode: str) -> BalanceReport:
+def _report(counts: list[list], name: str, mode: str, **extra) -> dict:
+    """The balance report of per-layer dispatch counts, which it echoes."""
     layer_scores = [balance_score(row) for row in counts]
-    return BalanceReport(
-        model_name=name,
-        layer_scores=layer_scores,
-        model_score=float(np.mean(layer_scores)),
-        frequencies=[list(map(int, row)) if np.issubdtype(counts.dtype, np.integer)
-                     else list(map(float, row)) for row in counts],
-        mode=mode,
-    )
+    return {"model_name": name, "mode": mode, "model_score": float(np.mean(layer_scores)),
+            "layer_scores": layer_scores, "frequencies": counts, **extra}
 
 
 def analyze_model(
@@ -73,22 +47,20 @@ def analyze_model(
     calib: CalibrationConfig = CalibrationConfig(),
     mode: str = "argmax",
     name: str = "model",
-) -> BalanceReport:
+) -> dict:
     """Route the calibration windows (no expert runs) and score the dispatch
     counts."""
     cal = build_calibration_set(corpus, calib.nsamples, model.config.seq_len, calib.seed)
     counts, total_tokens = count_dispatch(model, cal, mode)
-    report = _report_from_counts(counts, name, mode)
-    report.extra["total_tokens"] = int(total_tokens)
-    return report
+    return _report(counts.tolist(), name, mode, total_tokens=int(total_tokens))
 
 
-def ingest_frequencies(path) -> list[BalanceReport]:
+def ingest_frequencies(path) -> list[dict]:
     """Score externally measured frequencies.
 
     File schema: {"model_name": str, "mode": str, "layers": [[f_0..f_{n-1}],
     ...]} (names optional) or a nonempty list of such objects for side-by-side
-    comparison. Each layer is a flat list of JSON numbers.
+    comparison. Each layer is a flat list of JSON numbers, echoed as read.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -120,6 +92,6 @@ def ingest_frequencies(path) -> list[BalanceReport]:
             raise FormatError(f"{path}: a frequency is too large for a float") from None
         if not np.isfinite(counts).all() or (counts < 0).any():
             raise FormatError(f"{path}: frequencies must be finite and nonnegative")
-        reports.append(_report_from_counts(
-            counts, entry.get("model_name", "unnamed"), entry.get("mode", "argmax")))
+        reports.append(_report(layers, entry.get("model_name", "unnamed"),
+                               entry.get("mode", "argmax")))
     return reports

@@ -158,11 +158,6 @@ class CalibrationStats:
     layers: list[LayerStats]
     sequences: list[np.ndarray]
 
-    def validate_for_model(self, model: MoEModel) -> None:
-        diff = self.model_config.architecture_diff(model.config)
-        if diff:
-            raise ShapeError(f"stats and model architecture mismatch on {diff} (stats vs model)")
-
 
 def empty_layer(cfg: ModelConfig, i: int) -> LayerStats:
     """Empty records for the expert inputs of layer i, in parameter order."""
@@ -180,7 +175,7 @@ def accumulate_layer(records: LayerStats, layer: LayerTrace) -> None:
     for e, idx in layer.expert_tokens.items():
         if idx.size == 0:
             continue
-        g = layer.gates.values[idx, e]
+        g = layer.gates[idx, e]
         for rec, x in zip(records[e], (layer.moe_input[idx], layer.expert_hidden[e])):
             rec.add(x, g)
 
@@ -220,10 +215,9 @@ def count_dispatch(model: MoEModel, cal: CalibrationSet, mode: str) -> tuple[np.
     for batch in window_batches(cal.sequences):
         layers = model_forward(model, batch, stop=(cfg.n_layers - 1, "router")).layers
         for i, layer in enumerate(layers):
-            gm = layer.gates
             if mode == "argmax":
-                np.add.at(counts[i], np.argmax(_full_softmax(gm.logits), axis=1), 1)
+                np.add.at(counts[i], np.argmax(_full_softmax(layer.router_logits), axis=1), 1)
             else:
-                counts[i] += np.count_nonzero(gm.values, axis=0)
+                counts[i] += np.count_nonzero(layer.gates, axis=0)
         total += batch.size
     return counts, total

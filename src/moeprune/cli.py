@@ -19,8 +19,8 @@ from .analysis import analyze_model, ingest_frequencies
 from .calibration import CalibrationConfig, build_calibration_set, collect
 from .config import Section
 from .distill import KDConfig, distill
-from .errors import (FormatError, InputError, MoePruneError, NumericalError, StorageError,
-                     UsageError)
+from .errors import (ConfigError, FormatError, InputError, MoePruneError, NumericalError,
+                     StorageError, UsageError)
 from .model import ModelConfig, MoEModel
 from .persistence import load_checkpoint, save_checkpoint
 from .pruning import METHODS, SparsityTarget, prune_model
@@ -45,6 +45,11 @@ def _load_config_file(path: str | None) -> dict:
         raise FormatError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise FormatError(f"{path}: config root must be a JSON object")
+    sections = [c.SECTION for c in (ModelConfig, TrainConfig, CalibrationConfig, KDConfig)]
+    for key in cfg:
+        if key not in sections:
+            raise ConfigError(f"config section {key!r} is not known; "
+                              f"expected one of {', '.join(sections)}")
     return cfg
 
 
@@ -162,11 +167,10 @@ def cmd_analyze(args) -> int:
         model, _ = load_checkpoint(args.ckpt)
         report = analyze_model(model, _read_corpus(args.corpus), calib,
                                mode=args.mode, name=str(args.ckpt))
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report, indent=2))
     else:
         reports = ingest_frequencies(args.freq)
-        payload = [r.to_dict() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+        print(json.dumps(reports[0] if len(reports) == 1 else reports, indent=2))
     return 0
 
 

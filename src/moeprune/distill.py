@@ -130,8 +130,8 @@ def _kd_graph(
 @dataclass
 class DistillResult:
     student: MoEModel
+    lam: float
     log: list[dict] = field(default_factory=list)
-    lam: float = 1.0
 
 
 def distill(
@@ -163,15 +163,16 @@ def distill(
     order_rng = SeededRng(cfg.seed).child(1)
     steps_per_epoch = max(1, (cfg.samples + cfg.batch_size - 1) // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
-    result = DistillResult(student=out)
+    # a fixed lambda is resolved even when no step runs
+    lam: float | None = None if cfg.lambda_mode == "auto" else float(cfg.lambda_mode)
+    result = DistillResult(student=out, lam=1.0 if lam is None else lam)
     if total_steps == 0:
         return result
 
-    trainable = [n for n in out.param_names()
+    trainable = [n for n in out.params
                  if cfg.router_frozen is False or not n.endswith(".router")]
     opt = Adam({n: out.params[n] for n in trainable})
 
-    lam: float | None = None if cfg.lambda_mode == "auto" else float(cfg.lambda_mode)
     # the frozen teacher runs once over every window, not once per epoch
     cache = _teacher_windows(teacher, cal.sequences)
     T = len(cal.sequences[0])
@@ -193,5 +194,5 @@ def distill(
                 opt.step({n: leaves[n].grad for n in trainable}, lr)
             result.log.append({"step": step, "lr": lr, **losses})
             step += 1
-    result.lam = lam if lam is not None else 1.0
+    result.lam = lam
     return result

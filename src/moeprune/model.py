@@ -23,7 +23,6 @@ from .numerics import SeededRng
 
 __all__ = [
     "ModelConfig",
-    "GateMatrix",
     "MoEModel",
     "model_forward",
     "ForwardResult",
@@ -70,25 +69,6 @@ class ModelConfig(Section):
         return ""
 
 
-@dataclass
-class GateMatrix:
-    """One layer's routing: values holds the normalized router weights, zero
-    at unselected experts, rows summing to 1 (validate checks), so an
-    expert's routed rows are the nonzeros of its column; logits holds the
-    router logits they came from, which argmax dispatch counting reads."""
-
-    values: np.ndarray  # (tokens, n_experts)
-    logits: np.ndarray  # (tokens, n_experts)
-
-    def validate(self, top_k: int) -> None:
-        nz = np.count_nonzero(self.values, axis=1)
-        if not (nz == top_k).all():
-            raise NumericalError(f"gate rows must have exactly {top_k} nonzeros")
-        sums = self.values.sum(axis=1)
-        if not np.abs(sums - 1.0).max() < 1e-12:
-            raise NumericalError("gate rows must sum to 1")
-
-
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     """Every parameter's shape, by name, in canonical order."""
     d, f = cfg.d_model, cfg.d_ff
@@ -133,9 +113,6 @@ class MoEModel:
                         params[f"layers.{i}.experts.{e}.{part}"] = src.copy()
         return cls(config, params)
 
-    def param_names(self) -> list[str]:
-        return list(_param_shapes(self.config))
-
     def copy(self) -> "MoEModel":
         return MoEModel(self.config, {n: p.copy() for n, p in self.params.items()})
 
@@ -157,7 +134,10 @@ def _topk_mask(logits: np.ndarray, k: int) -> np.ndarray:
 @dataclass
 class LayerTrace:
     moe_input: np.ndarray                    # (B*T, d_model) input to the MoE layer
-    gates: GateMatrix
+    # the normalized router weights, top_k nonzeros per row summing to 1, so
+    # an expert's routed rows are the nonzeros of its column
+    gates: np.ndarray                        # (B*T, n_experts)
+    router_logits: np.ndarray                # (B*T, n_experts) the logits gates came from
     expert_tokens: dict[int, np.ndarray]     # expert -> flattened rows routed to it
     expert_outputs: dict[int, np.ndarray]    # expert -> (t_e, d_model) outputs
     expert_hidden: dict[int, np.ndarray]     # expert -> (t_e, d_ff) SwiGLU intermediate
@@ -285,22 +265,24 @@ def forward_pass(
         layer_input_vars.append(m)
         logits = ag.matmul(m, pv[f"layers.{i}.router"])
         gates = ag.row_softmax(logits, _topk_mask(logits.value, cfg.top_k))
-        gm = GateMatrix(values=gates.value, logits=logits.value)
-        gm.validate(cfg.top_k)
+        if not (np.count_nonzero(gates.value, axis=1) == cfg.top_k).all():
+            raise NumericalError(f"gate rows must have exactly {cfg.top_k} nonzeros")
+        if not np.abs(gates.value.sum(axis=1) - 1.0).max() < 1e-12:
+            raise NumericalError("gate rows must sum to 1")
 
         expert_tokens: dict[int, np.ndarray] = {}
         expert_outputs: dict[int, np.ndarray] = {}
         expert_hidden: dict[int, np.ndarray] = {}
         layers.append(LayerTrace(
-            moe_input=m.value, gates=gm, expert_tokens=expert_tokens,
-            expert_outputs=expert_outputs, expert_hidden=expert_hidden,
+            moe_input=m.value, gates=gates.value, router_logits=logits.value,
+            expert_tokens=expert_tokens, expert_outputs=expert_outputs, expert_hidden=expert_hidden,
         ))
         if stop_here == "router":
             break
         outs: dict[int, Var] = {}
         forced_outs: dict[int, Var] = {}
         for e in range(cfg.n_experts):
-            own = np.nonzero(gm.values[:, e])[0]
+            own = np.nonzero(gates.value[:, e])[0]
             forced = (np.asarray(forced_dispatch[i].get(e, ()), dtype=np.intp)
                       if forced_dispatch is not None else own[:0])
             # one expert call serves both uses: on the own rows, or on the

@@ -85,7 +85,7 @@ def save_checkpoint(
     except OSError as exc:
         raise StorageError(f"cannot create checkpoint directory {d}: {exc}") from exc
 
-    tensors = {n: np.ascontiguousarray(model.params[n], dtype="<f8") for n in model.param_names()}
+    tensors = {n: np.ascontiguousarray(p, dtype="<f8") for n, p in model.params.items()}
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "model_config": asdict(model.config),

@@ -387,7 +387,9 @@ def prune_model(
         raise ConfigError(f"unknown pruning method {method!r}; choose from {METHODS}")
     if propagate not in ("dense", "recompute"):
         raise ConfigError(f"propagate must be 'dense' or 'recompute', got {propagate!r}")
-    stats.validate_for_model(model)
+    diff = stats.model_config.architecture_diff(model.config)
+    if diff:
+        raise ShapeError(f"stats and model architecture mismatch on {diff} (stats vs model)")
 
     cfg = model.config
     # every expert weight is replaced below; until then the pruned model

@@ -24,7 +24,7 @@ from moeprune import autograd as ag
 from moeprune import distill, pruning
 from moeprune.calibration import accumulate_layer, empty_layer
 from moeprune.errors import ConfigError, ContractError, InputError, NumericalError, ShapeError
-from moeprune.model import GateMatrix, MoEModel, _topk_mask, model_forward, window_batches
+from moeprune.model import MoEModel, _topk_mask, model_forward, window_batches
 
 
 def _check_finite(m: np.ndarray, op: str) -> np.ndarray:
@@ -116,15 +116,13 @@ def _masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def route(x: np.ndarray, layer: MoELayer, k: int) -> GateMatrix:
-    """Top-k softmax gate: keep the k largest logits per row, softmax over the
-    survivors, zeros elsewhere."""
+def route(x: np.ndarray, layer: MoELayer, k: int) -> np.ndarray:
+    """Top-k softmax gates: keep the k largest logits per row, softmax over
+    the survivors, zeros elsewhere."""
     if k > layer.router.shape[1]:
         raise ConfigError(f"top_k={k} exceeds n_experts={layer.router.shape[1]}")
     logits = matmul(x, layer.router)
-    gm = GateMatrix(values=_masked_softmax(logits, _topk_mask(logits, k)), logits=logits)
-    gm.validate(k)
-    return gm
+    return _masked_softmax(logits, _topk_mask(logits, k))
 
 
 def expert_forward(x: np.ndarray, e: ExpertWeights) -> np.ndarray:
@@ -134,18 +132,18 @@ def expert_forward(x: np.ndarray, e: ExpertWeights) -> np.ndarray:
     return matmul(silu(matmul(x, e.w_gate)) * matmul(x, e.w_up), e.w_down)
 
 
-def moe_layer_forward(x: np.ndarray, layer: MoELayer, k: int) -> tuple[np.ndarray, GateMatrix]:
-    """Gate-weighted sum of expert outputs; experts with zero gate for a token
-    are not evaluated on it."""
-    gm = route(x, layer, k)
+def moe_layer_forward(x: np.ndarray, layer: MoELayer, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gate-weighted sum of expert outputs, and the gates; experts with zero
+    gate for a token are not evaluated on it."""
+    gates = route(x, layer, k)
     y = np.zeros_like(x)
     for e, expert in enumerate(layer.experts):
-        idx = np.nonzero(gm.values[:, e])[0]
+        idx = np.nonzero(gates[:, e])[0]
         if idx.size == 0:
             continue
         out = expert_forward(x[idx], expert)
-        y[idx] += gm.values[idx, e][:, None] * out
-    return y, gm
+        y[idx] += gates[idx, e][:, None] * out
+    return y, gates
 
 
 def select_mask(scores: np.ndarray, target) -> np.ndarray:
@@ -252,14 +250,14 @@ def full_forward_stats(model: MoEModel, sequences, mode: str = "argmax") -> dict
         assert res.logits is not None
         out["total_tokens"] += batch.size
         for i, lt in enumerate(res.layers):
-            logits = lt.gates.logits
+            logits = lt.router_logits
             picks = (np.argmax(row_softmax(logits), axis=1) if mode == "argmax"
                      else np.argsort(-logits, axis=1, kind="stable")[:, :cfg.top_k].ravel())
             np.add.at(out["counts"][i], picks, 1)
             for e, idx in lt.expert_tokens.items():
                 if idx.size == 0:
                     continue
-                g = lt.gates.values[idx, e]
+                g = lt.gates[idx, e]
                 for part, x in (("w_gate", lt.moe_input[idx]), ("w_down", lt.expert_hidden[e])):
                     s = out.setdefault(f"layers.{i}.experts.{e}.{part}", {
                         "scaled": np.zeros(x.shape[1]), "plain": np.zeros(x.shape[1]),

@@ -198,7 +198,7 @@ def test_criterion_6_kd_gradient_fidelity():
 
     eps = 1e-5
     worst = 0.0
-    for name in student.param_names():
+    for name in student.params:
         p = student.params[name]
         analytic = leaves[name].grad
         it = np.nditer(p, flags=["multi_index"])
@@ -359,12 +359,12 @@ def test_criterion_11_noop_safety(tmp_path):
     p_orig, _ = evaluate_perplexity(model, eval_slice)
     p_noop, _ = evaluate_perplexity(pruned, eval_slice)
     assert abs(p_orig - p_noop) < 1e-10
-    for name in model.param_names():
+    for name in model.params:
         assert np.array_equal(pruned.params[name], model.params[name])
 
     save_checkpoint(pruned, tmp_path / "ckpt", masks=masks)
     loaded, loaded_masks = load_checkpoint(tmp_path / "ckpt")
-    for name in model.param_names():
+    for name in model.params:
         assert loaded.params[name].tobytes() == pruned.params[name].tobytes()
     for name, m in masks.items():
         assert np.array_equal(loaded_masks[name], m)

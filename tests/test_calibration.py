@@ -14,6 +14,7 @@ from moeprune.calibration import (
 )
 from moeprune.errors import InputError, ShapeError
 from moeprune.model import ModelConfig, MoEModel, model_forward, window_batches
+from moeprune.pruning import SparsityTarget, prune_model
 
 from conftest import TINY, TOP1, expert_names, input_records, synth_corpus
 from oracles import full_forward_stats
@@ -137,7 +138,7 @@ class TestCollect:
         st = collect(model, cal)
         want = full_forward_stats(model, cal.sequences)
         for lt in model_forward(model, np.stack(cal.sequences)).layers:
-            assert (lt.gates.values.max(axis=1) == 1.0).all()
+            assert (lt.gates.max(axis=1) == 1.0).all()
         for name, rec in input_records(st).items():
             assert rec.tokens_seen > 0
             assert np.array_equal(rec.scaled.sum_sq, want[name]["plain"])
@@ -170,7 +171,7 @@ class TestCollect:
         for seq in cal.sequences:
             lt = model_forward(tiny_model, seq).layers[0]
             idx = lt.expert_tokens[0]
-            rows.append(lt.moe_input[idx] * lt.gates.values[idx, 0][:, None])
+            rows.append(lt.moe_input[idx] * lt.gates[idx, 0][:, None])
         stacked = np.vstack(rows)
         scaled = input_records(st)[name].scaled
         assert np.abs(scaled.norms() - np.sqrt((stacked ** 2).sum(axis=0))).max() < 1e-10
@@ -195,22 +196,28 @@ class TestCollect:
                 assert down.tokens_seen == gate.tokens_seen
 
 
+HALF = SparsityTarget.unstructured(0.5)
+
+
 class TestValidateForModel:
+    """prune_model checks that the stats were collected from the model's
+    architecture."""
+
     def test_mismatched_model_rejected(self, stats):
         other = MoEModel.init(ModelConfig(d_model=16, n_heads=2, n_layers=2,
                                           n_experts=2, top_k=2, d_ff=32,
                                           seq_len=32, vocab_size=256, seed=0))
         with pytest.raises(ShapeError, match="architecture"):
-            stats.validate_for_model(other)
+            prune_model(other, stats, "magnitude", HALF)
 
     def test_other_top_k_rejected(self, stats):
         # TOP1 is TINY with top-1 routing: only the router's k differs
         with pytest.raises(ShapeError, match="architecture mismatch on top_k: 2 vs 1"):
-            stats.validate_for_model(MoEModel.init(TOP1))
+            prune_model(MoEModel.init(TOP1), stats, "magnitude", HALF)
 
     def test_same_architecture_accepted(self, stats):
         # seq_len and seed are not architecture
-        stats.validate_for_model(MoEModel.init(replace(TINY, seq_len=16, seed=99)))
+        prune_model(MoEModel.init(replace(TINY, seq_len=16, seed=99)), stats, "magnitude", HALF)
 
 
 TOY = ModelConfig(d_model=64, n_heads=4, n_layers=2, n_experts=4, top_k=2,

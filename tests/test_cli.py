@@ -34,7 +34,7 @@ class TestTrain:
     def test_zero_steps_equals_random_init(self, workdir):
         model, _ = load_checkpoint(workdir / "init_ckpt")
         fresh = MoEModel.init(ModelConfig.from_dict(CLI_MODEL))
-        for name in fresh.param_names():
+        for name in fresh.params:
             assert np.array_equal(model.params[name], fresh.params[name])
 
     def test_same_seed_identical_checkpoints(self, workdir):
@@ -105,6 +105,9 @@ BAD_SECTIONS = [
     ("train", {"train": {"steps": -1}}, "train.steps"),
     ("prune", {"calibration": {"nsamples": 0}}, "calibration.nsamples"),
     ("distill", {"kd": {"schedule": "cosine"}}, "kd.schedule"),
+    ("prune", {"calibraton": {"nsamples": 2}}, "'calibraton'"),
+    ("train", {"model": CLI_MODEL, "upcycle": True}, "'upcycle'"),
+    ("distill", {"extra": 1}, "'extra'"),
 ]
 
 
@@ -433,8 +436,17 @@ class TestDistillCmd:
         assert rc == 0
         student, _ = load_checkpoint(workdir / "pruned50")
         distilled, _ = load_checkpoint(workdir / "kd0")
-        for name in student.param_names():
+        for name in student.params:
             assert np.array_equal(distilled.params[name], student.params[name])
+
+    def test_fixed_lambda_echoed_without_steps(self, workdir, tmp_path, capsys):
+        capsys.readouterr()
+        rc = run(["distill", "--teacher", workdir / "init_ckpt",
+                  "--student", workdir / "pruned50", "--corpus", workdir / "corpus.txt",
+                  "--samples", "4", "--epochs", "0", "--lam", "0.5", "--out", tmp_path / "kd"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["lambda"] == 0.5
+        assert echoed(tmp_path / "kd")["kd"]["lambda_resolved"] == 0.5
 
     def test_distill_preserves_masks_and_logs(self, workdir):
         rc = run(["distill", "--teacher", workdir / "init_ckpt",
@@ -482,6 +494,15 @@ class TestAnalyze:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["model_score"] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("layers", ["[[3,1,0,4]]", "[[0.5,1.5]]"])
+    def test_freq_file_counts_echoed_as_read(self, tmp_path, capsys, layers):
+        # integer counts print as integers, not as floats
+        p = tmp_path / "freq.json"
+        p.write_text(f'{{"layers": {layers}}}')
+        capsys.readouterr()
+        assert run(["analyze", "--freq", p]) == 0
+        assert f'"frequencies":{layers}' in "".join(capsys.readouterr().out.split())
 
 
 class TestSweep:

@@ -307,7 +307,7 @@ class TestDistill:
         teacher, student, masks = pruned_pair(kd_corpus)
         res = distill(teacher, student, masks, kd_corpus,
                       KDConfig(epochs=0, samples=8, batch_size=4))
-        for name in student.param_names():
+        for name in student.params:
             assert np.array_equal(res.student.params[name], student.params[name])
         assert res.log == []
 

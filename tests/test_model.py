@@ -10,7 +10,6 @@ import moeprune.model
 from moeprune import autograd as ag
 from moeprune.errors import ConfigError, ContractError, InputError, NumericalError
 from moeprune.model import (
-    GateMatrix,
     ModelConfig,
     MoEModel,
     forward_pass,
@@ -61,23 +60,23 @@ class TestConfig:
 class TestRoute:
     def test_symmetric_two_experts(self):
         layer = make_layer(SeededRng(0), n_experts=2)
-        gm = route(np.zeros((3, 4)), layer, k=2)  # zero input -> zero logits
-        assert np.allclose(gm.values, 0.5)
+        gates = route(np.zeros((3, 4)), layer, k=2)  # zero input -> zero logits
+        assert np.allclose(gates, 0.5)
 
     def test_top1_is_onehot(self):
         layer = make_layer(SeededRng(1), n_experts=4)
-        gm = route(SeededRng(2).normal_matrix(5, 4), layer, k=1)
-        assert (np.count_nonzero(gm.values, axis=1) == 1).all()
-        assert np.allclose(gm.values.max(axis=1), 1.0)
+        gates = route(SeededRng(2).normal_matrix(5, 4), layer, k=1)
+        assert (np.count_nonzero(gates, axis=1) == 1).all()
+        assert np.allclose(gates.max(axis=1), 1.0)
 
     def test_hand_logits(self):
         # identity router makes logits == input row
         layer = MoELayer(router=np.eye(4), experts=make_layer(SeededRng(3)).experts)
-        gm = route(np.array([[3.0, 1.0, 2.0, 0.0]]), layer, k=2)
+        gates = route(np.array([[3.0, 1.0, 2.0, 0.0]]), layer, k=2)
         expected = np.exp([3.0, 2.0])
         expected /= expected.sum()
-        assert gm.values[0, 1] == 0.0 and gm.values[0, 3] == 0.0
-        assert np.abs(gm.values[0, [0, 2]] - expected).max() < 1e-15
+        assert gates[0, 1] == 0.0 and gates[0, 3] == 0.0
+        assert np.abs(gates[0, [0, 2]] - expected).max() < 1e-15
 
     def test_k_above_n_rejected(self):
         layer = make_layer(SeededRng(4), n_experts=2)
@@ -86,14 +85,14 @@ class TestRoute:
 
     def test_rows_sum_to_one_with_topk_nonzeros(self):
         layer = make_layer(SeededRng(5))
-        gm = route(SeededRng(6).normal_matrix(40, 4, std=2.0), layer, k=2)
-        assert np.abs(gm.values.sum(axis=1) - 1.0).max() < 1e-12
-        assert (np.count_nonzero(gm.values, axis=1) == 2).all()
+        gates = route(SeededRng(6).normal_matrix(40, 4, std=2.0), layer, k=2)
+        assert np.abs(gates.sum(axis=1) - 1.0).max() < 1e-12
+        assert (np.count_nonzero(gates, axis=1) == 2).all()
 
     def test_tie_breaks_to_lowest_index(self):
         layer = MoELayer(router=np.eye(4), experts=make_layer(SeededRng(7)).experts)
-        gm = route(np.zeros((1, 4)), layer, k=2)  # all logits equal
-        assert list(np.flatnonzero(gm.values[0])) == [0, 1]
+        gates = route(np.zeros((1, 4)), layer, k=2)  # all logits equal
+        assert list(np.flatnonzero(gates[0])) == [0, 1]
 
 
 class TestExpertForward:
@@ -134,20 +133,20 @@ class TestMoELayerForward:
     def test_top1_unscaled_selection(self):
         layer = make_layer(SeededRng(2))
         x = SeededRng(3).normal_matrix(6, 4)
-        y, gm = moe_layer_forward(x, layer, k=1)
+        y, gates = moe_layer_forward(x, layer, k=1)
         for t in range(6):
-            e = int(gm.values[t].argmax())
-            assert gm.values[t, e] == 1.0
+            e = int(gates[t].argmax())
+            assert gates[t, e] == 1.0
             expected = expert_forward(x[[t]], layer.experts[e])
             assert np.abs(y[t] - expected[0]).max() < 1e-12
 
     def test_matches_dense_sum(self):
         layer = make_layer(SeededRng(4), n_experts=2)
         x = SeededRng(5).normal_matrix(2, 4)
-        y, gm = moe_layer_forward(x, layer, k=2)
+        y, gates = moe_layer_forward(x, layer, k=2)
         dense = np.zeros_like(x)
         for e in range(2):
-            dense += gm.values[:, [e]] * expert_forward(x, layer.experts[e])
+            dense += gates[:, [e]] * expert_forward(x, layer.experts[e])
         assert np.abs(y - dense).max() < 1e-12
 
     def test_sparse_equals_dense_random(self):
@@ -155,10 +154,10 @@ class TestMoELayerForward:
         for trial in range(10):
             layer = make_layer(rng)
             x = rng.normal_matrix(7, 4, std=1.5)
-            y, gm = moe_layer_forward(x, layer, k=2)
+            y, gates = moe_layer_forward(x, layer, k=2)
             dense = np.zeros_like(x)
             for e in range(4):
-                dense += gm.values[:, [e]] * expert_forward(x, layer.experts[e])
+                dense += gates[:, [e]] * expert_forward(x, layer.experts[e])
             assert np.abs(y - dense).max() < 1e-12
 
     def test_expert_permutation_invariance(self):
@@ -256,7 +255,7 @@ class TestModelForward:
         cfg = ModelConfig(d_model=8, n_heads=2, n_layers=1, n_experts=2, top_k=1,
                           d_ff=8, seq_len=8, vocab_size=32, seed=0)
         model = MoEModel.init(cfg)
-        for name in model.param_names():
+        for name in model.params:
             if name != "token_embedding":
                 model.params[name] = np.zeros_like(model.params[name])
         res = model_forward(model, np.array([1, 2, 3]))
@@ -416,8 +415,8 @@ class TestBatchedForward:
                 assert np.array_equal(got.expert_outputs[e], want.expert_outputs[e])
         got, want = res.layers[last], full[last]
         assert np.array_equal(got.moe_input, want.moe_input)
-        assert np.array_equal(got.gates.values, want.gates.values)
-        assert np.array_equal(got.gates.logits, want.gates.logits)
+        assert np.array_equal(got.gates, want.gates)
+        assert np.array_equal(got.router_logits, want.router_logits)
         if until == "router":
             assert got.expert_tokens == got.expert_hidden == {}
         for e, rows in got.expert_tokens.items():
@@ -450,12 +449,27 @@ class TestBatchedForward:
         assert chunked[0] == pytest.approx(whole[0], rel=1e-12)
 
 
+def test_underflowed_gate_raises():
+    # a huge router column wins every token it favours by so much that the
+    # other selected expert's gate underflows to zero
+    model = MoEModel.init(TINY)
+    model.params["layers.0.router"][:, 1] = 1e5
+    with pytest.raises(NumericalError, match=f"exactly {TINY.top_k} nonzeros"):
+        model_forward(model, np.arange(TINY.seq_len))
+
+
 @pytest.mark.parametrize("values,message", [
     (np.array([[0.5, 0.4]]), "sum to 1"),
     (np.array([[1.0, 0.0], [0.5, 0.5]]), "exactly 2 nonzeros"),
     (np.array([[np.nan, 1.0]]), "sum to 1"),
 ])
-def test_gate_validate_raises(values, message):
-    gm = GateMatrix(values=values, logits=values)
+def test_gate_validate_raises(tiny_model, monkeypatch, values, message):
+    # the router's softmax hands back these gate rows (zero-padded to every
+    # expert, tiled over the tokens); the forward must refuse them
+    def bad_gates(a, mask):
+        rows = np.zeros((len(values), TINY.n_experts))
+        rows[:, :values.shape[1]] = values
+        return a.tape.var(np.resize(rows, a.value.shape))
+    monkeypatch.setattr(ag, "row_softmax", bad_gates)
     with pytest.raises(NumericalError, match=message):
-        gm.validate(2)
+        model_forward(tiny_model, np.arange(TINY.seq_len))

@@ -21,7 +21,7 @@ def test_round_trip_bit_exact(tiny_model, tmp_path):
     loaded, masks = load_checkpoint(tmp_path / "ckpt")
     assert masks is None
     assert loaded.config == tiny_model.config
-    for name in tiny_model.param_names():
+    for name in tiny_model.params:
         assert loaded.params[name].tobytes() == tiny_model.params[name].tobytes()
 
 
@@ -41,7 +41,7 @@ def test_loaded_parameters_do_not_alias(tiny_model, tmp_path):
     save_checkpoint(tiny_model, tmp_path / "ckpt")
     on_disk = (tmp_path / "ckpt" / "tensors.bin").read_bytes()
     loaded, _ = load_checkpoint(tmp_path / "ckpt")
-    for name in loaded.param_names():
+    for name in loaded.params:
         before = {n: p.copy() for n, p in loaded.params.items()}
         loaded.params[name][...] = 7.0
         assert (loaded.params[name] == 7.0).all()

@@ -435,7 +435,7 @@ class TestPruneModel:
         model, stats, corpus = model_and_stats
         pruned, masks, report = prune_model(model, stats, "moe-pruner",
                                             SparsityTarget.unstructured(0.0))
-        for name in model.param_names():
+        for name in model.params:
             assert np.array_equal(pruned.params[name], model.params[name])
         assert report.totals["sparsity_achieved"] == 0.0
         eval_slice = corpus[: 1 << 13]
@@ -534,7 +534,7 @@ class TestPruneModel:
         assert masks.keys() == want_masks.keys()
         for name in masks:
             assert np.array_equal(masks[name], want_masks[name])
-        for name in model.param_names():
+        for name in model.params:
             assert pruned.params[name].tobytes() == want.params[name].tobytes()
         assert asdict(report) == asdict(want_report)
 
@@ -551,7 +551,7 @@ class TestPruneModel:
         for name in masks:
             assert masks[name].dtype == np.uint8
             assert masks[name].tobytes() == want_masks[name].tobytes()
-        for name in model.param_names():
+        for name in model.params:
             got, ref = pruned.params[name], want.params[name]
             if method == "sparsegpt":
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -572,7 +572,7 @@ class TestPruneModel:
         pruned, masks, report = prune_model(model, stats, "sparsegpt", t)
         monkeypatch.setattr(moeprune.pruning, "STACK_BYTES", 1)
         alone, alone_masks, alone_report = prune_model(model, stats, "sparsegpt", t)
-        for name in model.param_names():
+        for name in model.params:
             assert pruned.params[name].tobytes() == alone.params[name].tobytes()
         for name in masks:
             assert masks[name].tobytes() == alone_masks[name].tobytes()
@@ -603,7 +603,7 @@ class TestPruneModel:
         assert md.keys() == mr.keys()
         for name in md:
             assert np.array_equal(md[name], mr[name])
-        for name in model.param_names():
+        for name in model.params:
             assert pd.params[name].tobytes() == pr.params[name].tobytes()
         assert rd.targets == rr.targets
         assert rd.totals == rr.totals
@@ -695,7 +695,7 @@ class TestPruneModel:
     def test_attention_and_router_untouched(self, model_and_stats):
         model, stats, _ = model_and_stats
         pruned, masks, _ = prune_model(model, stats, "magnitude", SparsityTarget.unstructured(0.7))
-        for name in model.param_names():
+        for name in model.params:
             if ".experts." not in name:
                 assert np.array_equal(pruned.params[name], model.params[name])
                 assert name not in masks
