@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationConfig, build_calibration_set, count_dispatch
+from .calibration import CalibrationSet, count_dispatch
 from .calibration import collect  # noqa: F401  (bench/tracer.py wraps analysis.collect by name)
 from .errors import FormatError, InputError
 from .model import MoEModel
@@ -41,16 +41,10 @@ def _report(counts: list[list], name: str, mode: str, **extra) -> dict:
             "layer_scores": layer_scores, "frequencies": counts, **extra}
 
 
-def analyze_model(
-    model: MoEModel,
-    corpus: bytes | str,
-    calib: CalibrationConfig = CalibrationConfig(),
-    mode: str = "argmax",
-    name: str = "model",
-) -> dict:
+def analyze_model(model: MoEModel, cal: CalibrationSet, mode: str = "argmax",
+                  name: str = "model") -> dict:
     """Route the calibration windows (no expert runs) and score the dispatch
     counts."""
-    cal = build_calibration_set(corpus, calib.nsamples, model.config.seq_len, calib.seed)
     counts, total_tokens = count_dispatch(model, cal, mode)
     return _report(counts.tolist(), name, mode, total_tokens=int(total_tokens))
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autograd as ag
 from .config import Section
 from .errors import InputError, ShapeError
 from .model import LayerTrace, MoEModel, ModelConfig, model_forward, window_batches
@@ -50,14 +51,12 @@ class CalibrationConfig(Section):
     seed: int = 0
 
 
-def corpus_tokens(corpus: bytes | str) -> np.ndarray:
+def corpus_tokens(corpus: bytes) -> np.ndarray:
     """Byte-level tokenization: UTF-8 text read as raw bytes, vocab 256."""
-    if isinstance(corpus, str):
-        corpus = corpus.encode("utf-8")
     return np.frombuffer(corpus, dtype=np.uint8).astype(np.intp)
 
 
-def nonoverlapping_windows(corpus: bytes | str, seq_len: int) -> list[np.ndarray]:
+def nonoverlapping_windows(corpus: bytes, seq_len: int) -> list[np.ndarray]:
     """Consecutive seq_len windows, tail remainder dropped."""
     toks = corpus_tokens(corpus)
     n = toks.size // seq_len
@@ -71,7 +70,7 @@ class CalibrationSet:
     sequences: list[np.ndarray]
 
 
-def build_calibration_set(corpus: bytes | str, nsamples: int, seq_len: int, seed: int) -> CalibrationSet:
+def build_calibration_set(corpus: bytes, nsamples: int, seq_len: int, seed: int) -> CalibrationSet:
     """nsamples windows of seq_len tokens at seeded-random offsets."""
     toks = corpus_tokens(corpus)
     if toks.size < seq_len:
@@ -93,10 +92,6 @@ class ScaledNormAccumulator:
 
     sum_sq: np.ndarray
 
-    @classmethod
-    def empty(cls, d_in: int) -> "ScaledNormAccumulator":
-        return cls(sum_sq=np.zeros(d_in))
-
     def add(self, x: np.ndarray, gates: np.ndarray) -> None:
         """Add the routed inputs x, each row scaled by its gate."""
         scaled = x * gates[:, None]
@@ -111,10 +106,6 @@ class HessianAccumulator:
     """Streaming X^T X over routed (unscaled) calibration inputs."""
 
     h: np.ndarray
-
-    @classmethod
-    def empty(cls, d_in: int) -> "HessianAccumulator":
-        return cls(h=np.zeros((d_in, d_in)))
 
     def add(self, x: np.ndarray) -> None:
         self.h += x.T @ x
@@ -136,7 +127,8 @@ class InputStats:
 
     @classmethod
     def empty(cls, weights: tuple[str, ...], d_in: int) -> "InputStats":
-        return cls(weights, ScaledNormAccumulator.empty(d_in), HessianAccumulator.empty(d_in))
+        return cls(weights, ScaledNormAccumulator(np.zeros(d_in)),
+                   HessianAccumulator(np.zeros((d_in, d_in))))
 
     def add(self, x: np.ndarray, gates: np.ndarray) -> None:
         """Add the routed inputs x (tokens, d_in) with their gates."""
@@ -195,13 +187,6 @@ def collect(model: MoEModel, cal: CalibrationSet) -> CalibrationStats:
     return CalibrationStats(model_config=cfg, layers=records, sequences=list(cal.sequences))
 
 
-def _full_softmax(x: np.ndarray) -> np.ndarray:
-    # argmax counts read the rounded probabilities, not the logits: logits
-    # whose probabilities round equal tie, and the lowest index takes it
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def count_dispatch(model: MoEModel, cal: CalibrationSet, mode: str) -> tuple[np.ndarray, int]:
     """Per-layer dispatch counts over the calibration set, (n_layers,
     n_experts) int64, and the number of tokens routed. "argmax" counts each
@@ -216,7 +201,11 @@ def count_dispatch(model: MoEModel, cal: CalibrationSet, mode: str) -> tuple[np.
         layers = model_forward(model, batch, stop=(cfg.n_layers - 1, "router")).layers
         for i, layer in enumerate(layers):
             if mode == "argmax":
-                np.add.at(counts[i], np.argmax(_full_softmax(layer.router_logits), axis=1), 1)
+                # argmax counts read the rounded probabilities, not the logits: logits
+                # whose probabilities round equal tie, and the lowest index takes it
+                logits = ag.Tape().const(layer.router_logits)
+                probs = ag.row_softmax(logits, np.ones(logits.value.shape, dtype=bool)).value
+                np.add.at(counts[i], np.argmax(probs, axis=1), 1)
             else:
                 counts[i] += np.count_nonzero(layer.gates, axis=0)
         total += batch.size

@@ -16,7 +16,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .analysis import analyze_model, ingest_frequencies
-from .calibration import CalibrationConfig, build_calibration_set, collect
+from .calibration import CalibrationConfig, CalibrationSet, build_calibration_set, collect
 from .config import Section
 from .distill import KDConfig, distill
 from .errors import (ConfigError, FormatError, InputError, MoePruneError, NumericalError,
@@ -32,6 +32,10 @@ def _read_corpus(path: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read corpus {path}: {exc}") from exc
+
+
+def _calibration_set(corpus: bytes, calib: CalibrationConfig, model: MoEModel) -> CalibrationSet:
+    return build_calibration_set(corpus, calib.nsamples, model.config.seq_len, calib.seed)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -100,9 +104,7 @@ def cmd_prune(args) -> int:
     file_cfg = _load_config_file(args.config)
     calib = _section(CalibrationConfig, file_cfg, nsamples=args.nsamples, seed=args.seed)
     model, _ = load_checkpoint(args.ckpt)
-    corpus = _read_corpus(args.calib)
-    cal = build_calibration_set(corpus, calib.nsamples, model.config.seq_len, calib.seed)
-    stats = collect(model, cal)
+    stats = collect(model, _calibration_set(_read_corpus(args.calib), calib, model))
     pruned, masks, report = prune_model(model, stats, args.method, target,
                                         propagate=args.propagate)
     effective = {
@@ -148,29 +150,24 @@ def cmd_distill(args) -> int:
 
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
-    corpus = _read_corpus(args.corpus)
-    if not corpus:
-        raise InputError(f"corpus {args.corpus} is empty")
-    ppl, tokens = evaluate_perplexity(model, corpus)
+    ppl, tokens = evaluate_perplexity(model, _read_corpus(args.corpus))
     print(json.dumps({"perplexity": ppl, "token_count": tokens}))
     return 0
 
 
 def cmd_analyze(args) -> int:
-    sources = [s for s in (args.ckpt, args.freq) if s is not None]
-    if len(sources) != 1:
+    if (args.ckpt is None) == (args.freq is None):
         raise UsageError("specify exactly one input: --ckpt (with --corpus) or --freq")
     if args.ckpt is not None:
         if args.corpus is None:
             raise UsageError("--ckpt requires --corpus")
         calib = _section(CalibrationConfig, {}, nsamples=args.nsamples, seed=args.seed)
         model, _ = load_checkpoint(args.ckpt)
-        report = analyze_model(model, _read_corpus(args.corpus), calib,
-                               mode=args.mode, name=str(args.ckpt))
-        print(json.dumps(report, indent=2))
+        cal = _calibration_set(_read_corpus(args.corpus), calib, model)
+        reports = [analyze_model(model, cal, mode=args.mode, name=str(args.ckpt))]
     else:
         reports = ingest_frequencies(args.freq)
-        print(json.dumps(reports[0] if len(reports) == 1 else reports, indent=2))
+    print(json.dumps(reports[0] if len(reports) == 1 else reports, indent=2))
     return 0
 
 
@@ -219,9 +216,7 @@ def cmd_sweep(args) -> int:
     for value, cal_cfg, target in settings:
         # a sparsity sweep holds nsamples and the seed fixed: collect once
         if stats is None or kind == "nsamples":
-            cal = build_calibration_set(calib_corpus, cal_cfg.nsamples,
-                                        model.config.seq_len, cal_cfg.seed)
-            stats = collect(model, cal)
+            stats = collect(model, _calibration_set(calib_corpus, cal_cfg, model))
         pruned, _, _ = prune_model(model, stats, args.method, target,
                                    propagate=args.propagate)
         ppl, _ = evaluate_perplexity(pruned, eval_corpus)

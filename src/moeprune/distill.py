@@ -138,7 +138,7 @@ def distill(
     teacher: MoEModel,
     student: MoEModel,
     masks: dict[str, np.ndarray],
-    corpus: bytes | str,
+    corpus: bytes,
     cfg: KDConfig,
 ) -> DistillResult:
     """Cosine-scheduled Adam fine-tuning of the student under its masks.

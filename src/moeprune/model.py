@@ -69,7 +69,12 @@ class ModelConfig(Section):
         return ""
 
 
-def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
+def param_count(cfg: ModelConfig) -> int:
+    """len(param_shapes(cfg)), without building the table."""
+    return 2 + cfg.n_layers * (5 + 3 * cfg.n_experts)
+
+
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     """Every parameter's shape, by name, in canonical order."""
     d, f = cfg.d_model, cfg.d_ff
     shapes = {"token_embedding": (cfg.vocab_size, d)}
@@ -88,13 +93,10 @@ class MoEModel:
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
-        expected = _param_shapes(config)
-        missing = [n for n in expected if n not in params]
-        if missing:
-            raise ShapeError(f"missing parameters: {missing[:3]}...")
+        expected = param_shapes(config)
         for name, shape in expected.items():
-            if params[name].shape != shape:
-                raise ShapeError(f"parameter {name} has shape {params[name].shape}, expected {shape}")
+            if name not in params or params[name].shape != shape:
+                raise ShapeError(f"parameter {name} is missing or not of shape {shape}")
         self.params = {n: np.ascontiguousarray(params[n], dtype=np.float64) for n in expected}
 
     @classmethod
@@ -103,7 +105,7 @@ class MoEModel:
         order. upcycle=True clones expert 0 across each layer."""
         rng = SeededRng(config.seed)
         params: dict[str, np.ndarray] = {}
-        for name, (r, c) in _param_shapes(config).items():
+        for name, (r, c) in param_shapes(config).items():
             params[name] = rng.normal_matrix(r, c, INIT_STD)
         if upcycle:
             for i in range(config.n_layers):
@@ -151,7 +153,7 @@ class ForwardResult:
     tokens: np.ndarray                       # (B, T) validated batch
     layers: list[LayerTrace]
     layer_input_vars: list[Var]
-    forced_outputs: list[dict[int, Var]] | None = None
+    forced_outputs: list[dict[int, Var]]     # per layer, empty without forced_dispatch
 
 
 def _validate_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
@@ -315,8 +317,7 @@ def forward_pass(
 
     logits = ag.matmul(ag.rmsnorm(h), pv["lm_head"]) if until is None else None
     return ForwardResult(logits=logits, tokens=toks, layers=layers,
-                         layer_input_vars=layer_input_vars,
-                         forced_outputs=forced_outputs if forced_dispatch is not None else None)
+                         layer_input_vars=layer_input_vars, forced_outputs=forced_outputs)
 
 
 def model_forward(model: MoEModel, tokens, stop: tuple[int, str] | None = None) -> ForwardResult:

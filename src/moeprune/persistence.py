@@ -28,21 +28,11 @@ from .errors import (
     StorageError,
     VersionError,
 )
-from .model import ModelConfig, MoEModel
+from .model import ModelConfig, MoEModel, param_count, param_shapes
 
 __all__ = ["save_checkpoint", "load_checkpoint", "nonzero_where_pruned", "CHECKPOINT_VERSION"]
 
 CHECKPOINT_VERSION = 1
-
-
-def _pack_mask(bits: np.ndarray) -> np.ndarray:
-    return np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
-
-
-def _unpack_mask(raw: bytes, rows: int, cols: int) -> np.ndarray:
-    row_bytes = (cols + 7) // 8
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(rows, row_bytes)
-    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
 def nonzero_where_pruned(p: np.ndarray, mask: np.ndarray) -> bool:
@@ -103,7 +93,8 @@ def save_checkpoint(
                 raise FormatError(
                     f"mask {name!r} shape {bits.shape} != parameter shape {model.params[name].shape}"
                 )
-            packed[name] = _pack_mask(bits)
+            packed[name] = np.packbits(bits.astype(np.uint8, copy=False), axis=1,
+                                       bitorder="little")
         # the index records each mask's unpacked shape
         manifest["masks"] = {n: {**e, "shape": list(masks[n].shape)}
                              for n, e in _indexed(packed).items()}
@@ -126,25 +117,35 @@ def _read_file(path: Path, expected_crc: int) -> bytearray:
     return buf
 
 
-def _tensor_views(index: dict, buf: bytearray) -> dict[str, np.ndarray]:
-    """Writable float64 views of `buf` over 8-aligned, disjoint index ranges."""
-    params = {}
-    spans = []
+def _index_views(index: dict, buf: bytearray, shapes: dict, what: str, dtype: str,
+                 row_bytes) -> dict[str, np.ndarray]:
+    """Views of `buf`, by name, over the ranges of an index of tensors or
+    masks (`what`). Each entry names a parameter and carries its shape; its
+    int byte_offset, a multiple of the dtype's size, and the byte length its
+    shape implies (`row_bytes(cols)` a row) fall inside `buf`; no two ranges
+    overlap. Each view holds a parameter's rows."""
+    size = np.dtype(dtype).itemsize
+    views, spans = {}, []
     for name, entry in index.items():
-        shape = tuple(entry["shape"])
-        off, length = entry["byte_offset"], entry["byte_length"]
-        if type(off) is not int or off < 0 or off % 8:
-            raise FormatError(f"{name}: byte_offset {off!r} is not a non-negative multiple of 8")
-        if length != 8 * int(np.prod(shape)) or off + length > len(buf):
-            raise FormatError(f"{name}: tensor bytes truncated")
-        params[name] = np.frombuffer(buf, dtype="<f8", count=length // 8,
-                                     offset=off).reshape(shape)
-        spans.append((off, off + length, name))
+        if name not in shapes:
+            raise FormatError(f"{what} {name!r} names no parameter")
+        shape, off, length = entry["shape"], entry["byte_offset"], entry["byte_length"]
+        # type(): JSON floats and bools compare equal to ints
+        if not ([type(v) for v in shape] == [int, int] and tuple(shape) == shapes[name]):
+            raise FormatError(f"{what} {name!r}: shape {shape!r} is not its parameter's "
+                              f"{list(shapes[name])}")
+        rows, cols = shapes[name]
+        n = rows * row_bytes(cols)
+        if type(off) is not int or off < 0 or off % size or length != n or off + n > len(buf):
+            raise FormatError(f"{what} {name!r}: {length!r} bytes at offset {off!r} are not "
+                              f"{n} bytes at a multiple of {size} inside {len(buf)}")
+        views[name] = np.frombuffer(buf, dtype, count=n // size, offset=off).reshape(rows, -1)
+        spans.append((off, off + n, name))
     spans.sort()
     for (_, end, a), (start, _, b) in zip(spans, spans[1:]):
         if start < end:
-            raise FormatError(f"tensors {a} and {b} overlap in tensors.bin")
-    return params
+            raise FormatError(f"{what}s {a} and {b} overlap")
+    return views
 
 
 def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
@@ -158,7 +159,7 @@ def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
         manifest = json.loads(mpath.read_text())
     except OSError as exc:
         raise FormatError(f"cannot read {mpath}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or UTF-8
         raise FormatError(f"{mpath}: not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise FormatError(f"{mpath}: manifest root is not a JSON object")
@@ -169,9 +170,16 @@ def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
 
     try:
         config = ModelConfig.from_dict(manifest["model_config"])
+        index = manifest["tensors"]
+        # more parameters than entries fails before the table is built; else
+        # each entry names a parameter, so every parameter has exactly one
+        if param_count(config) > len(index):
+            raise FormatError(f"{mpath}: the tensor index has {len(index)} entries for the "
+                              f"{param_count(config)} parameters of its model config")
+        shapes = param_shapes(config)
         tensors = _read_file(d / "tensors.bin", int(manifest["tensors_crc32"]))
-        params = _tensor_views(manifest["tensors"], tensors)
-    except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as exc:
+        params = _index_views(index, tensors, shapes, "tensor", "<f8", lambda c: 8 * c)
+    except (AttributeError, ConfigError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{mpath}: malformed manifest: {exc}") from exc
     # one pass over the whole buffer; the tensors are walked only to name a bad one
     if not np.isfinite(np.frombuffer(tensors, dtype="<f8", count=len(tensors) // 8)).all():
@@ -185,32 +193,15 @@ def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
     if "masks" in manifest:
         try:
             mask_blob = _read_file(d / "masks.bin", int(manifest["masks_crc32"]))
-            masks = {name: _read_mask(name, entry, mask_blob, model)
-                     for name, entry in manifest["masks"].items()}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            packed = _index_views(manifest["masks"], mask_blob, shapes, "mask", "u1",
+                                  lambda c: (c + 7) // 8)
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"{mpath}: malformed mask index: {exc}") from exc
+        masks = {}
+        for name, rows in packed.items():
+            masks[name] = np.unpackbits(rows, axis=1, count=shapes[name][1], bitorder="little")
+            if nonzero_where_pruned(params[name], masks[name]):
+                raise MaskConsistencyError(
+                    f"mask {name!r} marks pruned positions holding nonzero weights")
     return model, masks
 
-
-def _read_mask(name: str, entry: dict, blob: bytes, model: MoEModel) -> np.ndarray:
-    """Check one mask index entry against its parameter before unpacking it,
-    then check that every pruned position stores an exact zero."""
-    if name not in model.params:
-        raise FormatError(f"mask {name!r} has no matching parameter")
-    shape, off, length = entry["shape"], entry["byte_offset"], entry["byte_length"]
-    if not (isinstance(shape, list) and len(shape) == 2
-            and all(type(v) is int for v in shape)):
-        raise FormatError(f"mask {name!r}: shape {shape!r} is not two integers")
-    want = model.params[name].shape
-    if tuple(shape) != want:
-        raise FormatError(f"mask {name!r} shape {tuple(shape)} != parameter shape {want}")
-    rows, cols = want
-    if type(off) is not int or off < 0 or length != rows * ((cols + 7) // 8):
-        raise FormatError(f"mask {name!r}: {length} bytes at offset {off!r} do not fit shape {want}")
-    raw = blob[off : off + length]
-    if len(raw) != length:
-        raise FormatError(f"mask {name}: bytes truncated")
-    bits = _unpack_mask(raw, rows, cols)
-    if nonzero_where_pruned(model.params[name], bits):
-        raise MaskConsistencyError(f"mask {name!r} marks pruned positions holding nonzero weights")
-    return bits

@@ -49,7 +49,7 @@ def batch_ce_graph(model: MoEModel, batch: list[np.ndarray]):
 
 
 def train_model(
-    model: MoEModel, corpus: bytes | str, cfg: TrainConfig
+    model: MoEModel, corpus: bytes, cfg: TrainConfig
 ) -> tuple[MoEModel, list[dict]]:
     """Adam + cosine CE training on randomly offset windows. Deterministic per
     seed. Trains `model` in place (no copy of the weights) and returns it with
@@ -80,7 +80,7 @@ def train_model(
     return model, log
 
 
-def evaluate_perplexity(model: MoEModel, corpus: bytes | str) -> tuple[float, int]:
+def evaluate_perplexity(model: MoEModel, corpus: bytes) -> tuple[float, int]:
     """exp(mean next-token CE) over non-overlapping seq_len windows (tail
     dropped), forwarded in batches of windows. Returns (perplexity, predicted
     token count); a model with a non-finite weight or perplexity raises

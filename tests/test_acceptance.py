@@ -55,9 +55,9 @@ def test_criterion_1_degeneration_equivalences():
         x = rng.normal_matrix(24, 16)
         ones = np.ones(24)
 
-        scaled = ScaledNormAccumulator.empty(16)
+        scaled = ScaledNormAccumulator(np.zeros(16))
         scaled.add(x, ones)                       # unit gates
-        hessian = HessianAccumulator.empty(16)    # Wanda's norms: sqrt(diag(X^T X))
+        hessian = HessianAccumulator(np.zeros((16, 16)))    # Wanda's norms: sqrt(diag(X^T X))
         hessian.add(x)
         m_moe = select_mask(score_moe_pruner(w, scaled.norms()), HALF)
         m_wanda = select_mask(score_wanda(w, np.sqrt(np.diagonal(hessian.h))), HALF)
@@ -120,7 +120,7 @@ def test_criterion_3_brute_force_oracle():
         for cols in (4, 6, 8):
             w = rng.normal_matrix(3, cols)
             x = rng.normal_matrix(12, cols)
-            acc = ScaledNormAccumulator.empty(cols)
+            acc = ScaledNormAccumulator(np.zeros(cols))
             acc.add(x, np.abs(rng.normal_matrix(1, 12)).ravel())
             h = x.T @ x + 0.05 * np.eye(cols)
             score_sets = [
@@ -140,7 +140,7 @@ def test_criterion_3_brute_force_oracle():
 
 
 def test_criterion_4_worked_metric_value():
-    acc = ScaledNormAccumulator.empty(2)
+    acc = ScaledNormAccumulator(np.zeros(2))
     acc.add(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, 1.0]))
     s = score_moe_pruner(np.array([[2.0, -1.0]]), acc.norms())
     assert abs(s[0, 0] - 2.0 * math.sqrt(9.25)) < 1e-12

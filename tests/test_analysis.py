@@ -6,7 +6,7 @@ import pytest
 
 from moeprune import autograd as ag
 from moeprune.analysis import analyze_model, balance_score, ingest_frequencies
-from moeprune.calibration import CalibrationConfig, build_calibration_set
+from moeprune.calibration import build_calibration_set
 from moeprune.errors import FormatError, InputError
 from moeprune.model import MoEModel
 from moeprune.numerics import SeededRng
@@ -66,10 +66,15 @@ def symmetric_router_model() -> MoEModel:
     return model
 
 
+def windows(corpus, nsamples, seed=0):
+    """The calibration set `analyze` routes: nsamples TINY windows."""
+    return build_calibration_set(corpus, nsamples, TINY.seq_len, seed)
+
+
 class TestAnalyzeModel:
     def test_symmetric_router_near_zero(self):
-        report = analyze_model(symmetric_router_model(), random_bytes_corpus(5, 320 * 32),
-                               CalibrationConfig(nsamples=313, seed=0))
+        cal = windows(random_bytes_corpus(5, 320 * 32), nsamples=313)
+        report = analyze_model(symmetric_router_model(), cal)
         assert report["total_tokens"] >= 10000
         assert report["model_score"] < 0.2
         assert len(report["layer_scores"]) == TINY.n_layers
@@ -82,19 +87,19 @@ class TestAnalyzeModel:
             col = biased.params[f"layers.{i}.router"][:, [0]]
             biased.params[f"layers.{i}.router"] = np.repeat(col, TINY.n_experts, axis=1)
         corpus = random_bytes_corpus(6, 64 * 32)
-        report = analyze_model(biased, corpus, CalibrationConfig(nsamples=32, seed=0))
+        report = analyze_model(biased, windows(corpus, nsamples=32))
         assert report["model_score"] == pytest.approx(math.sqrt(TINY.n_experts - 1), abs=1e-9)
         assert report["frequencies"][0][1:] == [0] * (TINY.n_experts - 1)
 
     def test_deterministic(self, tiny_model):
         corpus = random_bytes_corpus(7, 64 * 32)
-        a = analyze_model(tiny_model, corpus, CalibrationConfig(nsamples=16, seed=3))
-        b = analyze_model(tiny_model, corpus, CalibrationConfig(nsamples=16, seed=3))
+        a = analyze_model(tiny_model, windows(corpus, nsamples=16, seed=3))
+        b = analyze_model(tiny_model, windows(corpus, nsamples=16, seed=3))
         assert a == b
 
     def test_topk_mode(self, tiny_model):
         corpus = random_bytes_corpus(8, 64 * 32)
-        report = analyze_model(tiny_model, corpus, CalibrationConfig(nsamples=16), mode="topk")
+        report = analyze_model(tiny_model, windows(corpus, nsamples=16), mode="topk")
         for row in report["frequencies"]:
             assert sum(row) == report["total_tokens"] * TINY.top_k
 
@@ -103,8 +108,7 @@ class TestAnalyzeModel:
         # analyze stops at the last router: no expert of the last layer runs,
         # and its counts equal those collected from forwards to the logits
         corpus = random_bytes_corpus(9, 64 * 32)
-        calib = CalibrationConfig(nsamples=20, seed=3)
-        cal = build_calibration_set(corpus, calib.nsamples, TINY.seq_len, calib.seed)
+        cal = windows(corpus, nsamples=20, seed=3)
         want = full_forward_stats(tiny_model, cal.sequences, mode)
         swiglu, layers_run = ag.swiglu, set()
         layer_of = {id(tiny_model.params[f"layers.{i}.experts.{e}.w_gate"]): i
@@ -115,7 +119,7 @@ class TestAnalyzeModel:
             return swiglu(x, w_gate, w_up)
 
         monkeypatch.setattr(ag, "swiglu", recording)
-        report = analyze_model(tiny_model, corpus, calib, mode=mode)
+        report = analyze_model(tiny_model, cal, mode=mode)
         assert layers_run == set(range(TINY.n_layers - 1))
         assert report["frequencies"] == want["counts"].tolist()
         assert report["total_tokens"] == want["total_tokens"] == 20 * TINY.seq_len

@@ -86,7 +86,7 @@ class TestAccumulator:
         assert rec.tokens_seen == 1
 
     def test_norm_is_sqrt_of_sum(self):
-        acc = ScaledNormAccumulator.empty(2)
+        acc = ScaledNormAccumulator(np.zeros(2))
         acc.add(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, 1.0]))
         assert np.allclose(acc.norms(), [np.sqrt(9.25), np.sqrt(17.0)])
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -294,16 +295,21 @@ def test_non_finite_weight_at_load_is_numerical_error(workdir, tmp_path, capsys,
     assert out == "" and not (tmp_path / "never").exists()
 
 
-def _move(name, offset):
+def _edit(section, edit):
     def mutate(manifest):
-        index = manifest["tensors"]
-        index[name]["byte_offset"] = offset(index)
+        edit(manifest[section])
         return manifest
     return mutate
 
 
+def _move(name, offset):
+    return _edit("tensors", lambda ix: ix[name].update(byte_offset=offset(ix)))
+
+
 # manifest edits that leave tensors.bin, masks.bin and their CRCs valid: the
-# tensor index's ranges, then the manifest's root and the masks' CRC
+# tensor index's ranges, its entries against the model config, then the
+# manifest's root and the masks' CRC. A config with 2**40 experts or layers
+# fails on its parameter count, before any per-parameter work.
 BAD_RANGES = {
     "negative": (_move("lm_head", lambda ix: -2 * ix["lm_head"]["byte_length"]), "lm_head"),
     "aliased": (_move("layers.0.attn.wk", lambda ix: ix["layers.0.attn.wq"]["byte_offset"]),
@@ -314,6 +320,15 @@ BAD_RANGES = {
     "string": (_move("lm_head", lambda ix: str(ix["lm_head"]["byte_offset"])), "lm_head"),
     "float": (_move("lm_head", lambda ix: float(ix["lm_head"]["byte_offset"])), "lm_head"),
     "past-end": (_move("lm_head", lambda ix: ix["lm_head"]["byte_offset"] + 8), "lm_head"),
+    "unknown-name": (_edit("tensors", lambda ix: ix.update(
+        bogus={"shape": [0, 0], "byte_offset": 0, "byte_length": 0})), "'bogus'"),
+    "missing-entry": (_edit("tensors", lambda ix: ix.pop("lm_head")), "tensor index"),
+    "config-disagrees": (_edit("model_config", lambda c: c.update(d_model=32)),
+                         "layers.0.attn.wk"),
+    "huge-n-experts": (_edit("model_config", lambda c: c.update(n_experts=2**40)),
+                       "tensor index"),
+    "huge-n-layers": (_edit("model_config", lambda c: c.update(n_layers=2**40)),
+                      "tensor index"),
     "root-array": (lambda m: [m], "root is not a JSON object"),
     "masks-without-crc": (lambda m: {k: v for k, v in m.items() if k != "masks_crc32"},
                           "masks_crc32"),
@@ -332,10 +347,12 @@ def test_bad_tensor_range_is_format_error(workdir, tmp_path, capsys, case):
     manifest = json.loads((ckpt / "manifest.json").read_text())
     (ckpt / "manifest.json").write_text(json.dumps(mutate(manifest)))
     capsys.readouterr()
+    t0 = time.perf_counter()
     rc = run(["prune", "--ckpt", ckpt, "--sparsity", "0.5", "--calib", workdir / "corpus.txt",
               "--out", tmp_path / "never"])
+    elapsed = time.perf_counter() - t0
     out, err = capsys.readouterr()
-    assert rc == 3
+    assert rc == 3 and elapsed < 1.0
     assert len(err.strip().splitlines()) == 1 and named in err
     assert "Traceback" not in err
     assert out == "" and not (tmp_path / "never").exists()

@@ -82,7 +82,7 @@ class TestScoreWanda:
 class TestScoreMoePruner:
     def test_worked_instance(self):
         # W row [2,-1]; tokens X=[[1,2],[3,4]]; gates [0.5, 1.0]
-        acc = ScaledNormAccumulator.empty(2)
+        acc = ScaledNormAccumulator(np.zeros(2))
         acc.add(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, 1.0]))
         s = score_moe_pruner(np.array([[2.0, -1.0]]), acc.norms())
         assert abs(s[0, 0] - 2 * math.sqrt(9.25)) < 1e-12
@@ -94,13 +94,13 @@ class TestScoreMoePruner:
         rng = SeededRng(3)
         x = rng.normal_matrix(10, 6)
         w = rng.normal_matrix(4, 6)
-        acc = ScaledNormAccumulator.empty(6)
+        acc = ScaledNormAccumulator(np.zeros(6))
         acc.add(x, np.ones(10))
         assert np.array_equal(score_moe_pruner(w, acc.norms()),
                               score_wanda(w, np.sqrt((x * x).sum(axis=0))))
 
     def test_dead_expert_all_zero_scores(self):
-        acc = ScaledNormAccumulator.empty(4)
+        acc = ScaledNormAccumulator(np.zeros(4))
         s = score_moe_pruner(SeededRng(4).normal_matrix(2, 4), acc.norms())
         assert np.array_equal(s, np.zeros((2, 4)))
         mask = select_mask(s, SparsityTarget.unstructured(0.5))
@@ -116,8 +116,8 @@ class TestScoreMoePruner:
         x = rng.normal_matrix(12, 8)
         g = np.abs(rng.normal_matrix(12, 1)).ravel()
         w = rng.normal_matrix(6, 8)
-        a1 = ScaledNormAccumulator.empty(8)
-        a2 = ScaledNormAccumulator.empty(8)
+        a1 = ScaledNormAccumulator(np.zeros(8))
+        a2 = ScaledNormAccumulator(np.zeros(8))
         a1.add(x, g)
         a2.add(x, 3.7 * g)
         t = SparsityTarget.unstructured(0.5)
