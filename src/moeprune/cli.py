@@ -2,14 +2,17 @@
 
 Config file (JSON) sections: "model", "train", "calibration", "kd"; flags
 override file values, and the effective configuration is echoed into every
-artifact. Exit codes: 0 success, 2 usage error, 3 input/format error, 4
-numerical error.
+artifact. Exit codes: 0 success, 2 usage error, 3 input/format error or out
+of memory, 4 numerical error.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
+import platform
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -25,6 +28,26 @@ from .model import ModelConfig, MoEModel
 from .persistence import load_checkpoint, save_checkpoint
 from .pruning import METHODS, SparsityTarget, prune_model
 from .training import TrainConfig, evaluate_perplexity, train_model
+
+
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def keep_freed_memory() -> None:
+    """Under glibc, keep freed memory in the process for the next window's
+    activations instead of handing it back to the kernel and faulting it in
+    again: the heap's top is trimmed only past 1 GiB free, and blocks under
+    32 MiB come from the heap, not from their own mmap (a fixed threshold
+    also stops glibc's own adjustment of it). Other libcs are left alone."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    libc = ctypes.CDLL("libc.so.6")
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    libc.mallopt(M_TRIM_THRESHOLD, 1 << 30)
+    libc.mallopt(M_MMAP_THRESHOLD, 32 << 20)
 
 
 def _read_corpus(path: str) -> bytes:
@@ -308,10 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 3
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -192,6 +192,8 @@ def distill(
                 tape.backward(total)
                 lr = cosine_lr(step, total_steps, cfg.learning_rate)
                 opt.step({n: leaves[n].grad for n in trainable}, lr)
+                # this step's graph and gradients go before the next forward
+                del total, leaves, tape
             result.log.append({"step": step, "lr": lr, **losses})
             step += 1
     result.lam = lam

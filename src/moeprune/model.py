@@ -55,6 +55,9 @@ class ModelConfig(Section):
         for name in self.__dataclass_fields__:
             if name != "seed" and getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seq_len < 2:
+            raise ConfigError(f"seq_len must be at least 2 (a window needs a next token), "
+                              f"got {self.seq_len}")
         if not 1 <= self.top_k <= self.n_experts:
             raise ConfigError(f"top_k={self.top_k} must be in [1, n_experts={self.n_experts}]")
         if self.d_model % self.n_heads != 0:

@@ -76,6 +76,8 @@ def train_model(
             tape.backward(loss)
             lr = cosine_lr(step, cfg.steps, cfg.learning_rate)
             opt.step({n: v.grad for n, v in leaves.items()}, lr)
+            # this step's graph and gradients go before the next forward
+            del loss, leaves, tape
         log.append({"step": step, "lr": lr, "loss": value})
     return model, log
 

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from moeprune.cli import keep_freed_memory
 from moeprune.model import ModelConfig, MoEModel
+
+# the tests that call the library directly run under the CLI's allocator policy
+keep_freed_memory()
 
 NOUNS = ["cat", "dog", "bird", "fish", "tree", "star", "ship", "king",
          "wolf", "bear", "rose", "lake", "moon", "sun", "rain", "wind"]

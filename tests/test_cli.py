@@ -7,6 +7,7 @@ import pytest
 
 from moeprune.cli import main
 from moeprune.model import ModelConfig, MoEModel
+from moeprune.numerics import SeededRng
 from moeprune.persistence import load_checkpoint, save_checkpoint
 
 from conftest import expert_names, synth_corpus
@@ -109,6 +110,7 @@ BAD_SECTIONS = [
     ("prune", {"calibraton": {"nsamples": 2}}, "'calibraton'"),
     ("train", {"model": CLI_MODEL, "upcycle": True}, "'upcycle'"),
     ("distill", {"extra": 1}, "'extra'"),
+    ("train", {"model": {**CLI_MODEL, "seq_len": 1}}, "seq_len"),
 ]
 
 
@@ -295,6 +297,22 @@ def test_non_finite_weight_at_load_is_numerical_error(workdir, tmp_path, capsys,
     assert out == "" and not (tmp_path / "never").exists()
 
 
+def test_out_of_memory_is_one_line_error(workdir, tmp_path, capsys, monkeypatch):
+    def no_memory(*_args):
+        raise MemoryError("Unable to allocate 32.0 GiB for an array with shape "
+                          "(65536, 65536) and data type float64")
+
+    monkeypatch.setattr(SeededRng, "normal_matrix", no_memory)
+    capsys.readouterr()
+    rc = run(["train", "--config", workdir / "config.json", "--corpus", workdir / "corpus.txt",
+              "--steps", "1", "--out", tmp_path / "never"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert err.splitlines() == ["error: out of memory: Unable to allocate 32.0 GiB for an "
+                                "array with shape (65536, 65536) and data type float64"]
+    assert out == "" and not (tmp_path / "never").exists()
+
+
 def _edit(section, edit):
     def mutate(manifest):
         edit(manifest[section])
@@ -329,6 +347,7 @@ BAD_RANGES = {
                        "tensor index"),
     "huge-n-layers": (_edit("model_config", lambda c: c.update(n_layers=2**40)),
                       "tensor index"),
+    "seq-len-1": (_edit("model_config", lambda c: c.update(seq_len=1)), "seq_len"),
     "root-array": (lambda m: [m], "root is not a JSON object"),
     "masks-without-crc": (lambda m: {k: v for k, v in m.items() if k != "masks_crc32"},
                           "masks_crc32"),

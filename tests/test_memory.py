@@ -1,0 +1,92 @@
+"""Memory a run keeps: freed blocks stay in the process for the next window
+(glibc allocator policy, set by cli.main), and a training or KD step's
+gradients are gone before the next step's graph is built."""
+
+import os
+import platform
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
+import pytest
+
+import moeprune.distill as kd
+import moeprune.training as training
+from moeprune.distill import KDConfig, distill
+from moeprune.model import ModelConfig, MoEModel
+from moeprune.optim import Adam
+from moeprune.persistence import save_checkpoint
+from moeprune.training import TrainConfig, train_model
+
+from conftest import TINY, synth_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# a warm-up eval, then EVALS more, each through cli.main; prints the minor
+# page faults of the EVALS
+EVALS = 5
+COUNT_FAULTS = f"""
+import resource, sys
+from moeprune.cli import main
+argv = ["eval", "--ckpt", sys.argv[1], "--corpus", sys.argv[2]]
+assert main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range({EVALS}):
+    assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, file=sys.stderr)
+"""
+# Under glibc's default policy these evals take ~21K faults: each window's
+# freed activations go back to the kernel and are faulted in again. With
+# the policy, under a hundred.
+MAX_FAULTS = 2000
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's")
+def test_repeated_evals_reuse_freed_memory(tmp_path):
+    config = ModelConfig(d_model=32, n_heads=2, n_layers=1, n_experts=4, top_k=2, d_ff=64,
+                         seq_len=64, vocab_size=256, seed=4)
+    save_checkpoint(MoEModel.init(config), tmp_path / "ckpt")
+    (tmp_path / "corpus.txt").write_bytes(synth_corpus(seed=3, size=1 << 13))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", COUNT_FAULTS, str(tmp_path / "ckpt"),
+                          str(tmp_path / "corpus.txt")],
+                         env=env, capture_output=True, text=True, check=True)
+    faults = int(run.stderr.strip().splitlines()[-1])
+    assert faults < MAX_FAULTS, f"{EVALS} evals took {faults} minor page faults"
+
+
+def _watch_gradients(monkeypatch, module, builder: str) -> tuple[list, list]:
+    """Hold a weakref to each gradient array Adam.step receives, and record,
+    as the module's graph builder is entered, how many of the last step's
+    are still alive. Returns (weakrefs of the last step, alive counts)."""
+    held, alive = [], []
+    step, build = Adam.step, getattr(module, builder)
+
+    def watched_step(self, grads, lr):
+        held[:] = [weakref.ref(g) for g in grads.values()]
+        return step(self, grads, lr)
+
+    def watched_build(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in held))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(Adam, "step", watched_step)
+    monkeypatch.setattr(module, builder, watched_build)
+    return held, alive
+
+
+def test_train_frees_gradients_before_next_forward(monkeypatch):
+    held, alive = _watch_gradients(monkeypatch, training, "batch_ce_graph")
+    train_model(MoEModel.init(TINY), synth_corpus(2, 1 << 12),
+                TrainConfig(steps=3, batch_size=2, seed=1))
+    assert held and alive == [0, 0, 0]
+
+
+def test_distill_frees_gradients_before_next_forward(monkeypatch):
+    held, alive = _watch_gradients(monkeypatch, kd, "_kd_graph")
+    teacher = MoEModel.init(TINY)
+    distill(teacher, teacher.copy(), {}, synth_corpus(3, 1 << 12),
+            KDConfig(epochs=1, samples=6, batch_size=2, lambda_mode=1.0))
+    assert held and alive == [0, 0, 0]

@@ -2,11 +2,12 @@
 
     python tools/parity.py --parent <ref> [--smoke] [--expect-diff GLOB ...]
 
-checks `<ref>` out as a git worktree in a temporary directory and runs one
-fixed command matrix with each tree's `src/`, each in its own subprocess
-with single-thread BLAS. On three configs (TOY; WIDE, one 16-expert d_ff=512
-layer; TOP1, a top-1 16-expert layer whose idle experts take sparsegpt's
-magnitude fallback) the matrix is: train, and train --upcycle; prune with 4
+extracts `<ref>`'s committed tree into a temporary directory (`checkout`,
+which tools/bench_record.py shares) and runs one fixed command matrix with
+each tree's `src/`, each in its own subprocess with single-thread BLAS. On
+three configs (TOY; WIDE, one 16-expert d_ff=512 layer; TOP1, a top-1
+16-expert layer whose idle experts take sparsegpt's magnitude fallback) the
+matrix is: train, and train --upcycle; prune with 4
 methods x {0.5, 2:4} x {dense, recompute}, each followed by an eval; distill,
 and distill --full-parameter --lam 0.5, each followed by an eval; analyze
 argmax and topk, and analyze --freq on a fixed file; a sparsity sweep with
@@ -30,12 +31,14 @@ import json
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 
+REPO = Path(__file__).resolve().parents[1]
 METHODS = ("magnitude", "wanda", "moe-pruner", "sparsegpt")
 TARGETS = (("--sparsity", "0.5"), ("--pattern", "2:4"))
 
@@ -158,6 +161,18 @@ def differing(a: dict[str, str], b: dict[str, str]) -> list[str]:
     return sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
 
 
+@contextlib.contextmanager
+def checkout(ref: str):
+    """`ref`'s committed tree (git archive) in a temporary directory, removed
+    on exit; the repository's own state is not touched."""
+    tree = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", ref],
+                          stdout=subprocess.PIPE, check=True).stdout
+    with tempfile.TemporaryDirectory(prefix="checkout-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(tree)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield Path(tmp)
+
+
 def _run_tree(src: Path, out: Path, smoke: bool) -> dict[str, str]:
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     subprocess.run([sys.executable, __file__, "--run-matrix", str(out)]
@@ -178,17 +193,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if not args.parent:
         p.error("--parent is required")
-    repo = Path(__file__).resolve().parents[1]
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
-        parent = Path(tmp) / "parent"
-        subprocess.run(["git", "-C", str(repo), "worktree", "add", "--detach", "--quiet",
-                        str(parent), args.parent], check=True)
-        try:
+        with checkout(args.parent) as parent:
             old = _run_tree(parent / "src", Path(tmp) / "out-parent", args.smoke)
-        finally:
-            subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force",
-                            str(parent)], check=True)
-        new = _run_tree(repo / "src", Path(tmp) / "out-change", args.smoke)
+        new = _run_tree(REPO / "src", Path(tmp) / "out-change", args.smoke)
     diff = differing(old, new)
     unexpected = [f for f in diff
                   if not any(fnmatch.fnmatch(f, g) for g in args.expect_diff)]
