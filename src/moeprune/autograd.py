@@ -309,29 +309,54 @@ def scatter_rows(a: Var, idx: np.ndarray, n_rows: int) -> Var:
     return a.tape._emit(out, bwd, a)
 
 
-def cross_entropy(logits: Var, targets: np.ndarray) -> Var:
+def cross_entropy(logits: Var, targets: np.ndarray, rows: np.ndarray | None = None) -> Var:
     """Mean next-token cross-entropy (natural log) of logits rows vs targets.
-    The forward holds one logits-sized buffer and keeps only the row maxima
-    and log-normalizers, from which the backward rebuilds the softmax."""
+    rows, strictly increasing, lists the rows of logits the targets belong
+    to (None: every row). They are read in place, with no gather node: the
+    value and gradient equal gather_rows-then-cross_entropy's bit for bit,
+    and an unlisted row's gradient is +0.0. The forward holds one buffer of
+    the listed rows and keeps only their maxima and log-normalizers, from
+    which the backward rebuilds the softmax."""
     targets = np.asarray(targets, dtype=np.intp)
     x = logits.value
-    if targets.ndim != 1 or targets.size != x.shape[0]:
-        raise ShapeError(f"targets length {targets.size} != logits rows {x.shape[0]}")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1:
+            raise ShapeError(f"cross_entropy needs 1-D rows, got shape {rows.shape}")
+        if rows.size and (rows[0] < 0 or rows[-1] >= x.shape[0] or (np.diff(rows) <= 0).any()):
+            raise InputError(f"cross_entropy rows must be strictly increasing in "
+                             f"[0, {x.shape[0]})")
+    n = x.shape[0] if rows is None else rows.size
+    if targets.ndim != 1 or targets.size != n:
+        raise ShapeError(f"targets length {targets.size} != logits rows {n}")
     if targets.size and (targets.min() < 0 or targets.max() >= x.shape[1]):
         raise InputError(f"target out of vocabulary range [0, {x.shape[1]})")
-    n, rows = x.shape[0], np.arange(x.shape[0])
-    rowmax = x.max(axis=1, keepdims=True)
-    shifted = x - rowmax
-    picked = shifted[rows, targets]
+    picks = np.arange(n)
+
+    def listed() -> np.ndarray:  # a fresh buffer holding the listed rows
+        return x.copy() if rows is None else x[rows]
+
+    shifted = listed()
+    rowmax = shifted.max(axis=1, keepdims=True)
+    shifted -= rowmax
+    picked = shifted[picks, targets]
     logz = np.log(np.exp(shifted, out=shifted).sum(axis=1, keepdims=True))
+    del shifted
     loss = -(picked - logz[:, 0]).mean()
 
     def bwd(g: np.ndarray) -> None:
-        p = x - rowmax  # the softmax, in the forward's operation order
+        p = listed()  # the softmax, in the forward's operation order
+        p -= rowmax
         p -= logz
         np.exp(p, out=p)
-        p[rows, targets] -= 1.0
+        p[picks, targets] -= 1.0
         p *= g[0, 0] / n
+        if rows is not None:
+            # as gather_rows' backward adds p into zeros: 0.0 + p, so -0.0 becomes +0.0
+            p += 0.0
+            full = np.zeros_like(x)
+            full[rows] = p
+            p = full
         logits.accumulate(p)
 
     return logits.tape._emit(np.array([[loss]]), bwd, logits)
@@ -365,15 +390,16 @@ def scale(a: Var, c: float) -> Var:
 
 
 def masked_assign(a: Var, mask: np.ndarray) -> Var:
-    """Zero both the value and the gradient flow wherever mask == 0."""
+    """Zero both the value and the gradient flow wherever mask == 0. The
+    mask is multiplied in as given (0/1 of any dtype, uint8 or bool as
+    loaded): a float64 product with it equals that with its float64 copy."""
     if mask.shape != a.value.shape:
         raise ShapeError(f"mask shape {mask.shape} != value shape {a.value.shape}")
-    m = mask.astype(np.float64, copy=False)
 
     def bwd(g: np.ndarray) -> None:
-        a.accumulate(g * m)
+        a.accumulate(g * mask)
 
-    return a.tape._emit(a.value * m, bwd, a)
+    return a.tape._emit(a.value * mask, bwd, a)
 
 
 def causal_attention(q: Var, k: Var, v: Var, batch: int, n_heads: int) -> Var:

@@ -252,7 +252,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args fills a
+    fresh namespace on each call, so no flag carries over between calls."""
     p = argparse.ArgumentParser(prog="moeprune",
                                 description="Desk-scale MoE pruning toolkit")
     sub = p.add_subparsers(dest="command", required=True)

@@ -106,7 +106,7 @@ def _kd_graph(
     leaves, pv = make_param_vars(student, tape, masks)
     strace = forward_pass(student, batch, pv, forced_dispatch=dispatch)
     rows, next_tokens = next_token_targets(strace.tokens)
-    l_ce = ag.cross_entropy(ag.gather_rows(strace.logits, rows), next_tokens)
+    l_ce = ag.cross_entropy(strace.logits, next_tokens, rows)
     expert_terms = [ag.mse(strace.forced_outputs[i][e], tape.const(t_out))
                     for i, layer in enumerate(t_outs)
                     for e, t_out in layer.items() if t_out.shape[0]]
@@ -156,8 +156,6 @@ def distill(
             raise ContractError(f"mask targets unknown parameter {name!r}")
         if nonzero_where_pruned(out.params[name], m):
             raise ContractError(f"student weights at {name!r} are nonzero under the mask")
-    # as float64 once: every step's masked-assign multiplies by them
-    masks = {name: m.astype(np.float64) for name, m in masks.items()}
 
     cal = build_calibration_set(corpus, cfg.samples, out.config.seq_len, cfg.seed)
     order_rng = SeededRng(cfg.seed).child(1)

@@ -145,7 +145,9 @@ class LayerTrace:
     router_logits: np.ndarray                # (B*T, n_experts) the logits gates came from
     expert_tokens: dict[int, np.ndarray]     # expert -> flattened rows routed to it
     expert_outputs: dict[int, np.ndarray]    # expert -> (t_e, d_model) outputs
-    expert_hidden: dict[int, np.ndarray]     # expert -> (t_e, d_ff) SwiGLU intermediate
+    # expert -> (t_e, d_ff) SwiGLU intermediate, filled only by a pass that
+    # stops at "hidden"; any other pass leaves each entry empty
+    expert_hidden: dict[int, np.ndarray]
 
 
 @dataclass
@@ -239,10 +241,13 @@ def forward_pass(
     rows (the teacher-forced sets distillation needs). An expert runs once per
     layer, on the union of its own and its forced rows.
     stop: (layer i, point) ends the pass inside layer i, for callers that read
-    no further; the trace then ends at layer i and logits is None. At
+    no further, and excludes forced_dispatch; the trace then ends at layer i
+    and logits is None. At
     "router" layer i's trace holds its MoE input and gates, and no expert
-    entries; at "hidden" it also holds each expert's rows and SwiGLU
-    intermediates, and no expert outputs (no w_down, no combine).
+    entries; at "hidden" it also holds each expert's rows, and no expert
+    outputs (no w_down, no combine). Only a pass that stops at "hidden"
+    records the experts' SwiGLU intermediates, in every layer it runs; any
+    other pass leaves each expert_hidden entry empty.
     """
     cfg = model.config
     toks = _validate_tokens(tokens, cfg)
@@ -250,6 +255,8 @@ def forward_pass(
     last, until = stop if stop is not None else (cfg.n_layers - 1, None)
     if not 0 <= last < cfg.n_layers or until not in (None, "router", "hidden"):
         raise ContractError(f"no stop point {stop!r} in a {cfg.n_layers}-layer forward")
+    if stop is not None and forced_dispatch is not None:
+        raise ContractError("a stopped forward takes no forced_dispatch")
 
     h = ag.gather_rows(pv["token_embedding"], toks.ravel())
     layers: list[LayerTrace] = []
@@ -309,9 +316,8 @@ def forward_pass(
                 if own.size:
                     outs[e] = _subset_rows(y, rows, own)
                     expert_outputs[e] = outs[e].value
-            if own.size:
-                expert_hidden[e] = (hid.value if own.size == rows.size
-                                    else hid.value[np.searchsorted(rows, own)])
+            if until == "hidden":  # a stopped pass forces no rows: rows == own
+                expert_hidden[e] = hid.value
         if stop_here == "hidden":
             break
         if forced_dispatch is not None:
@@ -328,7 +334,8 @@ def model_forward(model: MoEModel, tokens, stop: tuple[int, str] | None = None) 
     causal next-token logits of a (B, T) batch as a constant Var, one row per
     token, plus the per-layer trace calibration and distillation consume (MoE
     inputs, gates, per-expert outputs). stop ends the pass early, as in
-    forward_pass."""
+    forward_pass; only a pass that stops at "hidden" records the experts'
+    SwiGLU intermediates."""
     tape = Tape()
     return forward_pass(model, tokens, {n: tape.const(p) for n, p in model.params.items()},
                         stop=stop)

@@ -1,7 +1,8 @@
 """Bit-exact checkpoint storage.
 
 A checkpoint is a directory holding manifest.json (format version, model
-config, tensor index, per-file CRC32) plus tensors.bin (concatenated
+config, tensor index, per-file CRC32, and the CRC32 of the manifest's own
+canonical JSON without that field) plus tensors.bin (concatenated
 little-endian float64, row-major) and an optional masks.bin sidecar (bitmaps
 packed 8 columns per byte, each row padded to a whole byte). Binaries are
 written first and the manifest last, each via temp-file + rename, so an
@@ -32,7 +33,7 @@ from .model import ModelConfig, MoEModel, param_count, param_shapes
 
 __all__ = ["save_checkpoint", "load_checkpoint", "nonzero_where_pruned", "CHECKPOINT_VERSION"]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def nonzero_where_pruned(p: np.ndarray, mask: np.ndarray) -> bool:
@@ -53,6 +54,14 @@ def _atomic_write(path: Path, chunks) -> int:
     except OSError as exc:
         raise StorageError(f"cannot write {path}: {exc}") from exc
     return crc & 0xFFFFFFFF
+
+
+def _manifest_crc(manifest: dict) -> int:
+    """CRC32 of the manifest's canonical JSON (sorted keys, no whitespace),
+    leaving out its own manifest_crc32 field."""
+    body = {k: v for k, v in manifest.items() if k != "manifest_crc32"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
 
 
 def _indexed(arrays: dict[str, np.ndarray]) -> dict[str, dict]:
@@ -100,6 +109,7 @@ def save_checkpoint(
                              for n, e in _indexed(packed).items()}
         manifest["masks_crc32"] = _atomic_write(d / "masks.bin", packed.values())
 
+    manifest["manifest_crc32"] = _manifest_crc(manifest)
     _atomic_write(d / "manifest.json",
                   [json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")])
 
@@ -152,7 +162,9 @@ def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
     """Reconstruct the model (and masks, if present). Verifies checksums,
     that every weight is finite (NumericalError naming the first parameter
     that is not) and that every mask-pruned position stores an exact zero.
-    The parameters are views of one buffer holding tensors.bin."""
+    The manifest's own CRC32 is checked last, so a manifest that fails a
+    structural check is reported by that check. The parameters are views of
+    one buffer holding tensors.bin."""
     d = Path(directory)
     mpath = d / "manifest.json"
     try:
@@ -203,5 +215,9 @@ def load_checkpoint(directory) -> tuple[MoEModel, dict[str, np.ndarray] | None]:
             if nonzero_where_pruned(params[name], masks[name]):
                 raise MaskConsistencyError(
                     f"mask {name!r} marks pruned positions holding nonzero weights")
+    # an edit that leaves every check above satisfied (another top_k, two
+    # same-shape tensors' offsets swapped) still changes the manifest's CRC32
+    if manifest.get("manifest_crc32") != _manifest_crc(manifest):
+        raise ChecksumError(f"{mpath}: manifest CRC32 mismatch (edited or corrupted manifest)")
     return model, masks
 

@@ -44,7 +44,7 @@ def batch_ce_graph(model: MoEModel, batch: list[np.ndarray]):
     leaves, pv = make_param_vars(model, tape)
     tr = forward_pass(model, batch, pv)
     rows, targets = next_token_targets(tr.tokens)
-    loss = ag.cross_entropy(ag.gather_rows(tr.logits, rows), targets)
+    loss = ag.cross_entropy(tr.logits, targets, rows)
     return loss, leaves, tape
 
 
@@ -95,8 +95,9 @@ def evaluate_perplexity(model: MoEModel, corpus: bytes) -> tuple[float, int]:
     total_tokens = 0
     for batch in window_batches(windows):
         rows, targets = next_token_targets(batch)
-        logits = ag.Tape().const(model_forward(model, batch).logits.value[rows])
-        total_ce += float(ag.cross_entropy(logits, targets).value[0, 0]) * rows.size
+        # no name holds the logits, so they are freed before the next forward
+        ce = ag.cross_entropy(model_forward(model, batch).logits, targets, rows)
+        total_ce += float(ce.value[0, 0]) * rows.size
         total_tokens += rows.size
     mean_ce = total_ce / total_tokens
     ppl = math.exp(mean_ce) if mean_ce < 709.0 else math.inf  # math.exp raises past ~709.78

@@ -1,3 +1,6 @@
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,14 @@ def input_records(stats) -> dict:
     """Each of collect's InputStats records, by the first weight that reads
     its input (w_gate or w_down)."""
     return {rec.weights[0]: rec for layer in stats.layers for expert in layer for rec in expert}
+
+
+def seal(manifest: dict) -> dict:
+    """The manifest with its manifest_crc32 reset to the CRC32 of its
+    canonical JSON (sorted keys, no whitespace) without that field."""
+    body = {k: v for k, v in manifest.items() if k != "manifest_crc32"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return {**body, "manifest_crc32": zlib.crc32(text.encode()) & 0xFFFFFFFF}
 
 
 def expert_names(model: MoEModel) -> list[str]:

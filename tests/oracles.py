@@ -5,7 +5,8 @@ batching), the cross-entropy loss and gradient as separate allocating
 expressions, mask selection by stable argsort, the SPD inverse mirrored by
 summing triangles, a central-difference gradient check for autograd ops,
 the allocating Adam step, calibration statistics, dispatch counts and a
-recompute prune built from forwards that run to the logits, the sequential
+recompute prune built from forwards that run to the logits (with the expert
+intermediates rebuilt from their inputs), the sequential
 OBS sweep and a prune that takes one weight at a time, and the KD loss and
 lambda of one batch.
 No command uses them; pytest does not collect this module.
@@ -235,6 +236,23 @@ class Adam:
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
+def full_layers(model: MoEModel, batch) -> list:
+    """The layer traces of a forward that runs to the logits, with each
+    routed expert's SwiGLU intermediate (which such a pass leaves empty)
+    rebuilt by ag.swiglu on constants of its routed MoE inputs and its
+    weights: the forward's value bit for bit."""
+    res = model_forward(model, batch)
+    assert res.logits is not None
+    tape = ag.Tape()
+    for i, lt in enumerate(res.layers):
+        for e, idx in lt.expert_tokens.items():
+            if idx.size:
+                w_gate, w_up = (tape.const(model.params[f"layers.{i}.experts.{e}.{part}"])
+                                for part in ("w_gate", "w_up"))
+                lt.expert_hidden[e] = ag.swiglu(tape.const(lt.moe_input[idx]), w_gate, w_up).value
+    return res.layers
+
+
 def full_forward_stats(model: MoEModel, sequences, mode: str = "argmax") -> dict:
     """Calibration statistics from forwards that run to the logits: per
     expert input, the sums of squared gate-scaled and plain routed inputs,
@@ -246,10 +264,8 @@ def full_forward_stats(model: MoEModel, sequences, mode: str = "argmax") -> dict
     out: dict = {"counts": np.zeros((cfg.n_layers, cfg.n_experts), dtype=np.int64),
                  "total_tokens": 0}
     for batch in window_batches(sequences):
-        res = model_forward(model, batch)
-        assert res.logits is not None
         out["total_tokens"] += batch.size
-        for i, lt in enumerate(res.layers):
+        for i, lt in enumerate(full_layers(model, batch)):
             logits = lt.router_logits
             picks = (np.argmax(row_softmax(logits), axis=1) if mode == "argmax"
                      else np.argsort(-logits, axis=1, kind="stable")[:, :cfg.top_k].ravel())
@@ -303,7 +319,7 @@ def prune_recompute(model: MoEModel, stats, method: str, target):
     for i in range(cfg.n_layers):
         records = empty_layer(cfg, i)
         for batch in window_batches(stats.sequences):
-            accumulate_layer(records, model_forward(pruned, batch).layers[i])
+            accumulate_layer(records, full_layers(pruned, batch)[i])
         layer_masks, rows = pruning._prune_layer(pruned, method, target, records)
         masks.update(layer_masks)
         report.targets += rows
@@ -344,7 +360,7 @@ def prune_per_target(model: MoEModel, stats, method: str, target, propagate: str
         if propagate == "recompute" and i > 0:
             records = empty_layer(cfg, i)
             for batch in window_batches(stats.sequences):
-                accumulate_layer(records, model_forward(pruned, batch).layers[i])
+                accumulate_layer(records, full_layers(pruned, batch)[i])
         # the record of the input each weight reads
         read = {name: rec for expert in records for rec in expert for name in rec.weights}
         for e in range(cfg.n_experts):

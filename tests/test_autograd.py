@@ -216,6 +216,22 @@ class TestMaskedAssign:
         assert w.grad[0, 0] != 0.0 and w.grad[1, 1] != 0.0
 
 
+    @pytest.mark.parametrize("dtype", [np.uint8, bool])
+    def test_mask_as_loaded_equals_float64_mask(self, dtype):
+        # value and gradient bit for bit, signed zeros included
+        rng = SeededRng(3)
+        w0, target = rng.normal_matrix(5, 7), rng.normal_matrix(5, 7)
+        keep = rng.normal_matrix(5, 7) > 0
+        got = []
+        for mask in (keep.astype(np.float64), keep.astype(dtype)):
+            t = ag.Tape()
+            w = t.var(w0)
+            out = ag.masked_assign(w, mask)
+            t.backward(ag.mse(out, t.const(target)))
+            got.append((out.value.tobytes(), w.grad.tobytes()))
+        assert got[0] == got[1]
+
+
 # every supported op kind against central finite differences (random 4x4,
 # eps=1e-5, 1e-4 relative tolerance)
 

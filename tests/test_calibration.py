@@ -17,7 +17,7 @@ from moeprune.model import ModelConfig, MoEModel, model_forward, window_batches
 from moeprune.pruning import SparsityTarget, prune_model
 
 from conftest import TINY, TOP1, expert_names, input_records, synth_corpus
-from oracles import full_forward_stats
+from oracles import full_forward_stats, full_layers
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def stacked_inputs(tiny_model, cal):
     calibration set from plain forwards."""
     parts = {}
     for seq in cal.sequences:
-        for i, lt in enumerate(model_forward(tiny_model, seq).layers):
+        for i, lt in enumerate(full_layers(tiny_model, seq)):
             for e, idx in lt.expert_tokens.items():
                 base = f"layers.{i}.experts.{e}"
                 for tgt, x in ((f"{base}.w_gate", lt.moe_input[idx]),

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import time
@@ -313,6 +314,24 @@ def test_out_of_memory_is_one_line_error(workdir, tmp_path, capsys, monkeypatch)
     assert out == "" and not (tmp_path / "never").exists()
 
 
+def test_main_builds_one_parser_and_no_flag_carries_over(workdir, monkeypatch):
+    parsed, parse_args = [], argparse.ArgumentParser.parse_args
+
+    def recording(parser, *args, **kwargs):
+        parsed.append((parser, parse_args(parser, *args, **kwargs)))
+        return parsed[-1][1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    common = ["analyze", "--ckpt", workdir / "init_ckpt", "--corpus", workdir / "corpus.txt",
+              "--nsamples", "2"]
+    assert run(common + ["--mode", "topk", "--seed", "3"]) == 0
+    assert run(common) == 0
+    (first, a), (second, b) = parsed
+    assert first is second
+    assert (a.mode, a.seed) == ("topk", 3)
+    assert (b.mode, b.seed) == ("argmax", None)
+
+
 def _edit(section, edit):
     def mutate(manifest):
         edit(manifest[section])
@@ -324,10 +343,18 @@ def _move(name, offset):
     return _edit("tensors", lambda ix: ix[name].update(byte_offset=offset(ix)))
 
 
+def _swap_offsets(a, b):
+    def swap(ix):
+        ix[a]["byte_offset"], ix[b]["byte_offset"] = ix[b]["byte_offset"], ix[a]["byte_offset"]
+    return _edit("tensors", swap)
+
+
 # manifest edits that leave tensors.bin, masks.bin and their CRCs valid: the
 # tensor index's ranges, its entries against the model config, then the
 # manifest's root and the masks' CRC. A config with 2**40 experts or layers
-# fails on its parameter count, before any per-parameter work.
+# fails on its parameter count, before any per-parameter work. An edit that
+# every other check accepts fails on the manifest's own CRC, and a version-1
+# checkpoint (which has none) on its version.
 BAD_RANGES = {
     "negative": (_move("lm_head", lambda ix: -2 * ix["lm_head"]["byte_length"]), "lm_head"),
     "aliased": (_move("layers.0.attn.wk", lambda ix: ix["layers.0.attn.wq"]["byte_offset"]),
@@ -353,6 +380,12 @@ BAD_RANGES = {
                           "masks_crc32"),
     "masks-crc-not-integer": (lambda m: {**m, "masks_crc32": [m["masks_crc32"]]},
                               "malformed mask index"),
+    "top-k-edited": (_edit("model_config", lambda c: c.update(top_k=1)), "manifest CRC32"),
+    "offsets-swapped": (_swap_offsets("layers.0.attn.wq", "layers.0.attn.wk"),
+                        "manifest CRC32"),
+    "manifest-crc-missing": (lambda m: {k: v for k, v in m.items() if k != "manifest_crc32"},
+                             "manifest CRC32"),
+    "version-1": (lambda m: {**m, "format_version": 1}, "unsupported checkpoint version 1"),
 }
 
 

@@ -274,6 +274,35 @@ class TestCeLoss:
         if kind == "peaked":
             assert loss.value[0, 0] == 0.0
 
+    @pytest.mark.parametrize("g", [0.7, -0.7, 0.0])
+    @pytest.mark.parametrize("kind", ["random", "peaked", "wide"])
+    def test_rows_equal_gather_then_cross_entropy(self, kind, g):
+        # the rows are read in place; value and gradient equal those of the
+        # gather node they replace (whose backward adds into zeros, so a
+        # -0.0 that g <= 0 makes is +0.0 there), unlisted rows' gradient +0.0
+        logits, targets = ce_case(kind)
+        n = logits.shape[0]
+        for rows in (np.arange(n), np.flatnonzero(np.arange(n) % 4 != 3), np.array([n - 1])):
+            grads, values = [], []
+            for read_in_place in (False, True):
+                t = ag.Tape()
+                x = t.var(logits)
+                loss = (ag.cross_entropy(x, targets[rows], rows) if read_in_place
+                        else ag.cross_entropy(ag.gather_rows(x, rows), targets[rows]))
+                t.backward(ag.scale(loss, g))
+                values.append(loss.value.tobytes())
+                grads.append(x.grad.tobytes())
+            assert values[0] == values[1] and grads[0] == grads[1]
+
+    @pytest.mark.parametrize("rows,error", [
+        ([1, 0], InputError), ([0, 0], InputError), ([-1, 2], InputError),
+        ([2, 4], InputError), ([[0, 1]], ShapeError), ([0, 1, 2], ShapeError),
+    ])
+    def test_rows_out_of_range_or_not_increasing_rejected(self, rows, error):
+        t = ag.Tape()
+        with pytest.raises(error):
+            ag.cross_entropy(t.var(np.zeros((4, 3))), np.array([0, 1]), np.array(rows))
+
     def test_leaves_logits_untouched(self):
         logits = SeededRng(2).normal_matrix(4, 6)
         before = logits.copy()

@@ -1,23 +1,28 @@
 """Memory a run keeps: freed blocks stay in the process for the next window
-(glibc allocator policy, set by cli.main), and a training or KD step's
-gradients are gone before the next step's graph is built."""
+(glibc allocator policy, set by cli.main), a training or KD step's
+gradients are gone before the next step's graph is built, and a pass keeps
+only what its caller reads (expert intermediates only where calibration
+stops, no copy of the logits or of the masks)."""
 
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import moeprune.distill as kd
 import moeprune.training as training
+from moeprune import autograd as ag
 from moeprune.distill import KDConfig, distill
-from moeprune.model import ModelConfig, MoEModel
+from moeprune.model import ModelConfig, MoEModel, model_forward
 from moeprune.optim import Adam
 from moeprune.persistence import save_checkpoint
-from moeprune.training import TrainConfig, train_model
+from moeprune.training import TrainConfig, evaluate_perplexity, train_model
 
 from conftest import TINY, synth_corpus
 
@@ -90,3 +95,55 @@ def test_distill_frees_gradients_before_next_forward(monkeypatch):
     distill(teacher, teacher.copy(), {}, synth_corpus(3, 1 << 12),
             KDConfig(epochs=1, samples=6, batch_size=2, lambda_mode=1.0))
     assert held and alive == [0, 0, 0]
+
+
+def test_only_a_pass_stopped_at_hidden_records_expert_intermediates(tiny_model):
+    toks = np.random.default_rng(4).integers(0, 256, size=(3, 12))
+    for lt in model_forward(tiny_model, toks).layers:
+        assert sorted(lt.expert_hidden) == list(range(TINY.n_experts))
+        assert all(h.shape == (0, TINY.d_ff) for h in lt.expert_hidden.values())
+    for i in range(TINY.n_layers):
+        layers = model_forward(tiny_model, toks, stop=(i, "hidden")).layers
+        assert len(layers) == i + 1
+        for lt in layers:
+            assert sum(rows.size for rows in lt.expert_tokens.values()) == toks.size * TINY.top_k
+            for e, rows in lt.expert_tokens.items():
+                assert lt.expert_hidden[e].shape == (rows.size, TINY.d_ff)
+
+
+def test_distill_hands_masked_assign_the_masks_as_given(monkeypatch):
+    teacher = MoEModel.init(TINY)
+    student = teacher.copy()
+    name = "layers.0.experts.1.w_up"
+    mask = (np.random.default_rng(0).random(student.params[name].shape) > 0.5).astype(np.uint8)
+    student.params[name] *= mask
+    seen, masked_assign = [], ag.masked_assign
+
+    def recording(a, m):
+        seen.append(m)
+        return masked_assign(a, m)
+
+    monkeypatch.setattr(ag, "masked_assign", recording)
+    distill(teacher, student, {name: mask}, synth_corpus(3, 1 << 12),
+            KDConfig(epochs=1, samples=4, batch_size=2, lambda_mode=1.0))
+    assert len(seen) == 2 and all(m is mask for m in seen)
+
+
+# evaluate_perplexity's traced peak over two batches of TINY windows: ~25.6
+# MB when each batch copied its logits' target rows, every expert's SwiGLU
+# intermediate outlived its w_down, and a batch's logits outlived the next
+# forward; ~16.1 MB with none of these
+EVAL_PEAK_MB = 21
+
+
+def test_evaluate_perplexity_keeps_no_copies(tiny_model):
+    corpus = synth_corpus(seed=3, size=1 << 13)
+    evaluate_perplexity(tiny_model, corpus)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate_perplexity(tiny_model, corpus)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < EVAL_PEAK_MB * 2**20, f"traced peak {peak / 2**20:.1f} MB"

@@ -23,6 +23,7 @@ from oracles import (
     ExpertWeights,
     MoELayer,
     expert_forward,
+    full_layers,
     moe_layer,
     moe_layer_forward,
     route,
@@ -284,7 +285,8 @@ class TestModelForward:
             assert routed == 12 * TINY.top_k
             for e, idx in lt.expert_tokens.items():
                 assert lt.expert_outputs[e].shape == (idx.size, TINY.d_model)
-                assert lt.expert_hidden[e].shape == (idx.size, TINY.d_ff)
+                # a pass to the logits keeps no SwiGLU intermediate
+                assert lt.expert_hidden[e].shape == (0, TINY.d_ff)
 
     def test_out_of_vocab_token(self, tiny_model):
         with pytest.raises(InputError):
@@ -363,7 +365,6 @@ class TestBatchedForward:
             for e, rows in forced[i].items():
                 assert np.array_equal(lt.expert_tokens[e], pl.expert_tokens[e])
                 assert np.allclose(lt.expert_outputs[e], pl.expert_outputs[e], rtol=1e-12, atol=1e-15)
-                assert np.allclose(lt.expert_hidden[e], pl.expert_hidden[e], rtol=1e-12, atol=1e-15)
                 want = expert_forward(pl.moe_input[rows], experts[e])
                 assert np.allclose(tr.forced_outputs[i][e].value, want, rtol=1e-12, atol=1e-15)
         none = forward_pass(tiny_model, toks, consts,
@@ -409,7 +410,7 @@ class TestBatchedForward:
         assert any(read(f"layers.{last}.experts.{e}.w_gate") for e in experts) == (until == "hidden")
 
         monkeypatch.undo()
-        full = model_forward(tiny_model, toks).layers
+        full = full_layers(tiny_model, toks)
         for got, want in zip(res.layers[:last], full):
             for e in experts:
                 assert np.array_equal(got.expert_outputs[e], want.expert_outputs[e])
@@ -419,14 +420,26 @@ class TestBatchedForward:
         assert np.array_equal(got.router_logits, want.router_logits)
         if until == "router":
             assert got.expert_tokens == got.expert_hidden == {}
-        for e, rows in got.expert_tokens.items():
-            assert np.array_equal(rows, want.expert_tokens[e])
-            assert np.array_equal(got.expert_hidden[e], want.expert_hidden[e])
+        # only a pass that stops at "hidden" records the intermediates, in
+        # every layer it runs, equal to those rebuilt from the routed inputs
+        for got, want in zip(res.layers, full):
+            for e, rows in got.expert_tokens.items():
+                assert np.array_equal(rows, want.expert_tokens[e])
+                hidden = want.expert_hidden[e] if until == "hidden" else np.zeros((0, TINY.d_ff))
+                assert np.array_equal(got.expert_hidden[e], hidden)
 
     @pytest.mark.parametrize("stop", [(TINY.n_layers, "hidden"), (-1, "router"), (0, "logits")])
     def test_unknown_stop_point(self, tiny_model, stop):
         with pytest.raises(ContractError, match="stop point"):
             model_forward(tiny_model, self.batch(), stop=stop)
+
+    @pytest.mark.parametrize("until", ["router", "hidden"])
+    def test_stopped_forward_takes_no_forced_dispatch(self, tiny_model, until):
+        tape = ag.Tape()
+        consts = {n: tape.const(p) for n, p in tiny_model.params.items()}
+        forced = [{0: np.arange(2)}] * TINY.n_layers
+        with pytest.raises(ContractError, match="forced_dispatch"):
+            forward_pass(tiny_model, self.batch(), consts, forced_dispatch=forced, stop=(0, until))
 
     @pytest.mark.parametrize("tokens", [
         np.zeros((2, TINY.seq_len + 1), dtype=int),   # window too long

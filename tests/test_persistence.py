@@ -13,7 +13,7 @@ from moeprune.errors import (
 from moeprune.model import MoEModel
 from moeprune.persistence import load_checkpoint, save_checkpoint
 
-from conftest import TINY, expert_names
+from conftest import TINY, expert_names, seal
 
 
 def test_round_trip_bit_exact(tiny_model, tmp_path):
@@ -83,6 +83,20 @@ def test_version_mismatch(tiny_model, tmp_path):
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(VersionError):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def test_manifest_crc_covers_its_canonical_json(tiny_model, tmp_path):
+    save_checkpoint(tiny_model, tmp_path / "ckpt")
+    mpath = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    assert manifest["format_version"] == 2 and seal(manifest) == manifest
+    # an edit every other check accepts: the manifest's CRC alone rejects it
+    manifest["model_config"]["top_k"] = 1
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(ChecksumError, match="manifest CRC32"):
+        load_checkpoint(tmp_path / "ckpt")
+    mpath.write_text(json.dumps(seal(manifest)))
+    assert load_checkpoint(tmp_path / "ckpt")[0].config.top_k == 1
 
 
 def test_mask_marking_nonzero_weight_rejected(tiny_model, tmp_path):

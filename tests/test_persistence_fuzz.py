@@ -1,9 +1,11 @@
 """A corrupted checkpoint fails cleanly. Hypothesis mutates one saved
 checkpoint: values anywhere in its manifest, and byte flips and truncations
 of its three files (for tensors.bin and masks.bin, optionally with the
-manifest's CRC updated to match, so the checks behind the CRC run too). Each
-load either succeeds or raises a FormatError subclass or NumericalError;
-anything else (a ShapeError, a MemoryError, a traceback) fails the test."""
+manifest's CRC of the file updated to match, so the checks behind the CRC
+run too). The edited manifest is optionally resealed (its own CRC updated),
+so an edit that passes every other check can load. Each load either
+succeeds or raises a FormatError subclass or NumericalError; anything else
+(a ShapeError, a MemoryError, a traceback) fails the test."""
 
 import json
 import zlib
@@ -16,7 +18,7 @@ from moeprune.errors import FormatError, NumericalError
 from moeprune.model import ModelConfig, MoEModel
 from moeprune.persistence import load_checkpoint, save_checkpoint
 
-from conftest import expert_names
+from conftest import expert_names, seal
 
 SMALL = ModelConfig(d_model=8, n_heads=2, n_layers=1, n_experts=2, top_k=1, d_ff=8,
                     seq_len=8, vocab_size=16, seed=3)
@@ -103,12 +105,14 @@ def _edit(manifest, path, value):
 
 
 @settings(FUZZ, max_examples=400)
-@given(data=st.data())
-def test_manifest_mutations_fail_cleanly(saved, data):
+@given(data=st.data(), reseal=st.booleans())
+def test_manifest_mutations_fail_cleanly(saved, data, reseal):
     files, work = saved
     manifest = json.loads(files["manifest.json"])
     for path, value in data.draw(manifest_edits(manifest)):
         _edit(manifest, path, value)
+    if reseal:
+        manifest = seal(manifest)
     _load(work, {**files, "manifest.json": json.dumps(manifest).encode()})
 
 
@@ -129,5 +133,5 @@ def test_byte_flips_and_truncations_fail_cleanly(saved, name, at, flip, fix_crc)
     if fix_crc and name != "manifest.json":
         manifest = json.loads(files["manifest.json"])
         manifest[name.replace(".bin", "_crc32")] = zlib.crc32(blob) & 0xFFFFFFFF
-        changed["manifest.json"] = json.dumps(manifest).encode()
+        changed["manifest.json"] = json.dumps(seal(manifest)).encode()
     _load(work, changed)

@@ -35,7 +35,7 @@ from moeprune.training import evaluate_perplexity
 
 from conftest import TINY, TOP1, expert_names, input_records, synth_corpus
 from oracles import obs_sweep as obs_sweep_oracle
-from oracles import prune_per_target, prune_recompute
+from oracles import full_layers, prune_per_target, prune_recompute
 from oracles import select_mask as argsort_select_mask
 
 
@@ -403,7 +403,7 @@ class TestHessianError:
         cal = build_calibration_set(synth_corpus(seed=7, size=1 << 14), 4, 16, seed=2)
         pruned, _, report = prune_model(model, collect(model, cal), "sparsegpt",
                                         SparsityTarget.unstructured(0.5))
-        traces = [model_forward(model, seq).layers for seq in cal.sequences]
+        traces = [full_layers(model, seq) for seq in cal.sequences]
         for t in report.targets:
             _, i, _, e, part = t["name"].split(".")
             i, e = int(i), int(e)
