@@ -21,7 +21,7 @@ import numpy as np
 from . import autograd as ag
 from .calibration import build_calibration_set
 from .config import Section
-from .errors import ContractError, NumericalError
+from .errors import ContractError
 from .model import (
     MoEModel,
     forward_pass,
@@ -31,7 +31,7 @@ from .model import (
     window_batches,
 )
 from .numerics import SeededRng
-from .optim import Adam, cosine_lr, finite_step
+from .optim import Adam, run_steps
 from .persistence import nonzero_where_pruned
 
 __all__ = ["KDConfig", "distill"]
@@ -119,7 +119,7 @@ def _kd_graph(
         if l_e == 0.0:
             warnings.warn("expert distillation loss is zero on the probe batch (student "
                           "identical to teacher?); falling back to lambda = 1.0",
-                          RuntimeWarning, stacklevel=3)
+                          RuntimeWarning, stacklevel=5)  # past graph, run_steps, distill
         lam = float(l_ce.value[0, 0]) / l_e if l_e else 1.0
     total = ag.add(l_ce, ag.scale(l_expert, lam))
     losses = {"l_ce": float(l_ce.value[0, 0]), "l_expert": float(l_expert.value[0, 0]),
@@ -159,40 +159,27 @@ def distill(
 
     cal = build_calibration_set(corpus, cfg.samples, out.config.seq_len, cfg.seed)
     order_rng = SeededRng(cfg.seed).child(1)
-    steps_per_epoch = max(1, (cfg.samples + cfg.batch_size - 1) // cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
+    n = len(cal.sequences)
+    batches = [perm[b0 : b0 + cfg.batch_size]
+               for perm in (order_rng.permutation(n) for _ in range(cfg.epochs))
+               for b0 in range(0, n, cfg.batch_size)]
     # a fixed lambda is resolved even when no step runs
     lam: float | None = None if cfg.lambda_mode == "auto" else float(cfg.lambda_mode)
-    result = DistillResult(student=out, lam=1.0 if lam is None else lam)
-    if total_steps == 0:
-        return result
+    if not batches:
+        return DistillResult(student=out, lam=1.0 if lam is None else lam)
 
-    trainable = [n for n in out.params
-                 if cfg.router_frozen is False or not n.endswith(".router")]
-    opt = Adam({n: out.params[n] for n in trainable})
-
+    opt = Adam({name: p for name, p in out.params.items()
+                if cfg.router_frozen is False or not name.endswith(".router")})
     # the frozen teacher runs once over every window, not once per epoch
     cache = _teacher_windows(teacher, cal.sequences)
-    T = len(cal.sequences[0])
-    step = 0
-    for _ in range(cfg.epochs):
-        perm = order_rng.permutation(len(cal.sequences))
-        for b0 in range(0, len(perm), cfg.batch_size):
-            picks = perm[b0 : b0 + cfg.batch_size]
-            batch = [cal.sequences[j] for j in picks]
-            with finite_step("KD", step):
-                # an "auto" lambda comes from the first batch (masked weights are zero)
-                total, losses, leaves, tape = _kd_graph(
-                    out, batch, lam, masks, _batch_targets(cache, picks, T))
-                lam = losses["lambda"]
-                if not np.isfinite(losses["total"]):
-                    raise NumericalError(f"non-finite KD loss at step {step}: {losses['total']}")
-                tape.backward(total)
-                lr = cosine_lr(step, total_steps, cfg.learning_rate)
-                opt.step({n: leaves[n].grad for n in trainable}, lr)
-                # this step's graph and gradients go before the next forward
-                del total, leaves, tape
-            result.log.append({"step": step, "lr": lr, **losses})
-            step += 1
-    result.lam = lam
-    return result
+
+    def graph(picks):
+        # an "auto" lambda comes from the first batch (masked weights are zero)
+        nonlocal lam
+        step = _kd_graph(out, [cal.sequences[j] for j in picks], lam, masks,
+                         _batch_targets(cache, picks, out.config.seq_len))
+        lam = step[1]["lambda"]
+        return step
+
+    log = run_steps("KD", opt, batches, cfg.learning_rate, graph)
+    return DistillResult(student=out, lam=lam, log=log)

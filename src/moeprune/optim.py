@@ -1,15 +1,15 @@
-"""Adam with cosine decay, shared by training and distillation."""
+"""Adam with cosine decay, and the one step loop that training and
+distillation share."""
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["Adam", "cosine_lr", "finite_step"]
+__all__ = ["Adam", "cosine_lr", "run_steps"]
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -21,17 +21,29 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / (total_steps - 1)))
 
 
-@contextmanager
-def finite_step(kind: str, step: int):
-    """Run one optimizer step (graph, backward, update) with numpy overflow,
-    invalid and divide-by-zero raising: a step that would make a value
-    non-finite stops with a NumericalError naming the step, and prints no
-    RuntimeWarning."""
+def run_steps(kind: str, opt: Adam, batches: list, base_lr: float, graph) -> list[dict]:
+    """One Adam step per batch, at the cosine rate over len(batches). graph(batch)
+    returns (loss Var, log fields, leaf Vars by name, tape); each of opt.params
+    steps by its leaf's gradient, and a step's graph and gradients are dropped
+    before the next graph is built. A non-finite loss, or a numpy overflow,
+    invalid value or division by zero (raised, so no RuntimeWarning prints),
+    stops with a NumericalError naming kind and step. Returns the log."""
+    log = []
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            yield
+            for step, batch in enumerate(batches):
+                loss, fields, leaves, tape = graph(batch)
+                value = float(loss.value[0, 0])
+                if not math.isfinite(value):
+                    raise NumericalError(f"non-finite {kind} loss at step {step}: {value}")
+                tape.backward(loss)
+                lr = cosine_lr(step, len(batches), base_lr)
+                opt.step({n: leaves[n].grad for n in opt.params}, lr)
+                del loss, leaves, tape
+                log.append({"step": step, "lr": lr, **fields})
     except FloatingPointError as exc:
         raise NumericalError(f"{kind} step {step} diverged: {exc}") from None
+    return log
 
 
 class Adam:

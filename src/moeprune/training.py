@@ -21,7 +21,7 @@ from .model import (
     window_batches,
 )
 from .numerics import SeededRng
-from .optim import Adam, cosine_lr, finite_step
+from .optim import Adam, run_steps
 
 __all__ = ["TrainConfig", "train_model", "evaluate_perplexity", "batch_ce_graph"]
 
@@ -39,13 +39,13 @@ class TrainConfig(Section):
 def batch_ce_graph(model: MoEModel, batch: list[np.ndarray]):
     """Mean next-token CE over a batch of equal-length windows: one forward
     and one cross-entropy over every row that has a next token. Returns
-    (loss, leaf Vars, tape)."""
+    (loss, {"loss": its value}, leaf Vars, tape)."""
     tape = ag.Tape()
     leaves, pv = make_param_vars(model, tape)
     tr = forward_pass(model, batch, pv)
     rows, targets = next_token_targets(tr.tokens)
     loss = ag.cross_entropy(tr.logits, targets, rows)
-    return loss, leaves, tape
+    return loss, {"loss": float(loss.value[0, 0])}, leaves, tape
 
 
 def train_model(
@@ -60,25 +60,13 @@ def train_model(
     seq_len = model.config.seq_len
     if toks.size < seq_len + 1:
         raise InputError(f"corpus has {toks.size} tokens; need more than seq_len={seq_len}")
-    if cfg.steps == 0:
-        return model, []
     rng = SeededRng(cfg.seed)
-    opt = Adam(model.params)
-    log = []
-    for step in range(cfg.steps):
-        offsets = np.asarray(rng.integers(0, toks.size - seq_len + 1, size=cfg.batch_size))
-        batch = [toks[o : o + seq_len] for o in offsets]
-        with finite_step("training", step):
-            loss, leaves, tape = batch_ce_graph(model, batch)
-            value = float(loss.value[0, 0])
-            if not math.isfinite(value):
-                raise NumericalError(f"non-finite training loss at step {step}: {value}")
-            tape.backward(loss)
-            lr = cosine_lr(step, cfg.steps, cfg.learning_rate)
-            opt.step({n: v.grad for n, v in leaves.items()}, lr)
-            # this step's graph and gradients go before the next forward
-            del loss, leaves, tape
-        log.append({"step": step, "lr": lr, "loss": value})
+    starts = toks.size - seq_len + 1
+    batches = [[toks[o : o + seq_len] for o in rng.integers(0, starts, size=cfg.batch_size)]
+               for _ in range(cfg.steps)]
+    # a lambda, not a partial: a batch_ce_graph patched on the module still runs
+    log = run_steps("training", Adam(model.params), batches, cfg.learning_rate,
+                    lambda batch: batch_ce_graph(model, batch))
     return model, log
 
 

@@ -74,3 +74,7 @@ def test_traced_pipeline_yields_every_metric(tracer, tmp_path):
             assert math.isfinite(metrics[name]), name
     for name in ("training.steps", "distill.steps", "pruning.targets"):
         assert metrics[name] > 0, name
+    # one Adam step, and one graph, per train and KD step
+    assert metrics["optim.adam_step.calls"] == metrics["training.steps"] + metrics["distill.steps"]
+    assert metrics["training.batch_ce_graph.calls"] == metrics["training.steps"]
+    assert metrics["distill.student_forwards"] == metrics["distill.steps"]

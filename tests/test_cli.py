@@ -263,7 +263,7 @@ def test_diverged_step_is_numerical_error(workdir, tmp_path, capsys, command):
     assert rc == 4
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
-    assert "step 1 diverged" in err
+    assert {"train": "training", "distill": "KD"}[command] + " step 1 diverged" in err
     assert out == "" and not (tmp_path / "never").exists()
 
 

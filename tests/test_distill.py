@@ -394,15 +394,17 @@ class TestDistill:
 
     def test_identical_student_auto_lambda_falls_back_with_warning(self, kd_corpus):
         teacher = MoEModel.init(CFG)
-        with pytest.warns(RuntimeWarning, match="lambda = 1"):
+        with pytest.warns(RuntimeWarning, match="lambda = 1") as record:
             res = distill(teacher, teacher.copy(), {}, kd_corpus,
                           KDConfig(epochs=1, samples=4, batch_size=4))
         assert res.lam == 1.0 and res.log[0]["lambda"] == 1.0
+        # the warning points at the line that called distill
+        assert [w.filename for w in record] == [__file__]
 
     def test_nan_loss_aborts_naming_step(self, kd_corpus):
         teacher, student, masks = pruned_pair(kd_corpus)
         student.params["lm_head"][0, 0] = np.nan
-        with pytest.raises(NumericalError, match="step 0"):
+        with pytest.raises(NumericalError, match="non-finite KD loss at step 0"):
             distill(teacher, student, masks, kd_corpus,
                     KDConfig(epochs=1, samples=4, batch_size=4))
 

@@ -82,18 +82,21 @@ def _watch_gradients(monkeypatch, module, builder: str) -> tuple[list, list]:
     return held, alive
 
 
-def test_train_frees_gradients_before_next_forward(monkeypatch):
-    held, alive = _watch_gradients(monkeypatch, training, "batch_ce_graph")
-    train_model(MoEModel.init(TINY), synth_corpus(2, 1 << 12),
-                TrainConfig(steps=3, batch_size=2, seed=1))
-    assert held and alive == [0, 0, 0]
+def _train(model):
+    train_model(model, synth_corpus(2, 1 << 12), TrainConfig(steps=3, batch_size=2, seed=1))
 
 
-def test_distill_frees_gradients_before_next_forward(monkeypatch):
-    held, alive = _watch_gradients(monkeypatch, kd, "_kd_graph")
-    teacher = MoEModel.init(TINY)
-    distill(teacher, teacher.copy(), {}, synth_corpus(3, 1 << 12),
+def _distill(model):
+    distill(model, model.copy(), {}, synth_corpus(3, 1 << 12),
             KDConfig(epochs=1, samples=6, batch_size=2, lambda_mode=1.0))
+
+
+@pytest.mark.parametrize("module, builder, run", [(training, "batch_ce_graph", _train),
+                                                  (kd, "_kd_graph", _distill)],
+                         ids=["train", "distill"])
+def test_step_frees_gradients_before_next_forward(monkeypatch, module, builder, run):
+    held, alive = _watch_gradients(monkeypatch, module, builder)
+    run(MoEModel.init(TINY))
     assert held and alive == [0, 0, 0]
 
 

@@ -330,11 +330,11 @@ class TestBatchedForward:
 
     def test_batch_ce_gradients_are_mean_of_per_window(self, tiny_model):
         toks = self.batch(seed=5, B=4, T=10)
-        loss, leaves, tape = batch_ce_graph(tiny_model, list(toks))
+        loss, _, leaves, tape = batch_ce_graph(tiny_model, list(toks))
         tape.backward(loss)
         singles = []
         for w in toks:
-            l1, lv1, t1 = batch_ce_graph(tiny_model, [w])
+            l1, _, lv1, t1 = batch_ce_graph(tiny_model, [w])
             t1.backward(l1)
             singles.append((float(l1.value[0, 0]), lv1))
         assert float(loss.value[0, 0]) == pytest.approx(
