@@ -4,16 +4,19 @@ The op vocabulary is fixed and small: exactly the kinds the toy MoE model needs
 (matmul, add, mul, silu, swiglu, row_softmax, rmsnorm, gather_rows,
 scatter_rows, cross_entropy, mse, scale, masked_assign, causal_attention,
 moe_combine), each with a hand-written backward rule (no general closures from
-user code). Scalars are 1x1 matrices. The forward's expert intermediate is one
-fused `swiglu` node, which keeps two activations where the silu/mul chain kept
-four. `silu`, `mul` and `scatter_rows`, which no forward calls, remain:
+user code). Scalars are 1x1 matrices. An expert call is one fused `swiglu`
+node: with `w_down` it yields the expert's output and keeps only its two
+projections, where the silu/mul/matmul chain kept five activations. `silu`,
+`mul` and `scatter_rows`, which no forward calls, remain:
 bench/tracer.py wraps each op kind by name, and the tests build swiglu's and
 moe_combine's oracles from them. Gradients accumulate across reuses of a Var
 (`Var.accumulate`: the first write takes the backward rule's fresh array);
 training code builds a fresh tape per step, so there is nothing to zero.
 `Tape.backward` sweeps the tape: the recorded nodes (and the closures holding
 their operands) are dropped, so a step's graph is freed by reference
-counting rather than left to the cycle collector.
+counting rather than left to the cycle collector. It can hand each leaf's
+gradient over as soon as it is complete (after the backward of the first
+node that read the leaf) and drop it, so no step holds every gradient.
 """
 
 from __future__ import annotations
@@ -79,10 +82,14 @@ class Tape:
     def __init__(self):
         self.nodes: list[tuple[Var, Callable[[np.ndarray], None]]] = []
         self.swept = False
+        self._unread: dict[int, Var] = {}              # leaves no node has read yet
+        self._first_reads: dict[int, list[Var]] = {}   # node index -> leaves it reads first
 
     def var(self, value) -> Var:
         """Register a leaf (parameter or input)."""
-        return Var(np.asarray(value, dtype=np.float64), self)
+        v = Var(np.asarray(value, dtype=np.float64), self)
+        self._unread[id(v)] = v
+        return v
 
     def const(self, value) -> Var:
         """Register a constant leaf: no gradient is computed or stored for it,
@@ -92,21 +99,32 @@ class Tape:
     def _emit(self, value: np.ndarray, bwd: Callable[[np.ndarray], None], *operands: Var) -> Var:
         if not any(o.requires_grad for o in operands):
             return Var(value, self, requires_grad=False)
+        first = [v for o in operands if (v := self._unread.pop(id(o), None)) is not None]
+        if first:
+            self._first_reads[len(self.nodes)] = first
         out = Var(value, self)
         self.nodes.append((out, bwd))
         return out
 
-    def backward(self, loss: Var) -> None:
+    def backward(self, loss: Var, ready: Callable[[Var], None] | None = None) -> None:
+        """Sweep the tape from loss. ready(leaf), if given, is called once for
+        each leaf some node reads, right after the backward of the earliest
+        recorded such node (no later backward writes its gradient or reads
+        its value); the leaf's gradient is dropped after the call."""
         if loss.value.shape != (1, 1):
             raise ContractError(f"backward needs a scalar (1x1) loss, got {loss.value.shape}")
         if self.swept:
             raise ContractError("this tape was swept by an earlier backward; build a new graph")
         loss.grad[...] = 1.0
         nodes, self.nodes, self.swept = self.nodes, [], True
+        reads, self._first_reads, self._unread = self._first_reads if ready else {}, {}, {}
         while nodes:
             out, bwd = nodes.pop()
             if out._grad is not None:
                 bwd(out._grad)
+            for leaf in reads.get(len(nodes), ()):
+                ready(leaf)
+                leaf._grad = None
 
 
 def _same_tape(*vs: Var) -> Tape:
@@ -195,38 +213,50 @@ def silu(a: Var) -> Var:
     return a.tape._emit(x * sig, bwd, a)
 
 
-def swiglu(x: Var, w_gate: Var, w_up: Var) -> Var:
-    """silu(x @ w_gate) * (x @ w_up) as one node: the value and every
-    gradient equal those of the matmul/silu/matmul/mul chain bit for bit.
+def swiglu(x: Var, w_gate: Var, w_up: Var, w_down: Var | None = None) -> Var:
+    """silu(x @ w_gate) * (x @ w_up), times w_down when given, as one node:
+    the value and every gradient equal those of the matmul/silu/matmul/mul
+    (/matmul) chain bit for bit.
 
     The node keeps only the two projections; backward rebuilds the sigmoid
-    and silu(x @ w_gate) with the forward's operations, then applies the
-    chain's gradients in its backward order: the up branch (x, then w_up),
-    then the gate branch (x, then w_gate).
+    and silu(x @ w_gate) with the forward's operations (and their product
+    with x @ w_up, for w_down's gradient), then applies the chain's gradients
+    in its backward order: w_down, the up branch (x, then w_up), then the
+    gate branch (x, then w_gate).
     """
-    t = _same_tape(x, w_gate, w_up)
+    down = () if w_down is None else (w_down,)
+    operands = (x, w_gate, w_up, *down)
+    t = _same_tape(*operands)
     xv, wg, wu = x.value, w_gate.value, w_up.value
-    if xv.shape[1] != wg.shape[0] or wg.shape != wu.shape:
-        raise ShapeError(f"swiglu shape mismatch: {xv.shape} x {wg.shape}, {wu.shape}")
+    if (xv.shape[1] != wg.shape[0] or wg.shape != wu.shape
+            or down and w_down.value.shape[0] != wu.shape[1]):
+        raise ShapeError(f"swiglu shape mismatch: {[o.value.shape for o in operands]}")
     up_grad = x.requires_grad or w_up.requires_grad
     gate_grad = x.requires_grad or w_gate.requires_grad
+    down_grad = bool(down) and w_down.requires_grad
     gp = xv @ wg
     out = _sigmoid(gp)
     out *= gp  # silu(x @ w_gate)
     # a node that is not taped keeps nothing: x @ w_up then takes gp's buffer
-    up = xv @ wu if up_grad or gate_grad else np.matmul(xv, wu, out=gp)
+    up = xv @ wu if up_grad or gate_grad or down_grad else np.matmul(xv, wu, out=gp)
     out *= up
+    if down:
+        out = out @ w_down.value
 
     def bwd(g: np.ndarray) -> None:
         sig = _sigmoid(gp)
+        act = gp * sig  # silu(x @ w_gate)
+        if down:
+            if down_grad:  # by the forward's product, rebuilt
+                w_down.accumulate((act * up).T @ g)
+            g = g @ w_down.value.T  # the product's gradient
         if up_grad:
-            gu = gp * sig  # silu(x @ w_gate), then times g
-            gu *= g
+            act *= g
             if x.requires_grad:
-                x.accumulate(gu @ wu.T)
+                x.accumulate(act @ wu.T)
             if w_up.requires_grad:
-                w_up.accumulate(xv.T @ gu)
-            del gu
+                w_up.accumulate(xv.T @ act)
+        del act
         if gate_grad:
             ga = _silu_grad(gp, sig, g * up)
             if x.requires_grad:
@@ -234,7 +264,7 @@ def swiglu(x: Var, w_gate: Var, w_up: Var) -> Var:
             if w_gate.requires_grad:
                 w_gate.accumulate(xv.T @ ga)
 
-    return t._emit(out, bwd, x, w_gate, w_up)
+    return t._emit(out, bwd, *operands)
 
 
 def row_softmax(a: Var, mask: np.ndarray) -> Var:

@@ -54,13 +54,14 @@ TeacherTargets = tuple[list[dict[int, np.ndarray]], list[dict[int, np.ndarray]]]
 
 
 def _teacher_windows(teacher: MoEModel, windows) -> list[list[dict[int, tuple]]]:
-    """One teacher forward over the windows, stacked by window_batches. Per
+    """One teacher forward over the windows, stacked by window_batches and
+    stopped after the last layer's expert outputs (no combine, no head). Per
     window, per layer, expert -> (positions in the window the teacher routed
     to that expert, the expert's outputs there): all that KD reads."""
     cache = []
     for batch in window_batches(list(windows)):
         B, T = batch.shape
-        layers = model_forward(teacher, batch).layers
+        layers = model_forward(teacher, batch, (teacher.config.n_layers - 1, "experts")).layers
         cuts = [{e: np.searchsorted(rows, np.arange(B + 1) * T)
                  for e, rows in lt.expert_tokens.items()} for lt in layers]
         for b in range(B):

@@ -245,7 +245,8 @@ def forward_pass(
     and logits is None. At
     "router" layer i's trace holds its MoE input and gates, and no expert
     entries; at "hidden" it also holds each expert's rows, and no expert
-    outputs (no w_down, no combine). Only a pass that stops at "hidden"
+    outputs (no w_down, no combine); at "experts" it holds the expert
+    outputs too (no combine, no head). Only a pass that stops at "hidden"
     records the experts' SwiGLU intermediates, in every layer it runs; any
     other pass leaves each expert_hidden entry empty.
     """
@@ -253,7 +254,7 @@ def forward_pass(
     toks = _validate_tokens(tokens, cfg)
     B = toks.shape[0]
     last, until = stop if stop is not None else (cfg.n_layers - 1, None)
-    if not 0 <= last < cfg.n_layers or until not in (None, "router", "hidden"):
+    if not 0 <= last < cfg.n_layers or until not in (None, "router", "hidden", "experts"):
         raise ContractError(f"no stop point {stop!r} in a {cfg.n_layers}-layer forward")
     if stop is not None and forced_dispatch is not None:
         raise ContractError("a stopped forward takes no forced_dispatch")
@@ -305,20 +306,23 @@ def forward_pass(
             expert_hidden[e] = np.zeros((0, cfg.d_ff))
             if rows.size == 0:
                 continue
-            # the SwiGLU intermediate: one fused node, which keeps two
-            # (rows x d_ff) arrays for backward when taped
+            # one fused node per expert call, w_down included unless the pass
+            # records intermediates: it keeps two (rows x d_ff) arrays when taped
             base = f"layers.{i}.experts.{e}"
-            hid = ag.swiglu(ag.gather_rows(m, rows), pv[f"{base}.w_gate"], pv[f"{base}.w_up"])
-            if stop_here != "hidden":
-                y = ag.matmul(hid, pv[f"{base}.w_down"])
-                if forced.size:
-                    forced_outs[e] = _subset_rows(y, rows, forced)
-                if own.size:
-                    outs[e] = _subset_rows(y, rows, own)
-                    expert_outputs[e] = outs[e].value
+            operands = [ag.gather_rows(m, rows), pv[f"{base}.w_gate"], pv[f"{base}.w_up"]]
+            w_down = pv[f"{base}.w_down"]
             if until == "hidden":  # a stopped pass forces no rows: rows == own
+                hid = ag.swiglu(*operands)
                 expert_hidden[e] = hid.value
-        if stop_here == "hidden":
+                if stop_here:
+                    continue
+            y = ag.matmul(hid, w_down) if until == "hidden" else ag.swiglu(*operands, w_down)
+            if forced.size:
+                forced_outs[e] = _subset_rows(y, rows, forced)
+            if own.size:
+                outs[e] = _subset_rows(y, rows, own)
+                expert_outputs[e] = outs[e].value
+        if stop_here:
             break
         if forced_dispatch is not None:
             forced_outputs.append(forced_outs)

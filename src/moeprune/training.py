@@ -53,9 +53,11 @@ def train_model(
 ) -> tuple[MoEModel, list[dict]]:
     """Adam + cosine CE training on randomly offset windows. Deterministic per
     seed. Trains `model` in place (no copy of the weights) and returns it with
-    the step log; a step holds the weights, Adam's two moments, the gradients
-    and the forward's activations. Aborts (NumericalError naming the step) on
-    a non-finite loss or a step that overflows, leaving the model part-trained."""
+    the step log; a step holds the weights, Adam's two moments and the
+    forward's activations, and each weight's gradient only until its update
+    inside backward. Aborts (NumericalError naming the step) on a non-finite
+    loss or a step that overflows, leaving the model part-trained, with the
+    updates of the weights that step's backward had reached."""
     toks = corpus_tokens(corpus)
     seq_len = model.config.seq_len
     if toks.size < seq_len + 1:

@@ -4,7 +4,8 @@ Plain-NumPy kernels, a per-expert MoE layer forward (no tape, no
 batching), the cross-entropy loss and gradient as separate allocating
 expressions, mask selection by stable argsort, the SPD inverse mirrored by
 summing triangles, a central-difference gradient check for autograd ops,
-the allocating Adam step, calibration statistics, dispatch counts and a
+the allocating Adam step (and the two-phase step: the full backward, then
+every update), calibration statistics, dispatch counts and a
 recompute prune built from forwards that run to the logits (with the expert
 intermediates rebuilt from their inputs), the sequential
 OBS sweep and a prune that takes one weight at a time, and the KD loss and
@@ -234,6 +235,16 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+class TwoPhaseAdam(Adam):
+    """moeprune's Adam.step in two phases: the full backward, which leaves
+    every weight as it was, then the update of every weight by its leaf's
+    gradient (zeros where none was written)."""
+
+    def step(self, loss: ag.Var, leaves: dict[str, ag.Var], lr: float) -> None:
+        loss.tape.backward(loss)
+        super().step({n: leaves[n].grad for n in self.params}, lr)
 
 
 def full_layers(model: MoEModel, batch) -> list:

@@ -114,9 +114,9 @@ class TestAnalyzeModel:
         layer_of = {id(tiny_model.params[f"layers.{i}.experts.{e}.w_gate"]): i
                     for i in range(TINY.n_layers) for e in range(TINY.n_experts)}
 
-        def recording(x, w_gate, w_up):
+        def recording(x, w_gate, w_up, w_down=None):
             layers_run.add(layer_of[id(w_gate.value)])
-            return swiglu(x, w_gate, w_up)
+            return swiglu(x, w_gate, w_up, w_down)
 
         monkeypatch.setattr(ag, "swiglu", recording)
         report = analyze_model(tiny_model, cal, mode=mode)

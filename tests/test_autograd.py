@@ -116,6 +116,29 @@ class TestBackward:
         finally:
             gc.enable()
 
+    def test_ready_reports_each_read_leaf_once_its_gradient_is_complete(self):
+        values = [SeededRng(2 + i).normal_matrix(3, 3) for i in range(4)]
+
+        def sweep(ready=None):
+            t = ag.Tape()
+            x, w, v, unread = leaves = [t.var(a) for a in values]
+            y = ag.matmul(x, w)                     # first reads x and w
+            ag.matmul(v, t.const(np.eye(3)))        # reads v; nothing flows back to it
+            t.backward(ag.mse(ag.add(y, ag.scale(x, 2.0)), t.const(np.zeros((3, 3)))), ready)
+            return leaves
+
+        reported = []
+        x, w, v, unread = sweep(lambda leaf: reported.append((leaf, leaf.grad.copy())))
+        # in reverse recording order of the first readers, each with the
+        # gradient a plain sweep ends with, which the tape then drops
+        assert [leaf for leaf, _ in reported] == [v, x, w]
+        assert all(leaf._grad is None for leaf, _ in reported) and unread._grad is None
+        px, pw, pv, _ = sweep()
+        for (_, grad), want in zip(reported, [pv, px, pw]):
+            assert np.array_equal(grad, want.grad)
+        assert not np.array_equal(reported[1][1], 0.0)
+        assert np.array_equal(reported[0][1], np.zeros((3, 3)))
+
     def test_unreachable_var_keeps_zero_grad(self):
         t = ag.Tape()
         x = t.var(np.ones((2, 2)))
@@ -274,6 +297,14 @@ OP_CASES = {
     "swiglu_gate": lambda t, x: _to_scalar(t, ag.swiglu(t.var(OTHER), x, t.var(QK[0]))),
     "swiglu_up": lambda t, x: _to_scalar(t, ag.swiglu(t.var(OTHER), t.var(QK[0]), x)),
     "swiglu_shared": lambda t, x: _to_scalar(t, ag.swiglu(x, x, x)),
+    "swiglu_down_x": lambda t, x: _to_scalar(
+        t, ag.swiglu(x, t.var(OTHER), t.var(QK[0]), t.var(QK[1]))),
+    "swiglu_down_gate": lambda t, x: _to_scalar(
+        t, ag.swiglu(t.var(OTHER), x, t.var(QK[0]), t.var(QK[1]))),
+    "swiglu_down_up": lambda t, x: _to_scalar(
+        t, ag.swiglu(t.var(OTHER), t.var(QK[0]), x, t.var(QK[1]))),
+    "swiglu_down_w_down": lambda t, x: _to_scalar(
+        t, ag.swiglu(t.var(OTHER), t.var(QK[0]), t.var(QK[1]), x)),
     "row_softmax_masked": lambda t, x: _to_scalar(t, ag.row_softmax(x, mask=KEEP)),
     "rmsnorm": lambda t, x: _to_scalar(t, ag.rmsnorm(x)),
     "embedding-gather": lambda t, x: _to_scalar(t, ag.gather_rows(x, IDX)),

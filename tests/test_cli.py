@@ -115,23 +115,18 @@ BAD_SECTIONS = [
 ]
 
 
-@pytest.mark.parametrize("command,config,named", BAD_SECTIONS)
-def test_bad_config_value_is_one_line_error(workdir, tmp_path, capsys, command, config, named):
-    (tmp_path / "bad.json").write_text(json.dumps(config))
-    args = {
-        "train": ["--corpus", workdir / "corpus.txt", "--steps", "0"],
-        "prune": ["--ckpt", workdir / "init_ckpt", "--sparsity", "0.5",
-                  "--calib", workdir / "corpus.txt"],
-        "distill": ["--teacher", workdir / "init_ckpt", "--student", workdir / "init_ckpt",
-                    "--corpus", workdir / "corpus.txt"],
-    }[command]
-    capsys.readouterr()
-    rc = run([command, "--config", tmp_path / "bad.json", *args, "--out", tmp_path / "never"])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err
-    assert named in err
+def _bad_config(command, config):
+    def argv(workdir, tmp_path):
+        (tmp_path / "bad.json").write_text(json.dumps(config))
+        args = {
+            "train": ["--corpus", workdir / "corpus.txt", "--steps", "0"],
+            "prune": ["--ckpt", workdir / "init_ckpt", "--sparsity", "0.5",
+                      "--calib", workdir / "corpus.txt"],
+            "distill": ["--teacher", workdir / "init_ckpt", "--student", workdir / "init_ckpt",
+                        "--corpus", workdir / "corpus.txt"],
+        }[command]
+        return [command, "--config", tmp_path / "bad.json", *args, "--out", tmp_path / "never"]
+    return argv
 
 
 BAD_FLAGS = [
@@ -159,28 +154,21 @@ BAD_FLAGS = [
 ]
 
 
-# ids name the row and the key, not the exit code, so existing ids stay stable
-@pytest.mark.parametrize("flags,named,code", BAD_FLAGS,
-                         ids=[f"flags{i}-{named}" for i, (_, named, _) in enumerate(BAD_FLAGS)])
-def test_bad_flag_value_is_one_line_error(workdir, tmp_path, capsys, flags, named, code):
-    never = ["--out", tmp_path / "never"]
-    inputs = {
-        "train": ["--corpus", workdir / "corpus.txt", "--steps", "1", *never],
-        "distill": ["--teacher", workdir / "init_ckpt", "--student", workdir / "init_ckpt",
-                    "--corpus", workdir / "corpus.txt", *never],
-        "prune": ["--ckpt", workdir / "init_ckpt", "--calib", workdir / "corpus.txt", *never,
-                  *([] if "--pattern" in flags else ["--sparsity", "0.5"])],
-        "sweep": ["--ckpt", workdir / "init_ckpt", "--calib", workdir / "corpus.txt",
-                  "--eval-corpus", workdir / "corpus.txt", *never],
-        "analyze": ["--ckpt", workdir / "init_ckpt", "--corpus", workdir / "corpus.txt"],
-    }[flags[0]]
-    capsys.readouterr()
-    rc = run([*flags, *inputs])
-    out, err = capsys.readouterr()
-    assert rc == code
-    assert len(err.strip().splitlines()) == 1 and named in err
-    assert "Traceback" not in err
-    assert out == "" and not (tmp_path / "never").exists()
+def _bad_flags(flags):
+    def argv(workdir, tmp_path):
+        never = ["--out", tmp_path / "never"]
+        inputs = {
+            "train": ["--corpus", workdir / "corpus.txt", "--steps", "1", *never],
+            "distill": ["--teacher", workdir / "init_ckpt", "--student", workdir / "init_ckpt",
+                        "--corpus", workdir / "corpus.txt", *never],
+            "prune": ["--ckpt", workdir / "init_ckpt", "--calib", workdir / "corpus.txt", *never,
+                      *([] if "--pattern" in flags else ["--sparsity", "0.5"])],
+            "sweep": ["--ckpt", workdir / "init_ckpt", "--calib", workdir / "corpus.txt",
+                      "--eval-corpus", workdir / "corpus.txt", *never],
+            "analyze": ["--ckpt", workdir / "init_ckpt", "--corpus", workdir / "corpus.txt"],
+        }[flags[0]]
+        return [*flags, *inputs]
+    return argv
 
 
 def test_empty_sweep_list_exits_before_loading(tmp_path, capsys, monkeypatch):
@@ -211,19 +199,11 @@ BAD_FREQ_FILES = [
 ]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("payload,named", BAD_FREQ_FILES,
-                         ids=[f"freq{i}" for i in range(len(BAD_FREQ_FILES))])
-def test_bad_freq_file_is_one_line_error(tmp_path, capsys, payload, named):
-    p = tmp_path / "freq.json"
-    p.write_text(json.dumps(payload))
-    capsys.readouterr()
-    rc = run(["analyze", "--freq", p])
-    out, err = capsys.readouterr()
-    assert rc == 3
-    assert len(err.strip().splitlines()) == 1 and named in err
-    assert "Traceback" not in err
-    assert out == "" and sorted(tmp_path.iterdir()) == [p]
+def _bad_freq_file(payload):
+    def argv(workdir, tmp_path):
+        (tmp_path / "freq.json").write_text(json.dumps(payload))
+        return ["analyze", "--freq", tmp_path / "freq.json"]
+    return argv
 
 
 # each command, with the file under its --out made a directory so that the
@@ -389,25 +369,74 @@ BAD_RANGES = {
 }
 
 
-@pytest.mark.parametrize("case", list(BAD_RANGES))
-def test_bad_tensor_range_is_format_error(workdir, tmp_path, capsys, case):
-    mutate, named = BAD_RANGES[case]
-    ckpt = tmp_path / "ckpt"
-    model, _ = load_checkpoint(workdir / "init_ckpt")
-    save_checkpoint(model, ckpt, masks={n: np.ones(model.params[n].shape, dtype=np.uint8)
-                                        for n in expert_names(model)})
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    (ckpt / "manifest.json").write_text(json.dumps(mutate(manifest)))
+def _bad_ranges(mutate):
+    def argv(workdir, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        model, _ = load_checkpoint(workdir / "init_ckpt")
+        save_checkpoint(model, ckpt, masks={n: np.ones(model.params[n].shape, dtype=np.uint8)
+                                            for n in expert_names(model)})
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        (ckpt / "manifest.json").write_text(json.dumps(mutate(manifest)))
+        return ["prune", "--ckpt", ckpt, "--sparsity", "0.5", "--calib", workdir / "corpus.txt",
+                "--out", tmp_path / "never"]
+    return argv
+
+
+# Every bad input above in one table of (command line builder, exit code,
+# text stderr must name) rows, by kind, each row run by check_bad_input. A
+# builder writes its bad file into tmp_path and returns the command line.
+# Row ids stay as they were: a flag row's names its key, not its exit code.
+BAD_INPUTS = {
+    "config": [pytest.param(_bad_config(command, config), 3, named,
+                            id=f"{command}-config{i}-{named}")
+               for i, (command, config, named) in enumerate(BAD_SECTIONS)],
+    "flag": [pytest.param(_bad_flags(flags), code, named, id=f"flags{i}-{named}")
+             for i, (flags, named, code) in enumerate(BAD_FLAGS)],
+    "freq": [pytest.param(_bad_freq_file(payload), 3, named, id=f"freq{i}")
+             for i, (payload, named) in enumerate(BAD_FREQ_FILES)],
+    "range": [pytest.param(_bad_ranges(mutate), 3, named, id=case)
+              for case, (mutate, named) in BAD_RANGES.items()],
+}
+
+
+def check_bad_input(workdir, tmp_path, capsys, argv, code, named) -> float:
+    """Run one row: it exits with its code (2, 3 or 4) and one stderr line
+    naming `named`, with no traceback, no file written and nothing on stdout
+    (so no JSON, and no NaN or Infinity in it). Returns the run's seconds."""
+    argv = argv(workdir, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     t0 = time.perf_counter()
-    rc = run(["prune", "--ckpt", ckpt, "--sparsity", "0.5", "--calib", workdir / "corpus.txt",
-              "--out", tmp_path / "never"])
+    rc = run(argv)
     elapsed = time.perf_counter() - t0
     out, err = capsys.readouterr()
-    assert rc == 3 and elapsed < 1.0
+    assert rc == code and code in (2, 3, 4)
     assert len(err.strip().splitlines()) == 1 and named in err
     assert "Traceback" not in err
-    assert out == "" and not (tmp_path / "never").exists()
+    assert sorted(tmp_path.rglob("*")) == before
+    assert out == ""
+    return elapsed
+
+
+@pytest.mark.parametrize("argv,code,named", BAD_INPUTS["config"])
+def test_bad_config_value_is_one_line_error(workdir, tmp_path, capsys, argv, code, named):
+    check_bad_input(workdir, tmp_path, capsys, argv, code, named)
+
+
+@pytest.mark.parametrize("argv,code,named", BAD_INPUTS["flag"])
+def test_bad_flag_value_is_one_line_error(workdir, tmp_path, capsys, argv, code, named):
+    check_bad_input(workdir, tmp_path, capsys, argv, code, named)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv,code,named", BAD_INPUTS["freq"])
+def test_bad_freq_file_is_one_line_error(workdir, tmp_path, capsys, argv, code, named):
+    check_bad_input(workdir, tmp_path, capsys, argv, code, named)
+
+
+@pytest.mark.parametrize("argv,code,named", BAD_INPUTS["range"])
+def test_bad_tensor_range_is_format_error(workdir, tmp_path, capsys, argv, code, named):
+    assert check_bad_input(workdir, tmp_path, capsys, argv, code, named) < 1.0
 
 
 class TestPrune:

@@ -237,6 +237,31 @@ class TestOneExpertCall:
                 assert np.array_equal(dispatch[i][e], rows)
                 assert np.allclose(outputs[i][e], lt.expert_outputs[e], rtol=1e-12, atol=1e-15)
 
+    def test_teacher_pass_stops_after_the_last_experts(self, monkeypatch):
+        # no combine and no head: the cache equals one from passes to the logits
+        teacher, _ = routed_pair()
+        windows = routed_batch(seed=6, n=9)
+        passes = []
+
+        def recording(model, batch, stop=None):
+            passes.append(model_forward(model, batch, stop))
+            return passes[-1]
+
+        monkeypatch.setattr(kd, "model_forward", recording)
+        stopped = _teacher_windows(teacher, windows)
+        assert len(passes) == 1 and passes[0].logits is None
+        assert len(passes[0].layers) == ROUTED.n_layers
+        monkeypatch.setattr(kd, "model_forward", lambda model, batch, stop: model_forward(
+            model, batch))
+        full = _teacher_windows(teacher, windows)
+        assert len(stopped) == len(full) == len(windows)
+        for got_window, want_window in zip(stopped, full):
+            for got, want in zip(got_window, want_window, strict=True):
+                assert list(got) == list(want)
+                for e, (rows, outs) in want.items():
+                    assert np.array_equal(got[e][0], rows)
+                    assert got[e][1].tobytes() == outs.tobytes()
+
     def test_each_expert_called_once_per_layer(self, monkeypatch):
         teacher, student = routed_pair()
         batch = routed_batch(seed=1)
@@ -246,9 +271,9 @@ class TestOneExpertCall:
         expert_of = {id(student.params[f"layers.{i}.experts.{e}.w_gate"]): (i, e)
                      for i in range(ROUTED.n_layers) for e in range(ROUTED.n_experts)}
 
-        def counting_swiglu(x, w_gate, w_up):
+        def counting_swiglu(x, w_gate, w_up, w_down=None):
             calls.append(expert_of[id(w_gate.value)])
-            return swiglu(x, w_gate, w_up)
+            return swiglu(x, w_gate, w_up, w_down)
 
         routed = [(i, e) for i, layer in enumerate(dispatch_sets(teacher, student, batch))
                   for e, (t, s) in layer.items() if t.size or s.size]
@@ -371,9 +396,9 @@ class TestDistill:
         probe_lam = init_lambda(teacher, student, first)
         teacher_forwards = []
 
-        def counting_forward(model, batch):
+        def counting_forward(model, batch, stop=None):
             teacher_forwards.append(len(batch))
-            return model_forward(model, batch)
+            return model_forward(model, batch, stop)
 
         monkeypatch.setattr(kd, "model_forward", counting_forward)
         res = distill(teacher, student, masks, kd_corpus, cfg)

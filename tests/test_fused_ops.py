@@ -165,47 +165,58 @@ class TestSilu:
         assert np.array_equal(xv.grad, want_grad)
 
 
-def swiglu_chain(x, w_gate, w_up):
-    """The four-node chain ag.swiglu replaced."""
-    return ag.mul(ag.silu(ag.matmul(x, w_gate)), ag.matmul(x, w_up))
+def swiglu_chain(x, w_gate, w_up, w_down=None):
+    """The four-node chain ag.swiglu replaced, and w_down's matmul after it."""
+    hidden = ag.mul(ag.silu(ag.matmul(x, w_gate)), ag.matmul(x, w_up))
+    return hidden if w_down is None else ag.matmul(hidden, w_down)
 
 
 class TestSwiglu:
     @pytest.mark.parametrize("case", ["rows", "one-row", "clipped", "x-shared", "weights-shared"])
     def test_value_and_gradients_match_chain(self, case):
+        # with and without w_down; the shared cases share one square matrix
+        # among the weights, w_down included
         rng = SeededRng(len(case))
         n = 1 if case == "one-row" else 5
+        f = 6 if case == "weights-shared" else 8
         x = rng.normal_matrix(n, 6)
-        w_gate = rng.normal_matrix(6, 8, std=40.0 if case == "clipped" else 1.0)
-        w_up = rng.normal_matrix(6, 8)
-        other, target = rng.normal_matrix(6, 3), rng.normal_matrix(n, 8)
+        w_gate = rng.normal_matrix(6, f, std=40.0 if case == "clipped" else 1.0)
+        w_up, w_down = rng.normal_matrix(6, f), rng.normal_matrix(f, 6)
+        other = rng.normal_matrix(6, 3)
         if case == "clipped":
             assert (np.abs(x @ w_gate) > 60.0).any() and (x @ w_gate < -60.0).any()
-        results = []
-        for op in (ag.swiglu, swiglu_chain):
-            t = ag.Tape()
-            xv, gv = t.var(x), t.var(w_gate)
-            uv = gv if case == "weights-shared" else t.var(w_up)
-            if case == "x-shared":  # x also feeds ops on both sides of the op
-                before = ag.matmul(xv, t.var(other))  # backward reaches it last
-            out = op(xv, gv, uv)
-            loss = ag.mse(out, t.const(target))
-            if case == "x-shared":
-                after = ag.scale(xv, 0.5)  # backward reaches it first
-                loss = ag.add(ag.add(loss, ag.mse(before, t.const(np.zeros((n, 3))))),
-                              ag.mse(after, t.const(x)))
-            t.backward(loss)
-            results.append((out.value, xv.grad, gv.grad, uv.grad))
-        for fused, chain in zip(*results):
-            assert np.array_equal(fused, chain)
+        for down in (False, True):
+            target = rng.normal_matrix(n, 6 if down else f)
+            results = []
+            for op in (ag.swiglu, swiglu_chain):
+                t = ag.Tape()
+                xv, gv = t.var(x), t.var(w_gate)
+                uv = gv if case == "weights-shared" else t.var(w_up)
+                dv = gv if case == "weights-shared" else t.var(w_down)
+                if case == "x-shared":  # x also feeds ops on both sides of the op
+                    before = ag.matmul(xv, t.var(other))  # backward reaches it last
+                out = op(xv, gv, uv, dv) if down else op(xv, gv, uv)
+                loss = ag.mse(out, t.const(target))
+                if case == "x-shared":
+                    after = ag.scale(xv, 0.5)  # backward reaches it first
+                    loss = ag.add(ag.add(loss, ag.mse(before, t.const(np.zeros((n, 3))))),
+                                  ag.mse(after, t.const(x)))
+                t.backward(loss)
+                results.append((out.value, xv.grad, gv.grad, uv.grad, dv.grad))
+            for fused, chain in zip(*results):
+                assert np.array_equal(fused, chain), down
 
     def test_keeps_two_arrays(self):
+        # the two projections; with w_down, not their product either
         rng = SeededRng(8)
-        t = ag.Tape()
-        ag.swiglu(*(t.var(rng.normal_matrix(r, c)) for r, c in ((5, 6), (6, 8), (6, 8))))
-        (_, bwd), = t.nodes
-        kept = [c.cell_contents for c in bwd.__closure__]
-        assert sum(isinstance(v, np.ndarray) and v.shape == (5, 8) for v in kept) == 2
+        shapes = ((5, 6), (6, 8), (6, 8), (8, 6))
+        for operands in (3, 4):
+            t = ag.Tape()
+            out = ag.swiglu(*(t.var(rng.normal_matrix(r, c)) for r, c in shapes[:operands]))
+            assert out.value.shape == (5, 8 if operands == 3 else 6)
+            (_, bwd), = t.nodes
+            kept = [c.cell_contents for c in bwd.__closure__]
+            assert sum(isinstance(v, np.ndarray) and v.shape == (5, 8) for v in kept) == 2
 
     def test_training_forward_records_one_node_per_expert_call(self, tiny_model):
         tape = ag.Tape()
@@ -216,9 +227,9 @@ class TestSwiglu:
         calls = sum(rows.size > 0 for layer in tr.layers for rows in layer.expert_tokens.values())
         assert calls > TINY.n_layers and kinds["swiglu"] == calls
         assert kinds["silu"] == kinds["mul"] == 0
-        # four attention projections and the router per layer, w_down per
-        # expert call, and the head
-        assert kinds["matmul"] == 5 * TINY.n_layers + calls + 1
+        # four attention projections and the router per layer, and the head:
+        # each expert call's w_down runs inside its swiglu node
+        assert kinds["matmul"] == 5 * TINY.n_layers + 1
 
     def test_shape_mismatch(self):
         t = ag.Tape()

@@ -63,21 +63,26 @@ def test_repeated_evals_reuse_freed_memory(tmp_path):
 
 
 def _watch_gradients(monkeypatch, module, builder: str) -> tuple[list, list]:
-    """Hold a weakref to each gradient array Adam.step receives, and record,
-    as the module's graph builder is entered, how many of the last step's
-    are still alive. Returns (weakrefs of the last step, alive counts)."""
+    """Hold a weakref to each gradient array a step's Adam updates take, and
+    record, as the module's graph builder is entered, how many of the last
+    step's are still alive. Returns (weakrefs of the last step, alive counts)."""
     held, alive = [], []
-    step, build = Adam.step, getattr(module, builder)
+    step, update, build = Adam.step, Adam.update, getattr(module, builder)
 
-    def watched_step(self, grads, lr):
-        held[:] = [weakref.ref(g) for g in grads.values()]
-        return step(self, grads, lr)
+    def watched_step(self, *args):
+        held.clear()
+        return step(self, *args)
+
+    def watched_update(self, name, g, *args):
+        held.append(weakref.ref(g))
+        return update(self, name, g, *args)
 
     def watched_build(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in held))
         return build(*args, **kwargs)
 
     monkeypatch.setattr(Adam, "step", watched_step)
+    monkeypatch.setattr(Adam, "update", watched_update)
     monkeypatch.setattr(module, builder, watched_build)
     return held, alive
 
@@ -98,6 +103,29 @@ def test_step_frees_gradients_before_next_forward(monkeypatch, module, builder, 
     held, alive = _watch_gradients(monkeypatch, module, builder)
     run(MoEModel.init(TINY))
     assert held and alive == [0, 0, 0]
+
+
+def test_no_two_gradients_are_held_at_once(monkeypatch):
+    # Adam updates each weight inside backward as soon as its gradient is
+    # complete, and the tape then drops it: as a weight updates, the only
+    # leaves holding a gradient are it and the other weights its node read
+    # (an expert's swiglu reads three). A full backward first would hold all.
+    step, update = Adam.step, Adam.update
+    leaves, held = [], []
+
+    def watched_step(self, loss, step_leaves, lr):
+        leaves[:] = step_leaves.values()
+        return step(self, loss, step_leaves, lr)
+
+    def watched_update(self, *args):
+        held.append(sum(v._grad is not None for v in leaves))
+        return update(self, *args)
+
+    monkeypatch.setattr(Adam, "step", watched_step)
+    monkeypatch.setattr(Adam, "update", watched_update)
+    model = MoEModel.init(TINY)
+    _train(model)
+    assert len(held) == 3 * len(model.params) and set(held) == {1, 2, 3}
 
 
 def test_only_a_pass_stopped_at_hidden_records_expert_intermediates(tiny_model):

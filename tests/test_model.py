@@ -384,9 +384,9 @@ class TestBatchedForward:
             operands.append(b.value)
             return matmul(a, b)
 
-        def recording_swiglu(x, w_gate, w_up):
-            operands.extend((w_gate.value, w_up.value))
-            return swiglu(x, w_gate, w_up)
+        def recording_swiglu(x, w_gate, w_up, w_down=None):
+            operands.extend(w.value for w in (w_gate, w_up, w_down) if w is not None)
+            return swiglu(x, w_gate, w_up, w_down)
 
         def counting_combine(*args):
             combines.append(1)
@@ -432,6 +432,26 @@ class TestBatchedForward:
     def test_unknown_stop_point(self, tiny_model, stop):
         with pytest.raises(ContractError, match="stop point"):
             model_forward(tiny_model, self.batch(), stop=stop)
+
+    @pytest.mark.parametrize("layer", range(TINY.n_layers))
+    def test_forward_stopped_after_experts_equals_full_pass(self, tiny_model, monkeypatch,
+                                                            layer):
+        combines, moe_combine = [], ag.moe_combine
+
+        def counting_combine(*args):
+            combines.append(1)
+            return moe_combine(*args)
+
+        monkeypatch.setattr(ag, "moe_combine", counting_combine)
+        toks = self.batch()
+        res = model_forward(tiny_model, toks, stop=(layer, "experts"))
+        assert res.logits is None and len(res.layers) == layer + 1 and len(combines) == layer
+        for got, want in zip(res.layers, model_forward(tiny_model, toks).layers):
+            assert np.array_equal(got.moe_input, want.moe_input)
+            for e, rows in want.expert_tokens.items():
+                assert np.array_equal(got.expert_tokens[e], rows)
+                assert got.expert_outputs[e].tobytes() == want.expert_outputs[e].tobytes()
+                assert got.expert_hidden[e].shape == (0, TINY.d_ff)
 
     @pytest.mark.parametrize("until", ["router", "hidden"])
     def test_stopped_forward_takes_no_forced_dispatch(self, tiny_model, until):
