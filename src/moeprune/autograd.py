@@ -7,11 +7,12 @@ moe_combine), each with a hand-written backward rule (no general closures from
 user code). Scalars are 1x1 matrices. An expert call is one fused `swiglu`
 node: with `w_down` it yields the expert's output and keeps only its two
 projections, where the silu/mul/matmul chain kept five activations. `silu`,
-`mul` and `scatter_rows`, which no forward calls, remain:
-bench/tracer.py wraps each op kind by name, and the tests build swiglu's and
-moe_combine's oracles from them. Gradients accumulate across reuses of a Var
-(`Var.accumulate`: the first write takes the backward rule's fresh array);
-training code builds a fresh tape per step, so there is nothing to zero.
+`mul`, `scatter_rows` and `masked_assign`, which no forward calls, remain:
+bench/tracer.py wraps each op kind by name, and the tests build the oracles
+of swiglu, moe_combine and the masked KD graph from them. Gradients
+accumulate across reuses of a Var (`Var.accumulate`: the first write takes
+the backward rule's fresh array); training code builds a fresh tape per
+step, so there is nothing to zero.
 `Tape.backward` sweeps the tape: the recorded nodes (and the closures holding
 their operands) are dropped, so a step's graph is freed by reference
 counting rather than left to the cycle collector. It can hand each leaf's

@@ -154,12 +154,12 @@ def cmd_distill(args) -> int:
                    samples=args.samples, batch_size=args.batch_size, seed=args.seed,
                    lambda_mode=args.lam,
                    router_frozen=(False if args.full_parameter else None))
-    teacher, _ = load_checkpoint(args.teacher)
     student, masks = load_checkpoint(args.student)
     if masks is None:
         masks = {}
-    corpus = _read_corpus(args.corpus)
-    result = distill(teacher, student, masks, corpus, cfg)
+    # no name holds the teacher, so distill frees it once its cache is built
+    result = distill(load_checkpoint(args.teacher)[0], student, masks,
+                     _read_corpus(args.corpus), cfg)
     effective = {"model": asdict(student.config),
                  "kd": {**asdict(cfg), "lambda_resolved": result.lam}}
     save_checkpoint(result.student, args.out, masks=masks, extra={"config": effective})

@@ -6,9 +6,9 @@ Pairing is teacher-forced: expert i's MSE is evaluated on the token set the
 teacher's router dispatched to expert i, with each model using its own hidden
 state at that layer. The frozen teacher is forwarded once over all windows
 before the first step; each step reads its batch's dispatch and expert
-outputs from that pass. Sparsity masks are enforced inside the graph
-(masked-assign): a pruned weight's gradient is +-0, so Adam's moments and
-step stay +0 there and the weight keeps its exact zero.
+outputs from that pass. Sparsity masks act on the gradients (optim.Adam): a
+pruned weight's gradient is +-0, so Adam's moments and step stay +0 there
+and the weight keeps its exact zero.
 """
 
 from __future__ import annotations
@@ -85,18 +85,14 @@ def _batch_targets(cache: list, picks, T: int) -> TeacherTargets:
     return dispatch, outputs
 
 
-def _kd_graph(
-    student: MoEModel,
-    batch: list[np.ndarray],
-    lam: float | None,
-    masks: dict[str, np.ndarray] | None,
-    targets: TeacherTargets,
-):
+def _kd_graph(student: MoEModel, batch: list[np.ndarray], lam: float | None,
+              targets: TeacherTargets):
     """Build the differentiable KD loss for one batch.
 
     Returns (total Var, the step's losses {l_ce, l_expert, lambda, total},
-    student leaf Vars, tape). targets are the
-    teacher's forced rows and expert outputs for this batch (_batch_targets).
+    student leaf Vars, which it reads directly (no mask), tape). targets
+    are the teacher's forced rows and expert outputs for this batch
+    (_batch_targets).
     One student forward runs on the tape over the whole batch; each (layer,
     expert) contributes one MSE over the rows the teacher routed to it
     anywhere in the batch. lam None takes lambda = l_ce / l_expert from this
@@ -104,8 +100,8 @@ def _kd_graph(
     """
     dispatch, t_outs = targets
     tape = ag.Tape()
-    leaves, pv = make_param_vars(student, tape, masks)
-    strace = forward_pass(student, batch, pv, forced_dispatch=dispatch)
+    leaves = make_param_vars(student, tape)
+    strace = forward_pass(student, batch, leaves, forced_dispatch=dispatch)
     rows, next_tokens = next_token_targets(strace.tokens)
     l_ce = ag.cross_entropy(strace.logits, next_tokens, rows)
     expert_terms = [ag.mse(strace.forced_outputs[i][e], tape.const(t_out))
@@ -144,21 +140,22 @@ def distill(
 ) -> DistillResult:
     """Cosine-scheduled Adam fine-tuning of the student under its masks.
 
-    The teacher is read-only. Router matrices are excluded from updates unless
-    cfg.router_frozen is False. The log holds one record per step:
-    {step, lr, l_ce, l_expert, lambda, total}.
+    Trains `student` in place and returns it; Adam masks the gradients. The
+    teacher is read-only; on CPython 3.11+ it is freed before the first step
+    if the caller holds no reference to it. Router matrices are excluded from
+    updates unless cfg.router_frozen is False. The log holds one record per
+    step: {step, lr, l_ce, l_expert, lambda, total}.
     """
     diff = teacher.config.architecture_diff(student.config)
     if diff:
         raise ContractError(f"teacher/student architecture mismatch on {diff}")
-    out = student.copy()
     for name, m in masks.items():
-        if name not in out.params:
+        if name not in student.params:
             raise ContractError(f"mask targets unknown parameter {name!r}")
-        if nonzero_where_pruned(out.params[name], m):
+        if nonzero_where_pruned(student.params[name], m):
             raise ContractError(f"student weights at {name!r} are nonzero under the mask")
 
-    cal = build_calibration_set(corpus, cfg.samples, out.config.seq_len, cfg.seed)
+    cal = build_calibration_set(corpus, cfg.samples, student.config.seq_len, cfg.seed)
     order_rng = SeededRng(cfg.seed).child(1)
     n = len(cal.sequences)
     batches = [perm[b0 : b0 + cfg.batch_size]
@@ -167,20 +164,21 @@ def distill(
     # a fixed lambda is resolved even when no step runs
     lam: float | None = None if cfg.lambda_mode == "auto" else float(cfg.lambda_mode)
     if not batches:
-        return DistillResult(student=out, lam=1.0 if lam is None else lam)
+        return DistillResult(student=student, lam=1.0 if lam is None else lam)
 
-    opt = Adam({name: p for name, p in out.params.items()
-                if cfg.router_frozen is False or not name.endswith(".router")})
+    opt = Adam({name: p for name, p in student.params.items()
+                if cfg.router_frozen is False or not name.endswith(".router")}, masks)
     # the frozen teacher runs once over every window, not once per epoch
     cache = _teacher_windows(teacher, cal.sequences)
+    del teacher  # not read again
 
     def graph(picks):
         # an "auto" lambda comes from the first batch (masked weights are zero)
         nonlocal lam
-        step = _kd_graph(out, [cal.sequences[j] for j in picks], lam, masks,
-                         _batch_targets(cache, picks, out.config.seq_len))
+        step = _kd_graph(student, [cal.sequences[j] for j in picks], lam,
+                         _batch_targets(cache, picks, student.config.seq_len))
         lam = step[1]["lambda"]
         return step
 
     log = run_steps("KD", opt, batches, cfg.learning_rate, graph)
-    return DistillResult(student=out, lam=lam, log=log)
+    return DistillResult(student=student, lam=lam, log=log)

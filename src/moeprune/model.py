@@ -199,17 +199,11 @@ def next_token_targets(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, tokens[:, 1:].ravel()
 
 
-def make_param_vars(
-    model: MoEModel, tape: Tape, masks: dict[str, np.ndarray] | None = None
-) -> tuple[dict[str, Var], dict[str, Var]]:
-    """(leaf, effective) parameter Vars; masked parameters flow through
-    masked-assign so pruned positions carry zero value and zero gradient."""
-    leaf = {n: tape.var(p) for n, p in model.params.items()}
-    pv: dict[str, Var] = dict(leaf)
-    if masks:
-        for name, m in masks.items():
-            pv[name] = ag.masked_assign(leaf[name], m)
-    return leaf, pv
+def make_param_vars(model: MoEModel, tape: Tape) -> dict[str, Var]:
+    """A leaf Var on tape for each parameter, by name; each reads its
+    parameter's array, with no copy. A sparsity mask acts on the gradient
+    (optim.Adam), not here: a pruned weight is an exact zero already."""
+    return {n: tape.var(p) for n, p in model.params.items()}
 
 
 def _subset_rows(y: Var, rows: np.ndarray, sub: np.ndarray) -> Var:
@@ -230,9 +224,9 @@ def forward_pass(
     returns its ForwardResult: the Vars losses are built from, plus a plain
     trace.
 
-    pv maps every parameter name to the Var the graph reads: the effective
-    Vars of make_param_vars (masked parameters go through masked-assign, so
-    pruned weights contribute nothing and receive zero gradient), or
+    pv maps every parameter name to the Var the graph reads: the leaf Vars
+    of make_param_vars, read directly (a pruned weight, an exact zero,
+    contributes nothing; its mask acts on the gradient, in optim.Adam), or
     constants, which record no tape.
     The batch is flattened to B*T rows, window-major: logits, MoE inputs and
     every token index (expert_tokens, forced_dispatch) address those rows.

@@ -2,7 +2,8 @@
 distillation share. Adam's step runs the backward and updates each weight
 inside it as soon as its gradient is complete, which is then dropped (as LOMO
 does, Lv et al. 2023): the weights and moments equal those of a full backward
-followed by every update, and no step holds every gradient at once."""
+followed by every update, and no step holds every gradient at once. A masked
+weight's gradient is multiplied by its mask in place as it is handed over."""
 
 from __future__ import annotations
 
@@ -51,8 +52,9 @@ def run_steps(kind: str, opt: Adam, batches: list, base_lr: float, graph) -> lis
 
 
 class Adam:
-    def __init__(self, params: dict[str, np.ndarray]):
+    def __init__(self, params: dict[str, np.ndarray], masks: dict[str, np.ndarray] | None = None):
         self.params = params
+        self.masks = masks or {}
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -79,8 +81,12 @@ class Adam:
     def update(self, name: str, g: np.ndarray, lr: float, bc1: float, bc2: float) -> None:
         """m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, then
         p -= lr (m / bc1) / (sqrt(v / bc2) + eps): in place, one operation
-        at a time in that order, so the result is that of the expression."""
+        at a time in that order, so the result is that of the expression. g,
+        the leaf's own array, is first multiplied by name's mask (0/1, any
+        dtype, used as given: uint8 as loaded) if it has one."""
         p, m, v = self.params[name], self.m[name], self.v[name]
+        if name in self.masks:
+            g *= self.masks[name]
         s, r = (buf[: p.size].reshape(p.shape) for buf in self._scratch)
         m *= BETA1
         m += np.multiply(g, 1.0 - BETA1, out=s)

@@ -41,8 +41,8 @@ def batch_ce_graph(model: MoEModel, batch: list[np.ndarray]):
     and one cross-entropy over every row that has a next token. Returns
     (loss, {"loss": its value}, leaf Vars, tape)."""
     tape = ag.Tape()
-    leaves, pv = make_param_vars(model, tape)
-    tr = forward_pass(model, batch, pv)
+    leaves = make_param_vars(model, tape)
+    tr = forward_pass(model, batch, leaves)
     rows, targets = next_token_targets(tr.tokens)
     loss = ag.cross_entropy(tr.logits, targets, rows)
     return loss, {"loss": float(loss.value[0, 0])}, leaves, tape

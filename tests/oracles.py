@@ -214,9 +214,10 @@ def grad_check(
 class Adam:
     """Adam as whole-array expressions, each building its temporaries."""
 
-    def __init__(self, params: dict[str, np.ndarray],
+    def __init__(self, params: dict[str, np.ndarray], masks: dict[str, np.ndarray] | None = None,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
+        self.masks = masks or {}
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -227,7 +228,7 @@ class Adam:
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
-            g = grads[name]
+            g = grads[name] * self.masks[name] if name in self.masks else grads[name]
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1
@@ -240,7 +241,7 @@ class Adam:
 class TwoPhaseAdam(Adam):
     """moeprune's Adam.step in two phases: the full backward, which leaves
     every weight as it was, then the update of every weight by its leaf's
-    gradient (zeros where none was written)."""
+    gradient (zeros where none was written), times its mask if it has one."""
 
     def step(self, loss: ag.Var, leaves: dict[str, ag.Var], lr: float) -> None:
         loss.tape.backward(loss)
@@ -304,16 +305,16 @@ def teacher_targets(teacher: MoEModel, batch) -> distill.TeacherTargets:
                                   range(len(batch)), len(batch[0]))
 
 
-def kd_loss(teacher: MoEModel, student: MoEModel, batch, lam: float, masks=None) -> dict:
+def kd_loss(teacher: MoEModel, student: MoEModel, batch, lam: float) -> dict:
     """The KD losses {l_ce, l_expert, lambda, total} on one batch, with no
     parameter update."""
-    return distill._kd_graph(student, batch, lam, masks, teacher_targets(teacher, batch))[1]
+    return distill._kd_graph(student, batch, lam, teacher_targets(teacher, batch))[1]
 
 
 def init_lambda(teacher: MoEModel, student: MoEModel, batch) -> float:
     """lambda = l_ce / l_expert measured once on the probe batch; an identical
     student (l_expert == 0) falls back to 1 with a warning."""
-    return distill._kd_graph(student, batch, None, None,
+    return distill._kd_graph(student, batch, None,
                              teacher_targets(teacher, batch))[1]["lambda"]
 
 

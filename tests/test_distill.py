@@ -125,7 +125,10 @@ def two_path_kd_graph(teacher, student, batch, lam, masks=None):
 
     teacher_trace = model_forward(teacher, batch)
     tape = ag.Tape()
-    leaves, pv = make_param_vars(student, tape, masks)
+    leaves = make_param_vars(student, tape)
+    # the oracle masks each weight before the forward (masked_assign)
+    pv = {n: ag.masked_assign(v, masks[n]) if n in (masks or {}) else v
+          for n, v in leaves.items()}
     strace = forward_pass(student, batch, pv)
     rows, targets = next_token_targets(strace.tokens)
     l_ce = ag.cross_entropy(ag.gather_rows(strace.logits, rows), targets)
@@ -175,16 +178,18 @@ def dispatch_sets(teacher, student, batch):
 
 class TestOneExpertCall:
     """The merged path (one expert call per layer and expert) against the
-    two-path oracle: loss and every gradient to 1e-12 relative."""
+    two-path oracle: loss and every gradient to 1e-12 relative. A masked
+    weight's gradient is compared as Adam takes it, times its mask."""
 
     def assert_matches_oracle(self, teacher, student, batch, masks=None, lam=1.7):
-        total, _, leaves, tape = _kd_graph(student, batch, lam, masks,
+        total, _, leaves, tape = _kd_graph(student, batch, lam,
                                            teacher_targets(teacher, batch))
         tape.backward(total)
         want_total, want = two_path_kd_graph(teacher, student, batch, lam, masks)
         assert total.value[0, 0] == pytest.approx(want_total, rel=1e-12, abs=0)
         for name, g in want.items():
-            assert np.abs(leaves[name].grad - g).max() <= 1e-12 * np.abs(g).max(), name
+            got = leaves[name].grad * masks[name] if name in (masks or {}) else leaves[name].grad
+            assert np.abs(got - g).max() <= 1e-12 * np.abs(g).max(), name
 
     def test_own_rows_equal_forced_rows(self):
         teacher = MoEModel.init(CFG)
@@ -280,7 +285,7 @@ class TestOneExpertCall:
         targets = _batch_targets(_teacher_windows(teacher, batch), range(len(batch)),
                                  ROUTED.seq_len)
         monkeypatch.setattr(ag, "swiglu", counting_swiglu)
-        _kd_graph(student, batch, 1.0, None, targets)
+        _kd_graph(student, batch, 1.0, targets)
         assert calls == routed
 
     def test_gradients_equal_zero_fill_oracle(self, monkeypatch):
@@ -288,7 +293,7 @@ class TestOneExpertCall:
         batch = routed_batch(seed=3)
 
         def build():
-            total, _, leaves, _ = _kd_graph(student, batch, 0.8, None,
+            total, _, leaves, _ = _kd_graph(student, batch, 0.8,
                                             teacher_targets(teacher, batch))
             return total, list(leaves.values())
 
@@ -340,6 +345,7 @@ class TestDistill:
         teacher, student, masks = pruned_pair(kd_corpus)
         cfg = KDConfig(epochs=2, samples=16, batch_size=4, learning_rate=1e-3, seed=4)
         res = distill(teacher, student, masks, kd_corpus, cfg)
+        assert res.student is student  # trained in place
         assert len(res.log) == 8
         for name, m in masks.items():
             vals = res.student.params[name][m == 0]
@@ -355,7 +361,7 @@ class TestDistill:
 
     def test_router_frozen_by_default(self, kd_corpus):
         teacher, student, masks = pruned_pair(kd_corpus)
-        res = distill(teacher, student, masks, kd_corpus,
+        res = distill(teacher, student.copy(), masks, kd_corpus,
                       KDConfig(epochs=1, samples=8, batch_size=4, learning_rate=1e-2))
         for i in range(CFG.n_layers):
             name = f"layers.{i}.router"
@@ -373,7 +379,7 @@ class TestDistill:
         cal = build_calibration_set(kd_corpus, 8, cfg2.seq_len, seed=2)
         student, masks, _ = prune_model(teacher, collect(teacher, cal), "moe-pruner",
                                         SparsityTarget.unstructured(0.5))
-        res = distill(teacher, student, masks, kd_corpus,
+        res = distill(teacher, student.copy(), masks, kd_corpus,
                       KDConfig(epochs=1, samples=8, batch_size=4,
                                learning_rate=1e-2, router_frozen=False))
         assert not np.array_equal(res.student.params["layers.0.router"],
@@ -409,9 +415,9 @@ class TestDistill:
     def test_teacher_pass_independent_of_row_budget(self, kd_corpus, monkeypatch):
         teacher, student, masks = pruned_pair(kd_corpus)
         cfg = KDConfig(epochs=2, samples=8, batch_size=3, learning_rate=1e-3, seed=5)
-        whole = distill(teacher, student, masks, kd_corpus, cfg)
+        whole = distill(teacher, student.copy(), masks, kd_corpus, cfg)
         monkeypatch.setattr(model_module, "ROWS_PER_FORWARD", 3 * CFG.seq_len)
-        chunked = distill(teacher, student, masks, kd_corpus, cfg)
+        chunked = distill(teacher, student.copy(), masks, kd_corpus, cfg)
         assert len(chunked.log) == len(whole.log) == 6
         for a, b in zip(chunked.log, whole.log):
             for key in ("l_ce", "l_expert", "lambda", "total"):

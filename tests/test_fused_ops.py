@@ -220,7 +220,7 @@ class TestSwiglu:
 
     def test_training_forward_records_one_node_per_expert_call(self, tiny_model):
         tape = ag.Tape()
-        _, pv = make_param_vars(tiny_model, tape)
+        pv = make_param_vars(tiny_model, tape)
         tokens = np.asarray(SeededRng(9).integers(0, 256, size=(3, TINY.seq_len)))
         tr = forward_pass(tiny_model, tokens, pv)
         kinds = Counter(bwd.__qualname__.split(".")[0] for _, bwd in tape.nodes)

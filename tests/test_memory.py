@@ -2,7 +2,9 @@
 (glibc allocator policy, set by cli.main), a training or KD step's
 gradients are gone before the next step's graph is built, and a pass keeps
 only what its caller reads (expert intermediates only where calibration
-stops, no copy of the logits or of the masks)."""
+stops, no copy of the logits or of the masks). KD holds one copy of each
+model: Adam masks the gradients, the student trains in place and the
+teacher is freed once its cache is built."""
 
 import os
 import platform
@@ -18,10 +20,13 @@ import pytest
 import moeprune.distill as kd
 import moeprune.training as training
 from moeprune import autograd as ag
+from moeprune.calibration import build_calibration_set, collect
+from moeprune.cli import main
 from moeprune.distill import KDConfig, distill
 from moeprune.model import ModelConfig, MoEModel, model_forward
 from moeprune.optim import Adam
-from moeprune.persistence import save_checkpoint
+from moeprune.persistence import load_checkpoint, save_checkpoint
+from moeprune.pruning import SparsityTarget, prune_model
 from moeprune.training import TrainConfig, evaluate_perplexity, train_model
 
 from conftest import TINY, synth_corpus
@@ -142,22 +147,96 @@ def test_only_a_pass_stopped_at_hidden_records_expert_intermediates(tiny_model):
                 assert lt.expert_hidden[e].shape == (rows.size, TINY.d_ff)
 
 
-def test_distill_hands_masked_assign_the_masks_as_given(monkeypatch):
-    teacher = MoEModel.init(TINY)
-    student = teacher.copy()
-    name = "layers.0.experts.1.w_up"
-    mask = (np.random.default_rng(0).random(student.params[name].shape) > 0.5).astype(np.uint8)
-    student.params[name] *= mask
-    seen, masked_assign = [], ag.masked_assign
+def masked_pair(cfg: ModelConfig, corpus: bytes):
+    """A teacher at init and its 50% moe-pruner student, with the masks."""
+    teacher = MoEModel.init(cfg)
+    stats = collect(teacher, build_calibration_set(corpus, 4, cfg.seq_len, 0))
+    return (teacher, *prune_model(teacher, stats, "moe-pruner",
+                                  SparsityTarget.unstructured(0.5))[:2])
 
-    def recording(a, m):
-        seen.append(m)
-        return masked_assign(a, m)
 
-    monkeypatch.setattr(ag, "masked_assign", recording)
-    distill(teacher, student, {name: mask}, synth_corpus(3, 1 << 12),
+def test_adam_masks_gradients_with_the_masks_as_loaded(monkeypatch, tmp_path):
+    corpus = synth_corpus(3, 1 << 12)
+    teacher, student, masks = masked_pair(TINY, corpus)
+    save_checkpoint(student, tmp_path / "student", masks=masks)
+    student, loaded = load_checkpoint(tmp_path / "student")
+    made, update = [], Adam.update
+
+    def watched_update(self, name, g, *args):
+        made.append(self)
+        update(self, name, g, *args)
+        if name in loaded:
+            assert not g[loaded[name] == 0].any(), name
+
+    monkeypatch.setattr(Adam, "update", watched_update)
+    distill(teacher, student, loaded, corpus,
             KDConfig(epochs=1, samples=4, batch_size=2, lambda_mode=1.0))
-    assert len(seen) == 2 and all(m is mask for m in seen)
+    opt = made[0]
+    assert set(made) == {opt} and opt.masks.keys() == loaded.keys()
+    assert all(opt.masks[n] is m and m.dtype == np.uint8 for n, m in loaded.items())
+
+
+# d_model 16, d_ff 32, and batches of 2 windows of 4 tokens: no activation
+# has an expert weight's shape, (16, 32) or (32, 16)
+SHORT = ModelConfig(d_model=16, n_heads=2, n_layers=2, n_experts=4, top_k=2, d_ff=32,
+                    seq_len=4, vocab_size=256, seed=5)
+
+
+def test_masked_distill_hands_over_each_expert_right_after_its_swiglu(monkeypatch):
+    # the graph reads masked weights directly, so each expert's three
+    # gradients are handed to Adam right after its swiglu backward; a
+    # masked_assign recorded before the forward would keep every masked
+    # weight's gradient (and its masked copy's) until the sweep ends
+    corpus = synth_corpus(3, 1 << 12)
+    teacher, student, masks = masked_pair(SHORT, corpus)
+    shapes = {(SHORT.d_model, SHORT.d_ff), (SHORT.d_ff, SHORT.d_model)}
+    grads, alive = [], []
+    accumulate, update = ag.Var.accumulate, Adam.update
+
+    def watched_accumulate(self, g):
+        accumulate(self, g)
+        if self.value.shape in shapes:
+            grads.append(weakref.ref(self._grad))
+
+    def watched_update(self, *args):
+        alive.append(len({id(a) for ref in grads if (a := ref()) is not None}))
+        return update(self, *args)
+
+    monkeypatch.setattr(ag.Var, "accumulate", watched_accumulate)
+    monkeypatch.setattr(Adam, "update", watched_update)
+    res = distill(teacher, student, masks, corpus,
+                  KDConfig(epochs=1, samples=6, batch_size=2, lambda_mode=1.0))
+    assert len(alive) == len(res.log) * (len(student.params) - SHORT.n_layers)
+    assert max(alive) == 3, f"{max(alive)} expert-shaped gradients alive at one update"
+
+
+# cli distill's traced peak on a 2-layer d_model 64 model (2 MiB of
+# weights), 8 windows, batch 4: ~22.5 MB with a second copy of the student,
+# the teacher alive through every step and every masked weight's float64
+# copy and gradient alive until the sweep ended; ~17.0 MB with none of these
+DISTILL_PEAK_MB = 20
+
+
+def test_cli_distill_keeps_one_copy_of_each_model(tmp_path):
+    cfg = ModelConfig(d_model=64, n_heads=4, n_layers=2, n_experts=4, top_k=2, d_ff=128,
+                      seq_len=64, vocab_size=256, seed=77)
+    corpus = synth_corpus(3, 1 << 13)
+    teacher, student, masks = masked_pair(cfg, corpus)
+    save_checkpoint(teacher, tmp_path / "teacher")
+    save_checkpoint(student, tmp_path / "student", masks=masks)
+    (tmp_path / "corpus.txt").write_bytes(corpus)
+    del teacher, student, masks
+    argv = ["distill", "--teacher", str(tmp_path / "teacher"), "--student",
+            str(tmp_path / "student"), "--corpus", str(tmp_path / "corpus.txt"),
+            "--samples", "8", "--batch-size", "4", "--epochs", "1", "--lam", "1"]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main([*argv, "--out", str(tmp_path / "distilled")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < DISTILL_PEAK_MB * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 # evaluate_perplexity's traced peak over two batches of TINY windows: ~25.6

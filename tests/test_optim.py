@@ -47,8 +47,8 @@ def both_orders(monkeypatch, module, run):
         made = []
 
         class Recorded(cls):
-            def __init__(self, params):
-                super().__init__(params)
+            def __init__(self, *args):
+                super().__init__(*args)
                 made.append(self)
 
         monkeypatch.setattr(module, "Adam", Recorded)
@@ -96,7 +96,8 @@ def test_masked_distill_updates_equal_two_phase_step(monkeypatch, router_frozen)
     teacher, student, masks = pruned_pair(corpus)
     cfg = KDConfig(epochs=2, samples=8, batch_size=3, learning_rate=1e-2, seed=5,
                    router_frozen=router_frozen)
-    runs = both_orders(monkeypatch, kd, lambda: distill(teacher, student, masks, corpus, cfg))
+    runs = both_orders(monkeypatch, kd,
+                       lambda: distill(teacher, student.copy(), masks, corpus, cfg))
     (new, res), (_, want) = runs
     assert res.log == want.log and len(res.log) == 6
     assert any(n.endswith(".router") for n in new.params) == (not router_frozen)

@@ -9,8 +9,9 @@ For each workload in BENCHMARK.json and each seed, runs the committed `bench/run
 and, given --parent, from `<ref>`'s tree (extracted as tools/parity.py
 does); the two sides alternate which runs first. It parses the env, report
 and result lines that run.py prints, and reads the child's own counters
-from os.wait4: proc_minflt (minor page faults), proc_sys_s (system CPU
-seconds) and proc_maxrss_mb, over the whole process, set-up included.
+from os.wait4: proc_minflt (minor page faults) and proc_sys_s (system CPU
+seconds), over the whole process, set-up included. (run.py's peak_rss_mb is
+the child's ru_maxrss already.)
 
 The file holds, per side ("change", and "parent" given --parent) and
 workload, each seed's metrics and outputs (perplexities), and the median
@@ -75,8 +76,7 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{tree}: bench/run.py --workload {workload} --seed {seed} "
                          f"exited {proc.returncode}")
     run = parse_run(stdout)
-    run["metrics"] |= {"proc_minflt": usage.ru_minflt, "proc_sys_s": usage.ru_stime,
-                       "proc_maxrss_mb": usage.ru_maxrss / 1024.0}
+    run["metrics"] |= {"proc_minflt": usage.ru_minflt, "proc_sys_s": usage.ru_stime}
     return {"seed": seed, **run}
 
 
