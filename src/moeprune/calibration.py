@@ -56,18 +56,19 @@ def corpus_tokens(corpus: bytes) -> np.ndarray:
     return np.frombuffer(corpus, dtype=np.uint8).astype(np.intp)
 
 
-def nonoverlapping_windows(corpus: bytes, seq_len: int) -> list[np.ndarray]:
-    """Consecutive seq_len windows, tail remainder dropped."""
+def nonoverlapping_windows(corpus: bytes, seq_len: int) -> np.ndarray:
+    """Consecutive seq_len windows, tail remainder dropped: an (N, seq_len)
+    view of the tokens."""
     toks = corpus_tokens(corpus)
     n = toks.size // seq_len
     if n == 0:
         raise InputError(f"corpus has {toks.size} tokens, shorter than seq_len={seq_len}")
-    return [toks[i * seq_len : (i + 1) * seq_len] for i in range(n)]
+    return toks[: n * seq_len].reshape(n, seq_len)
 
 
 @dataclass
 class CalibrationSet:
-    sequences: list[np.ndarray]
+    sequences: np.ndarray   # (nsamples, seq_len) intp windows
 
 
 def build_calibration_set(corpus: bytes, nsamples: int, seq_len: int, seed: int) -> CalibrationSet:
@@ -80,10 +81,8 @@ def build_calibration_set(corpus: bytes, nsamples: int, seq_len: int, seed: int)
             f"corpus too short: {toks.size} tokens, under the {nsamples * seq_len} of "
             f"{nsamples} windows of {seq_len} (windows start at random offsets and may overlap)"
         )
-    rng = SeededRng(seed)
-    offsets = rng.integers(0, toks.size - seq_len + 1, size=nsamples)
-    seqs = [toks[o : o + seq_len].copy() for o in np.asarray(offsets)]
-    return CalibrationSet(sequences=seqs)
+    offsets = SeededRng(seed).integers(0, toks.size - seq_len + 1, size=nsamples)
+    return CalibrationSet(sequences=toks[offsets[:, None] + np.arange(seq_len)])
 
 
 @dataclass
@@ -148,7 +147,7 @@ LayerStats = list[tuple[InputStats, ...]]
 class CalibrationStats:
     model_config: ModelConfig
     layers: list[LayerStats]
-    sequences: list[np.ndarray]
+    sequences: np.ndarray   # the CalibrationSet's windows, not a copy
 
 
 def empty_layer(cfg: ModelConfig, i: int) -> LayerStats:
@@ -184,7 +183,7 @@ def collect(model: MoEModel, cal: CalibrationSet) -> CalibrationStats:
         layers = model_forward(model, batch, stop=(cfg.n_layers - 1, "hidden")).layers
         for layer_records, layer in zip(records, layers):
             accumulate_layer(layer_records, layer)
-    return CalibrationStats(model_config=cfg, layers=records, sequences=list(cal.sequences))
+    return CalibrationStats(model_config=cfg, layers=records, sequences=cal.sequences)
 
 
 def count_dispatch(model: MoEModel, cal: CalibrationSet, mode: str) -> tuple[np.ndarray, int]:

@@ -15,7 +15,7 @@ import json
 import platform
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .analysis import analyze_model, ingest_frequencies
@@ -80,10 +80,11 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _section(cls: type[Section], file_cfg: dict, **flags) -> Section:
-    """A config section: its defaults, then the file's values, then the flags
-    given (not None)."""
-    return cls.from_dict(file_cfg.get(cls.SECTION, {}), **flags)
+def _section(cls: type[Section], file_cfg: dict, args) -> Section:
+    """A config section: its defaults, then the file's values, then each flag
+    given (not None) whose dest is one of the section's fields."""
+    return cls.from_dict(file_cfg.get(cls.SECTION, {}),
+                         **{f.name: getattr(args, f.name, None) for f in fields(cls)})
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -105,9 +106,8 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
 
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    config = _section(ModelConfig, file_cfg, seed=args.seed)
-    train_cfg = _section(TrainConfig, file_cfg, steps=args.steps, seed=args.seed,
-                         learning_rate=args.lr, batch_size=args.batch_size)
+    config = _section(ModelConfig, file_cfg, args)
+    train_cfg = _section(TrainConfig, file_cfg, args)
     corpus = _read_corpus(args.corpus)
     model = MoEModel.init(config, upcycle=args.upcycle)
     trained, log = train_model(model, corpus, train_cfg)
@@ -125,18 +125,14 @@ def cmd_prune(args) -> int:
     target = (SparsityTarget.unstructured(args.sparsity) if args.sparsity is not None
               else SparsityTarget.parse(args.pattern))
     file_cfg = _load_config_file(args.config)
-    calib = _section(CalibrationConfig, file_cfg, nsamples=args.nsamples, seed=args.seed)
+    calib = _section(CalibrationConfig, file_cfg, args)
     model, _ = load_checkpoint(args.ckpt)
     stats = collect(model, _calibration_set(_read_corpus(args.calib), calib, model))
     pruned, masks, report = prune_model(model, stats, args.method, target,
                                         propagate=args.propagate)
-    effective = {
-        "model": asdict(model.config),
-        "calibration": asdict(calib),
-        "method": args.method,
-        "sparsity": target.describe(),
-        "propagate": args.propagate,
-    }
+    effective = {"model": asdict(model.config), "calibration": asdict(calib),
+                 "method": args.method, "sparsity": target.describe(),
+                 "propagate": args.propagate}
     save_checkpoint(pruned, args.out, masks=masks, extra={"config": effective})
     payload = {"config": effective, **asdict(report)}
     _write_json(Path(args.out) / "prune_report.json", payload)
@@ -150,13 +146,9 @@ def cmd_prune(args) -> int:
 
 def cmd_distill(args) -> int:
     file_cfg = _load_config_file(args.config)
-    cfg = _section(KDConfig, file_cfg, epochs=args.epochs, learning_rate=args.lr,
-                   samples=args.samples, batch_size=args.batch_size, seed=args.seed,
-                   lambda_mode=args.lam,
-                   router_frozen=(False if args.full_parameter else None))
+    cfg = _section(KDConfig, file_cfg, args)
     student, masks = load_checkpoint(args.student)
-    if masks is None:
-        masks = {}
+    masks = {} if masks is None else masks
     # no name holds the teacher, so distill frees it once its cache is built
     result = distill(load_checkpoint(args.teacher)[0], student, masks,
                      _read_corpus(args.corpus), cfg)
@@ -184,7 +176,7 @@ def cmd_analyze(args) -> int:
     if args.ckpt is not None:
         if args.corpus is None:
             raise UsageError("--ckpt requires --corpus")
-        calib = _section(CalibrationConfig, {}, nsamples=args.nsamples, seed=args.seed)
+        calib = _section(CalibrationConfig, {}, args)
         model, _ = load_checkpoint(args.ckpt)
         cal = _calibration_set(_read_corpus(args.corpus), calib, model)
         reports = [analyze_model(model, cal, mode=args.mode, name=str(args.ckpt))]
@@ -216,7 +208,7 @@ def _sweep_list(flag: str, text: str, parse) -> list:
 def cmd_sweep(args) -> int:
     if (args.sparsities is None) == (args.nsamples_list is None):
         raise UsageError("specify exactly one of --sparsities or --nsamples-list")
-    calib = _section(CalibrationConfig, {}, nsamples=args.nsamples, seed=args.seed)
+    calib = _section(CalibrationConfig, {}, args)
     # every setting is checked before the first prune
     if args.sparsities is not None:
         kind = "sparsity"
@@ -255,81 +247,71 @@ def cmd_sweep(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args fills a
-    fresh namespace on each call, so no flag carries over between calls."""
+    fresh namespace on each call, so no flag carries over between calls.
+
+    A flag that several commands take is declared once, in `shared`. A flag
+    that sets a config field has that field's name as its dest, which is how
+    _section finds it."""
+    shared = {
+        "config": {}, "ckpt": {"required": True}, "corpus": {"required": True},
+        "calib": {"required": True}, "out": {"required": True},
+        "seed": {"type": int}, "nsamples": {"type": int}, "batch-size": {"type": int},
+        "lr": {"type": float, "dest": "learning_rate", "metavar": "LR"},
+        "method": {"choices": list(METHODS), "default": "moe-pruner"},
+        "propagate": {"choices": ["dense", "recompute"], "default": "dense"},
+    }
     p = argparse.ArgumentParser(prog="moeprune",
                                 description="Desk-scale MoE pruning toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("train", help="train a toy MoE teacher with plain CE")
-    t.add_argument("--config", help="JSON run-config file")
-    t.add_argument("--corpus", required=True)
+    def command(name, func, help, flags, **helps):
+        """Subcommand `name`, run by func, with the shared flags listed in
+        flags (space-separated, no dashes), each with its help from helps."""
+        c = sub.add_parser(name, help=help)
+        c.set_defaults(func=func)
+        for flag in flags.split():
+            c.add_argument(f"--{flag}", help=helps.get(flag), **shared[flag])
+        return c
+
+    t = command("train", cmd_train, "train a toy MoE teacher with plain CE",
+                "config corpus seed lr batch-size out", config="JSON run-config file")
     t.add_argument("--steps", type=int)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--batch-size", type=int)
     t.add_argument("--upcycle", action="store_true",
                    help="clone expert 0 across each layer at init")
-    t.add_argument("--out", required=True)
-    t.set_defaults(func=cmd_train)
 
-    pr = sub.add_parser("prune", help="one-shot prune expert matrices")
-    pr.add_argument("--config")
-    pr.add_argument("--ckpt", required=True)
-    pr.add_argument("--method", choices=list(METHODS), default="moe-pruner")
+    pr = command("prune", cmd_prune, "one-shot prune expert matrices",
+                 "config ckpt method calib nsamples seed propagate out",
+                 calib="calibration corpus path")
     pr.add_argument("--sparsity", type=float, help="unstructured fraction in [0,1)")
     pr.add_argument("--pattern", help="semi-structured N:M, e.g. 2:4")
-    pr.add_argument("--calib", required=True, help="calibration corpus path")
-    pr.add_argument("--nsamples", type=int)
-    pr.add_argument("--seed", type=int)
-    pr.add_argument("--propagate", choices=["dense", "recompute"], default="dense")
-    pr.add_argument("--out", required=True)
-    pr.set_defaults(func=cmd_prune)
 
-    di = sub.add_parser("distill", help="expert-wise KD from teacher to pruned student")
-    di.add_argument("--config")
+    di = command("distill", cmd_distill, "expert-wise KD from teacher to pruned student",
+                 "config corpus lr batch-size seed out")
     di.add_argument("--teacher", required=True)
     di.add_argument("--student", required=True)
-    di.add_argument("--corpus", required=True)
     di.add_argument("--samples", type=int)
     di.add_argument("--epochs", type=int)
-    di.add_argument("--lr", type=float)
-    di.add_argument("--batch-size", type=int)
-    di.add_argument("--seed", type=int)
-    di.add_argument("--lam", type=float, help="fixed lambda (default: auto l_ce/l_expert)")
-    di.add_argument("--full-parameter", action="store_true",
+    di.add_argument("--lam", type=float, dest="lambda_mode", metavar="LAM",
+                    help="fixed lambda (default: auto l_ce/l_expert)")
+    di.add_argument("--full-parameter", action="store_const", const=False, dest="router_frozen",
                     help="also update the router (default keeps it frozen)")
-    di.add_argument("--out", required=True)
-    di.set_defaults(func=cmd_distill)
 
-    ev = sub.add_parser("eval", help="perplexity over non-overlapping windows")
-    ev.add_argument("--ckpt", required=True)
-    ev.add_argument("--corpus", required=True)
-    ev.set_defaults(func=cmd_eval)
+    command("eval", cmd_eval, "perplexity over non-overlapping windows", "ckpt corpus")
 
-    an = sub.add_parser("analyze", help="expert load-balance report")
+    an = command("analyze", cmd_analyze, "expert load-balance report", "nsamples seed")
     an.add_argument("--ckpt")
     an.add_argument("--corpus")
     an.add_argument("--freq", help="external frequency JSON file")
-    an.add_argument("--nsamples", type=int)
     an.add_argument("--mode", choices=["argmax", "topk"], default="argmax")
-    an.add_argument("--seed", type=int)
-    an.set_defaults(func=cmd_analyze)
 
-    sw = sub.add_parser("sweep", help="prune+eval over a list of settings, CSV out")
-    sw.add_argument("--ckpt", required=True)
-    sw.add_argument("--method", choices=list(METHODS), default="moe-pruner")
+    sw = command("sweep", cmd_sweep, "prune+eval over a list of settings, CSV out",
+                 "ckpt method calib propagate seed nsamples out",
+                 nsamples="fixed nsamples for --sparsities")
     sw.add_argument("--sparsities", help="comma list, e.g. 0.1,0.3,0.5")
     sw.add_argument("--nsamples-list", help="comma list, e.g. 2,8,32,128")
     sw.add_argument("--sparsity", type=float, default=0.5,
                     help="fixed sparsity for --nsamples-list")
-    sw.add_argument("--nsamples", type=int, help="fixed nsamples for --sparsities")
-    sw.add_argument("--calib", required=True)
     sw.add_argument("--eval-corpus", required=True)
-    sw.add_argument("--propagate", choices=["dense", "recompute"], default="dense")
-    sw.add_argument("--seed", type=int)
-    sw.add_argument("--out", required=True)
-    sw.set_defaults(func=cmd_sweep)
-
     return p
 
 

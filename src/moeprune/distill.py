@@ -53,13 +53,13 @@ class KDConfig(Section):
 TeacherTargets = tuple[list[dict[int, np.ndarray]], list[dict[int, np.ndarray]]]
 
 
-def _teacher_windows(teacher: MoEModel, windows) -> list[list[dict[int, tuple]]]:
-    """One teacher forward over the windows, stacked by window_batches and
+def _teacher_windows(teacher: MoEModel, windows: np.ndarray) -> list[list[dict[int, tuple]]]:
+    """One teacher forward over the (N, T) windows, in window_batches and
     stopped after the last layer's expert outputs (no combine, no head). Per
     window, per layer, expert -> (positions in the window the teacher routed
     to that expert, the expert's outputs there): all that KD reads."""
     cache = []
-    for batch in window_batches(list(windows)):
+    for batch in window_batches(windows):
         B, T = batch.shape
         layers = model_forward(teacher, batch, (teacher.config.n_layers - 1, "experts")).layers
         cuts = [{e: np.searchsorted(rows, np.arange(B + 1) * T)
@@ -85,7 +85,7 @@ def _batch_targets(cache: list, picks, T: int) -> TeacherTargets:
     return dispatch, outputs
 
 
-def _kd_graph(student: MoEModel, batch: list[np.ndarray], lam: float | None,
+def _kd_graph(student: MoEModel, batch: np.ndarray, lam: float | None,
               targets: TeacherTargets):
     """Build the differentiable KD loss for one batch.
 
@@ -175,7 +175,7 @@ def distill(
     def graph(picks):
         # an "auto" lambda comes from the first batch (masked weights are zero)
         nonlocal lam
-        step = _kd_graph(student, [cal.sequences[j] for j in picks], lam,
+        step = _kd_graph(student, cal.sequences[picks], lam,
                          _batch_targets(cache, picks, student.config.seq_len))
         lam = step[1]["lambda"]
         return step

@@ -157,7 +157,6 @@ class ForwardResult:
     logits: Var | None                       # None when the pass stopped early
     tokens: np.ndarray                       # (B, T) validated batch
     layers: list[LayerTrace]
-    layer_input_vars: list[Var]
     forced_outputs: list[dict[int, Var]]     # per layer, empty without forced_dispatch
 
 
@@ -178,17 +177,12 @@ def _validate_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
     return toks
 
 
-def window_batches(windows: list[np.ndarray]) -> Iterator[np.ndarray]:
-    """Consecutive equal-length windows stacked into (B, T) batches of at most
-    ROWS_PER_FORWARD rows (one window at least), in order."""
-    if not windows:
-        return
-    T = len(windows[0])
-    if any(len(w) != T for w in windows):
-        raise InputError("calibration and evaluation windows must have equal length")
-    per_batch = max(1, ROWS_PER_FORWARD // max(T, 1))
+def window_batches(windows: np.ndarray) -> Iterator[np.ndarray]:
+    """(B, T) views of consecutive rows of an (N, T) windows array, at most
+    ROWS_PER_FORWARD rows each (one window at least), in order."""
+    per_batch = max(1, ROWS_PER_FORWARD // max(windows.shape[1], 1))
     for b0 in range(0, len(windows), per_batch):
-        yield np.stack(windows[b0 : b0 + per_batch])
+        yield windows[b0 : b0 + per_batch]
 
 
 def next_token_targets(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +249,6 @@ def forward_pass(
 
     h = ag.gather_rows(pv["token_embedding"], toks.ravel())
     layers: list[LayerTrace] = []
-    layer_input_vars: list[Var] = []
     forced_outputs: list[dict[int, Var]] = []
 
     for i in range(last + 1):
@@ -269,7 +262,6 @@ def forward_pass(
 
         # MoE block
         m = ag.rmsnorm(h)
-        layer_input_vars.append(m)
         logits = ag.matmul(m, pv[f"layers.{i}.router"])
         gates = ag.row_softmax(logits, _topk_mask(logits.value, cfg.top_k))
         if not (np.count_nonzero(gates.value, axis=1) == cfg.top_k).all():
@@ -323,8 +315,7 @@ def forward_pass(
         h = ag.add(h, ag.moe_combine(gates, outs, expert_tokens))
 
     logits = ag.matmul(ag.rmsnorm(h), pv["lm_head"]) if until is None else None
-    return ForwardResult(logits=logits, tokens=toks, layers=layers,
-                         layer_input_vars=layer_input_vars, forced_outputs=forced_outputs)
+    return ForwardResult(logits=logits, tokens=toks, layers=layers, forced_outputs=forced_outputs)
 
 
 def model_forward(model: MoEModel, tokens, stop: tuple[int, str] | None = None) -> ForwardResult:

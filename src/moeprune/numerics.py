@@ -33,9 +33,10 @@ def spd_inverse(h: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via Cholesky (LAPACK
     potrf, then potri on the factor).
 
-    The full inverse is materialized because the OBS weight update consumes
-    its diagonal and upper triangle. Raises NumericalError for non-PD input
-    (the caller should add dampening and retry).
+    The full symmetric inverse is returned: pruning reads only its diagonal
+    and upper triangle, and the tests compare the whole matrix with a dense
+    inverse. Raises NumericalError for non-PD input (the caller should add
+    dampening and retry).
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
         raise ShapeError(f"spd_inverse needs a non-empty square matrix, got {h.shape}")

@@ -101,23 +101,19 @@ def score_magnitude(w: np.ndarray) -> np.ndarray:
     return np.abs(w)
 
 
-def _norm_scores(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def score_wanda(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """S_ij = |W_ij| * ||X_j||: Wanda's score, with the norms of unscaled
+    calibration inputs, sqrt(diag(X^T X)) of an InputStats record's Hessian;
+    and MoE-Pruner's, with the norms of gate-weighted inputs ||X_j * Gate_j||
+    (the record's scaled norms)."""
     norms = np.asarray(norms, dtype=np.float64).ravel()
     if norms.size != w.shape[1]:
         raise ShapeError(f"norms length {norms.size} != weight columns {w.shape[1]}")
     return np.abs(w) * norms[None, :]
 
 
-def score_wanda(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """S_ij = |W_ij| * ||X_j|| with norms over unscaled calibration inputs:
-    sqrt(diag(X^T X)) of an InputStats record's Hessian."""
-    return _norm_scores(w, norms)
-
-
-def score_moe_pruner(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """S_ij = |W_ij| * ||X_j * Gate_j||: weight magnitude times the norm of
-    gate-weighted input activations (an InputStats record's scaled norms)."""
-    return _norm_scores(w, norms)
+# one score, two names: the tracer in bench/ wraps each name
+score_moe_pruner = score_wanda
 
 
 def damped_inverse(h: np.ndarray) -> np.ndarray:

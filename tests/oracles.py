@@ -5,7 +5,8 @@ batching), the cross-entropy loss and gradient as separate allocating
 expressions, mask selection by stable argsort, the SPD inverse mirrored by
 summing triangles, a central-difference gradient check for autograd ops,
 the allocating Adam step (and the two-phase step: the full backward, then
-every update), calibration statistics, dispatch counts and a
+every update), the gate-weighted expert combine built from plain tape ops,
+calibration statistics, dispatch counts and a
 recompute prune built from forwards that run to the logits (with the expert
 intermediates rebuilt from their inputs), the sequential
 OBS sweep and a prune that takes one weight at a time, and the KD loss and
@@ -248,6 +249,19 @@ class TwoPhaseAdam(Adam):
         super().step({n: leaves[n].grad for n in self.params}, lr)
 
 
+def combine(t, gates, outs, rows):
+    """moe_combine from plain tape ops, per expert: gather the gate rows, pick
+    column e with a one-hot matmul, scale the outputs, scatter them to full
+    size and fold them together."""
+    n, n_experts = gates.value.shape
+    total = None
+    for e in sorted(outs):
+        gcol = ag.matmul(ag.gather_rows(gates, rows[e]), t.const(np.eye(n_experts)[:, [e]]))
+        scattered = ag.scatter_rows(ag.mul(outs[e], gcol), rows[e], n)
+        total = scattered if total is None else ag.add(total, scattered)
+    return total
+
+
 def full_layers(model: MoEModel, batch) -> list:
     """The layer traces of a forward that runs to the logits, with each
     routed expert's SwiGLU intermediate (which such a pass leaves empty)
@@ -299,10 +313,12 @@ def full_forward_stats(model: MoEModel, sequences, mode: str = "argmax") -> dict
 
 
 def teacher_targets(teacher: MoEModel, batch) -> distill.TeacherTargets:
-    """The teacher's forced rows and expert outputs for `batch`, from one
-    teacher forward over it: what distill reads from its cache."""
-    return distill._batch_targets(distill._teacher_windows(teacher, batch),
-                                  range(len(batch)), len(batch[0]))
+    """The teacher's forced rows and expert outputs for `batch` (equal-length
+    windows), from one teacher forward over it: what distill reads from its
+    cache."""
+    windows = np.asarray(batch)
+    return distill._batch_targets(distill._teacher_windows(teacher, windows),
+                                  range(len(windows)), windows.shape[1])
 
 
 def kd_loss(teacher: MoEModel, student: MoEModel, batch, lam: float) -> dict:

@@ -14,6 +14,7 @@ from moeprune.calibration import (
 )
 from moeprune.errors import InputError, ShapeError
 from moeprune.model import ModelConfig, MoEModel, model_forward, window_batches
+from moeprune.numerics import SeededRng
 from moeprune.pruning import SparsityTarget, prune_model
 
 from conftest import TINY, TOP1, expert_names, input_records, synth_corpus
@@ -74,6 +75,30 @@ class TestBuildCalibrationSet:
     def test_windows_tail_dropped(self):
         ws = nonoverlapping_windows(b"a" * 70, 32)
         assert len(ws) == 2
+
+
+class TestWindowsArray:
+    """Windows are one (N, T) intp array; every pass reads views of it."""
+
+    def test_window_batches_yield_views_of_the_windows(self, tiny_model, cal, monkeypatch):
+        monkeypatch.setattr(moeprune.model, "ROWS_PER_FORWARD", 3 * TINY.seq_len)
+        batches = list(window_batches(cal.sequences))
+        assert [len(b) for b in batches] == [3, 3, 3, 3, 3, 1]
+        assert all(np.shares_memory(b, cal.sequences) for b in batches)
+        assert np.array_equal(np.concatenate(batches), cal.sequences)
+        assert collect(tiny_model, cal).sequences is cal.sequences
+
+    def test_calibration_windows_start_at_the_seeded_offsets(self, corpus):
+        cal = build_calibration_set(corpus, 5, 32, seed=3)
+        toks = np.frombuffer(corpus, dtype=np.uint8)
+        offsets = SeededRng(3).integers(0, toks.size - 32 + 1, size=5)
+        assert cal.sequences.shape == (5, 32) and cal.sequences.dtype == np.intp
+        assert np.array_equal(cal.sequences, [toks[o : o + 32] for o in offsets])
+
+    def test_nonoverlapping_windows_are_consecutive_rows(self):
+        ws = nonoverlapping_windows(bytes(range(70)), 32)
+        assert ws.shape == (2, 32) and ws.dtype == np.intp
+        assert np.array_equal(ws.ravel(), np.arange(64))
 
 
 class TestAccumulator:

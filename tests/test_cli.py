@@ -6,6 +6,8 @@ import time
 import numpy as np
 import pytest
 
+from moeprune import cli
+from moeprune.calibration import build_calibration_set
 from moeprune.cli import main
 from moeprune.model import ModelConfig, MoEModel
 from moeprune.numerics import SeededRng
@@ -711,3 +713,133 @@ def test_echoed_config_keeps_values_as_given(workdir, tmp_path):
                 "--steps", "0", "--out", tmp_path / "t"]) == 0
     assert '"learning_rate": 1,' in (tmp_path / "t" / "manifest.json").read_text()
     assert type(echoed(tmp_path / "t")["train"]["learning_rate"]) is int
+
+
+METHODS = ["magnitude", "wanda", "moe-pruner", "sparsegpt"]
+# Every subcommand's flags: option -> (type, default, choices, required,
+# help, the metavar the help shows, or None for a flag that takes no value)
+FLAGS = {
+    "train": {
+        "--config": (None, None, None, False, "JSON run-config file", "CONFIG"),
+        "--corpus": (None, None, None, True, None, "CORPUS"),
+        "--steps": (int, None, None, False, None, "STEPS"),
+        "--seed": (int, None, None, False, None, "SEED"),
+        "--lr": (float, None, None, False, None, "LR"),
+        "--batch-size": (int, None, None, False, None, "BATCH_SIZE"),
+        "--upcycle": (None, False, None, False, "clone expert 0 across each layer at init",
+                      None),
+        "--out": (None, None, None, True, None, "OUT"),
+    },
+    "prune": {
+        "--config": (None, None, None, False, None, "CONFIG"),
+        "--ckpt": (None, None, None, True, None, "CKPT"),
+        "--method": (None, "moe-pruner", METHODS, False, None, "METHOD"),
+        "--sparsity": (float, None, None, False, "unstructured fraction in [0,1)", "SPARSITY"),
+        "--pattern": (None, None, None, False, "semi-structured N:M, e.g. 2:4", "PATTERN"),
+        "--calib": (None, None, None, True, "calibration corpus path", "CALIB"),
+        "--nsamples": (int, None, None, False, None, "NSAMPLES"),
+        "--seed": (int, None, None, False, None, "SEED"),
+        "--propagate": (None, "dense", ["dense", "recompute"], False, None, "PROPAGATE"),
+        "--out": (None, None, None, True, None, "OUT"),
+    },
+    "distill": {
+        "--config": (None, None, None, False, None, "CONFIG"),
+        "--teacher": (None, None, None, True, None, "TEACHER"),
+        "--student": (None, None, None, True, None, "STUDENT"),
+        "--corpus": (None, None, None, True, None, "CORPUS"),
+        "--samples": (int, None, None, False, None, "SAMPLES"),
+        "--epochs": (int, None, None, False, None, "EPOCHS"),
+        "--lr": (float, None, None, False, None, "LR"),
+        "--batch-size": (int, None, None, False, None, "BATCH_SIZE"),
+        "--seed": (int, None, None, False, None, "SEED"),
+        "--lam": (float, None, None, False, "fixed lambda (default: auto l_ce/l_expert)", "LAM"),
+        # its parsed default is not compared: "not given" reads False from a
+        # store_true flag and None from a store_const into kd.router_frozen;
+        # test_every_section_flag_lands_in_its_config_field checks both cases
+        "--full-parameter": (None, "any", None, False,
+                             "also update the router (default keeps it frozen)", None),
+        "--out": (None, None, None, True, None, "OUT"),
+    },
+    "eval": {
+        "--ckpt": (None, None, None, True, None, "CKPT"),
+        "--corpus": (None, None, None, True, None, "CORPUS"),
+    },
+    "analyze": {
+        "--ckpt": (None, None, None, False, None, "CKPT"),
+        "--corpus": (None, None, None, False, None, "CORPUS"),
+        "--freq": (None, None, None, False, "external frequency JSON file", "FREQ"),
+        "--nsamples": (int, None, None, False, None, "NSAMPLES"),
+        "--mode": (None, "argmax", ["argmax", "topk"], False, None, "MODE"),
+        "--seed": (int, None, None, False, None, "SEED"),
+    },
+    "sweep": {
+        "--ckpt": (None, None, None, True, None, "CKPT"),
+        "--method": (None, "moe-pruner", METHODS, False, None, "METHOD"),
+        "--sparsities": (None, None, None, False, "comma list, e.g. 0.1,0.3,0.5", "SPARSITIES"),
+        "--nsamples-list": (None, None, None, False, "comma list, e.g. 2,8,32,128",
+                            "NSAMPLES_LIST"),
+        "--sparsity": (float, 0.5, None, False, "fixed sparsity for --nsamples-list",
+                       "SPARSITY"),
+        "--nsamples": (int, None, None, False, "fixed nsamples for --sparsities", "NSAMPLES"),
+        "--calib": (None, None, None, True, None, "CALIB"),
+        "--eval-corpus": (None, None, None, True, None, "EVAL_CORPUS"),
+        "--propagate": (None, "dense", ["dense", "recompute"], False, None, "PROPAGATE"),
+        "--seed": (int, None, None, False, None, "SEED"),
+        "--out": (None, None, None, True, None, "OUT"),
+    },
+}
+
+
+def test_each_command_keeps_its_flags():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(FLAGS)
+    for command, parser in sub.choices.items():
+        got = {}
+        for a in parser._actions:
+            if a.option_strings == ["-h", "--help"]:
+                continue
+            (option,) = a.option_strings
+            shown = None if a.nargs == 0 else a.metavar or a.dest.upper()
+            default = "any" if option == "--full-parameter" else a.default
+            got[option] = (a.type, default, a.choices, a.required, a.help, shown)
+        assert got == FLAGS[command], command
+
+
+def test_every_section_flag_lands_in_its_config_field(workdir, tmp_path, monkeypatch):
+    # each flag at a value other than its default, over the config file's
+    corpus, init = workdir / "corpus.txt", workdir / "init_ckpt"
+    assert run(["train", "--config", workdir / "config.json", "--corpus", corpus,
+                "--steps", "1", "--seed", "3", "--lr", "0.002", "--batch-size", "2",
+                "--out", tmp_path / "t"]) == 0
+    assert echoed(tmp_path / "t")["model"] == {**CLI_MODEL, "seed": 3}
+    assert echoed(tmp_path / "t")["train"] == {"steps": 1, "batch_size": 2,
+                                               "learning_rate": 0.002, "seed": 3}
+    assert run(["prune", "--ckpt", init, "--sparsity", "0.5", "--calib", corpus,
+                "--nsamples", "3", "--seed", "4", "--out", tmp_path / "p"]) == 0
+    report = json.loads((tmp_path / "p" / "prune_report.json").read_text())
+    assert (echoed(tmp_path / "p")["calibration"] == report["config"]["calibration"]
+            == {"nsamples": 3, "seed": 4})
+    assert run(["distill", "--teacher", init, "--student", tmp_path / "p", "--corpus", corpus,
+                "--samples", "4", "--epochs", "1", "--lr", "0.0001", "--batch-size", "2",
+                "--seed", "6", "--lam", "0.5", "--full-parameter",
+                "--out", tmp_path / "d"]) == 0
+    assert echoed(tmp_path / "d")["kd"] == {
+        "lambda_mode": 0.5, "epochs": 1, "learning_rate": 0.0001, "batch_size": 2,
+        "samples": 4, "seed": 6, "router_frozen": False, "lambda_resolved": 0.5}
+
+    # analyze and sweep echo no config: record the windows they draw
+    drawn = []
+
+    def recording(corpus, nsamples, seq_len, seed):
+        drawn.append((nsamples, seed))
+        return build_calibration_set(corpus, nsamples, seq_len, seed)
+
+    monkeypatch.setattr(cli, "build_calibration_set", recording)
+    assert run(["analyze", "--ckpt", init, "--corpus", corpus, "--nsamples", "3",
+                "--seed", "7"]) == 0
+    sweep = ["sweep", "--ckpt", init, "--calib", corpus, "--eval-corpus", corpus, "--seed", "8"]
+    assert run([*sweep, "--sparsities", "0.5", "--nsamples", "3",
+                "--out", tmp_path / "s.csv"]) == 0
+    assert run([*sweep, "--nsamples-list", "2", "--out", tmp_path / "n.csv"]) == 0
+    assert drawn == [(3, 7), (3, 8), (2, 8)]

@@ -17,7 +17,7 @@ from moeprune.errors import ContractError, NumericalError
 from moeprune.model import (
     ModelConfig,
     MoEModel,
-    forward_pass,
+    _topk_mask,
     make_param_vars,
     model_forward,
     next_token_targets,
@@ -27,6 +27,7 @@ from moeprune.optim import cosine_lr
 from moeprune.pruning import SparsityTarget, prune_model
 from moeprune.calibration import build_calibration_set, collect
 
+import oracles
 from conftest import expert_names, synth_corpus
 from oracles import ExpertWeights, ce_loss, expert_forward, init_lambda, kd_loss, teacher_targets
 from test_autograd import grads_both_ways
@@ -115,7 +116,9 @@ class TestKdLoss:
 def two_path_kd_graph(teacher, student, batch, lam, masks=None):
     """Oracle: the KD graph as it was built before each student expert ran
     once per step. The student forwards on its own routing, then each
-    teacher-routed row set goes through a second call of that expert.
+    teacher-routed row set goes through a second call of that expert. The
+    student's forward is built here from tape ops, with the combine of
+    oracles.combine, so it reads none of forward_pass's forced rows.
     Returns (total, leaf gradients)."""
 
     def expert(i, e, x):
@@ -123,16 +126,31 @@ def two_path_kd_graph(teacher, student, batch, lam, masks=None):
         return ag.matmul(ag.swiglu(x, pv[f"{base}.w_gate"], pv[f"{base}.w_up"]),
                          pv[f"{base}.w_down"])
 
+    cfg = student.config
     teacher_trace = model_forward(teacher, batch)
     tape = ag.Tape()
     leaves = make_param_vars(student, tape)
     # the oracle masks each weight before the forward (masked_assign)
     pv = {n: ag.masked_assign(v, masks[n]) if n in (masks or {}) else v
           for n, v in leaves.items()}
-    strace = forward_pass(student, batch, pv)
-    rows, targets = next_token_targets(strace.tokens)
-    l_ce = ag.cross_entropy(ag.gather_rows(strace.logits, rows), targets)
-    terms = [ag.mse(expert(i, e, ag.gather_rows(strace.layer_input_vars[i], idx)),
+    toks = np.atleast_2d(np.asarray(batch, dtype=np.intp))
+    h = ag.gather_rows(pv["token_embedding"], toks.ravel())
+    moe_inputs = []
+    for i in range(cfg.n_layers):
+        a = ag.rmsnorm(h)
+        qkv = [ag.matmul(a, pv[f"layers.{i}.attn.{w}"]) for w in ("wq", "wk", "wv")]
+        attn = ag.causal_attention(*qkv, toks.shape[0], cfg.n_heads)
+        h = ag.add(h, ag.matmul(attn, pv[f"layers.{i}.attn.wo"]))
+        moe_inputs.append(m := ag.rmsnorm(h))
+        logits = ag.matmul(m, pv[f"layers.{i}.router"])
+        gates = ag.row_softmax(logits, _topk_mask(logits.value, cfg.top_k))
+        own = {e: np.nonzero(gates.value[:, e])[0] for e in range(cfg.n_experts)}
+        outs = {e: expert(i, e, ag.gather_rows(m, r)) for e, r in own.items() if r.size}
+        h = ag.add(h, oracles.combine(tape, gates, outs, own))
+    rows, targets = next_token_targets(toks)
+    l_ce = ag.cross_entropy(ag.gather_rows(ag.matmul(ag.rmsnorm(h), pv["lm_head"]), rows),
+                            targets)
+    terms = [ag.mse(expert(i, e, ag.gather_rows(moe_inputs[i], idx)),
                     tape.const(lt.expert_outputs[e]))
              for i, lt in enumerate(teacher_trace.layers)
              for e, idx in lt.expert_tokens.items() if idx.size]
@@ -166,7 +184,7 @@ def routed_pair():
 
 def routed_batch(seed, n=3):
     rng = np.random.default_rng(seed)
-    return [rng.integers(0, ROUTED.vocab_size, ROUTED.seq_len) for _ in range(n)]
+    return np.stack([rng.integers(0, ROUTED.vocab_size, ROUTED.seq_len) for _ in range(n)])
 
 
 def dispatch_sets(teacher, student, batch):

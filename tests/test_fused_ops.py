@@ -57,18 +57,6 @@ def ce_loss_oracle(logits, targets):
     return float(-logp[np.arange(targets.size), targets].mean())
 
 
-def combine_oracle(t, gates, outs, rows):
-    """Per expert: gather the gate rows, pick column e with a one-hot matmul,
-    scale the outputs, scatter them to full size and fold them together."""
-    n, n_experts = gates.value.shape
-    total = None
-    for e in sorted(outs):
-        gcol = ag.matmul(ag.gather_rows(gates, rows[e]), t.const(np.eye(n_experts)[:, [e]]))
-        scattered = ag.scatter_rows(ag.mul(outs[e], gcol), rows[e], n)
-        total = scattered if total is None else ag.add(total, scattered)
-    return total
-
-
 def run_backward(tape, g):
     """Feed upstream gradient g to the one op recorded on tape."""
     (_, bwd), = tape.nodes
@@ -133,7 +121,7 @@ class TestMoeCombine:
         for fused in (True, False):
             t, gates, outs = self.build(rows, seed=5)
             out = (ag.moe_combine(gates, outs, rows) if fused
-                   else combine_oracle(t, gates, outs, rows))
+                   else oracles.combine(t, gates, outs, rows))
             t.backward(ag.mse(out, t.const(target)))
             results.append([out.value, gates.grad] + [outs[e].grad for e in sorted(outs)])
         for fused, oracle in zip(*results):

@@ -28,8 +28,8 @@ def test_smoke_matrix_is_deterministic(parity, tmp_path):
     assert parity.differing(a, b) == []
     logs = sorted(first.glob("*/*.log"))
     # 3 configs x (2 trains, 16 prunes and their evals, 2 distills and their
-    # evals, 3 analyses, 2 sweeps)
-    assert len(logs) == 3 * 43
+    # evals, 3 analyses, 2 sweeps, and a train, a prune and a distill by flags)
+    assert len(logs) == 3 * 46
     assert all(p.read_text().startswith("exit 0\n") for p in logs)
     # the top-1 config has idle experts, so sparsegpt's fallback runs
     report = json.loads((first / "top1" / "sparsegpt-0.5-dense" / "prune_report.json").read_text())

@@ -11,7 +11,8 @@ matrix is: train, and train --upcycle; prune with 4
 methods x {0.5, 2:4} x {dense, recompute}, each followed by an eval; distill,
 and distill --full-parameter --lam 0.5, each followed by an eval; analyze
 argmax and topk, and analyze --freq on a fixed file; a sparsity sweep with
-recompute; an nsamples sweep.
+recompute; an nsamples sweep; and one train, one prune and one distill that
+set their config values by flags over the file's.
 
 Every file the matrix writes, and each command's stdout, stderr (warnings
 included) and exit code, is hashed with the run's output directory masked.
@@ -119,6 +120,18 @@ def commands(name: str, root: Path, smoke: bool) -> list[tuple[str, list[str]]]:
                           str(root / "moe-pruner-0.5-dense"), "--corpus", str(calib), *flags,
                           "--out", distilled]),
                  evaluate(distilled)]
+    # the flag path: each section flag over the config file's value
+    cmds += [("train-flags", ["train", *cfg, "--corpus", str(calib), "--steps", "2",
+                              "--seed", "5", "--lr", "5e-4", "--batch-size", "2",
+                              "--out", str(root / "teacher-flags")]),
+             ("prune-flags", ["prune", *cfg, "--ckpt", teacher, "--sparsity", "0.5",
+                              "--calib", str(calib), "--nsamples", "3", "--seed", "6",
+                              "--out", str(root / "pruned-flags")]),
+             ("distill-flags", ["distill", *cfg, "--teacher", teacher, "--student",
+                                str(root / "pruned-flags"), "--corpus", str(calib),
+                                "--samples", "4", "--epochs", "1", "--lr", "5e-5",
+                                "--batch-size", "2", "--seed", "7",
+                                "--out", str(root / "distilled-flags")])]
     for mode in ("argmax", "topk"):
         cmds.append((f"analyze-{mode}", ["analyze", "--ckpt", teacher, "--corpus", str(calib),
                                          "--nsamples", str(nsamples), "--mode", mode]))
