@@ -9,10 +9,13 @@ node: with `w_down` it yields the expert's output and keeps only its two
 projections, where the silu/mul/matmul chain kept five activations. `silu`,
 `mul`, `scatter_rows` and `masked_assign`, which no forward calls, remain:
 bench/tracer.py wraps each op kind by name, and the tests build the oracles
-of swiglu, moe_combine and the masked KD graph from them. Gradients
-accumulate across reuses of a Var (`Var.accumulate`: the first write takes
-the backward rule's fresh array); training code builds a fresh tape per
-step, so there is nothing to zero.
+of swiglu, moe_combine and the masked KD graph from them.
+A tape records every op or none: on a `Tape()` every backward rule writes a
+gradient to each operand, and a `Tape(record=False)`, for the forwards that
+take no gradient, keeps no node and no leaf. Gradients accumulate across
+reuses of a Var (`Var.accumulate`: the first write takes the backward
+rule's fresh array); training code builds a fresh tape per step, so there
+is nothing to zero.
 `Tape.backward` sweeps the tape: the recorded nodes (and the closures holding
 their operands) are dropped, so a step's graph is freed by reference
 counting rather than left to the cycle collector. It can hand each leaf's
@@ -52,15 +55,14 @@ __all__ = [
 class Var:
     """A matrix value on a tape, with a lazily allocated gradient buffer."""
 
-    __slots__ = ("value", "_grad", "tape", "requires_grad")
+    __slots__ = ("value", "_grad", "tape")
 
-    def __init__(self, value: np.ndarray, tape: "Tape", requires_grad: bool = True):
+    def __init__(self, value: np.ndarray, tape: "Tape"):
         if value.ndim != 2:
             raise ShapeError(f"Var values must be 2-D, got shape {value.shape}")
         self.value = value
         self._grad = None
         self.tape = tape
-        self.requires_grad = requires_grad
 
     @property
     def grad(self) -> np.ndarray:
@@ -78,9 +80,12 @@ class Var:
 
 
 class Tape:
-    """Topologically ordered record of operations; backward visits each once."""
+    """Topologically ordered record of operations; backward visits each once.
+    A tape made with record=False records no node and registers no leaf: its
+    ops only compute values, and it cannot be swept."""
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
+        self.record = record
         self.nodes: list[tuple[Var, Callable[[np.ndarray], None]]] = []
         self.swept = False
         self._unread: dict[int, Var] = {}              # leaves no node has read yet
@@ -89,17 +94,13 @@ class Tape:
     def var(self, value) -> Var:
         """Register a leaf (parameter or input)."""
         v = Var(np.asarray(value, dtype=np.float64), self)
-        self._unread[id(v)] = v
+        if self.record:
+            self._unread[id(v)] = v
         return v
 
-    def const(self, value) -> Var:
-        """Register a constant leaf: no gradient is computed or stored for it,
-        and subgraphs built only from constants are not recorded."""
-        return Var(np.asarray(value, dtype=np.float64), self, requires_grad=False)
-
     def _emit(self, value: np.ndarray, bwd: Callable[[np.ndarray], None], *operands: Var) -> Var:
-        if not any(o.requires_grad for o in operands):
-            return Var(value, self, requires_grad=False)
+        if not self.record:
+            return Var(value, self)
         first = [v for o in operands if (v := self._unread.pop(id(o), None)) is not None]
         if first:
             self._first_reads[len(self.nodes)] = first
@@ -114,6 +115,8 @@ class Tape:
         its value); the leaf's gradient is dropped after the call."""
         if loss.value.shape != (1, 1):
             raise ContractError(f"backward needs a scalar (1x1) loss, got {loss.value.shape}")
+        if not self.record:
+            raise ContractError("this tape records nothing; build the graph on a Tape()")
         if self.swept:
             raise ContractError("this tape was swept by an earlier backward; build a new graph")
         loss.grad[...] = 1.0
@@ -143,10 +146,8 @@ def matmul(a: Var, b: Var) -> Var:
         raise ShapeError(f"matmul shape mismatch: {av.shape} x {bv.shape}")
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(g @ bv.T)
-        if b.requires_grad:
-            b.accumulate(av.T @ g)
+        a.accumulate(g @ bv.T)
+        b.accumulate(av.T @ g)
 
     return t._emit(av @ bv, bwd, a, b)
 
@@ -157,10 +158,8 @@ def add(a: Var, b: Var) -> Var:
         raise ShapeError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
 
     def bwd(g: np.ndarray) -> None:  # g is out's buffer: each operand takes a copy
-        if a.requires_grad:
-            a.accumulate(g.copy())
-        if b.requires_grad:
-            b.accumulate(g.copy())
+        a.accumulate(g.copy())
+        b.accumulate(g.copy())
 
     return t._emit(a.value + b.value, bwd, a, b)
 
@@ -173,13 +172,11 @@ def mul(a: Var, b: Var) -> Var:
         raise ShapeError(f"mul shape mismatch: {a.value.shape} vs {bshape}")
 
     def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(g * b.value)
-        if b.requires_grad:
-            if bshape == a.value.shape:
-                b.accumulate(g * a.value)
-            else:
-                b.accumulate((g * a.value).sum(axis=1, keepdims=True))
+        a.accumulate(g * b.value)
+        if bshape == a.value.shape:
+            b.accumulate(g * a.value)
+        else:
+            b.accumulate((g * a.value).sum(axis=1, keepdims=True))
 
     return t._emit(a.value * b.value, bwd, a, b)
 
@@ -232,14 +229,11 @@ def swiglu(x: Var, w_gate: Var, w_up: Var, w_down: Var | None = None) -> Var:
     if (xv.shape[1] != wg.shape[0] or wg.shape != wu.shape
             or down and w_down.value.shape[0] != wu.shape[1]):
         raise ShapeError(f"swiglu shape mismatch: {[o.value.shape for o in operands]}")
-    up_grad = x.requires_grad or w_up.requires_grad
-    gate_grad = x.requires_grad or w_gate.requires_grad
-    down_grad = bool(down) and w_down.requires_grad
     gp = xv @ wg
     out = _sigmoid(gp)
     out *= gp  # silu(x @ w_gate)
-    # a node that is not taped keeps nothing: x @ w_up then takes gp's buffer
-    up = xv @ wu if up_grad or gate_grad or down_grad else np.matmul(xv, wu, out=gp)
+    # a tape that records nothing keeps nothing: x @ w_up then takes gp's buffer
+    up = xv @ wu if t.record else np.matmul(xv, wu, out=gp)
     out *= up
     if down:
         out = out @ w_down.value
@@ -248,22 +242,15 @@ def swiglu(x: Var, w_gate: Var, w_up: Var, w_down: Var | None = None) -> Var:
         sig = _sigmoid(gp)
         act = gp * sig  # silu(x @ w_gate)
         if down:
-            if down_grad:  # by the forward's product, rebuilt
-                w_down.accumulate((act * up).T @ g)
+            w_down.accumulate((act * up).T @ g)  # by the forward's product, rebuilt
             g = g @ w_down.value.T  # the product's gradient
-        if up_grad:
-            act *= g
-            if x.requires_grad:
-                x.accumulate(act @ wu.T)
-            if w_up.requires_grad:
-                w_up.accumulate(xv.T @ act)
+        act *= g
+        x.accumulate(act @ wu.T)
+        w_up.accumulate(xv.T @ act)
         del act
-        if gate_grad:
-            ga = _silu_grad(gp, sig, g * up)
-            if x.requires_grad:
-                x.accumulate(ga @ wg.T)
-            if w_gate.requires_grad:
-                w_gate.accumulate(xv.T @ ga)
+        ga = _silu_grad(gp, sig, g * up)
+        x.accumulate(ga @ wg.T)
+        w_gate.accumulate(xv.T @ ga)
 
     return t._emit(out, bwd, *operands)
 
@@ -403,10 +390,8 @@ def mse(a: Var, b: Var) -> Var:
 
     def bwd(g: np.ndarray) -> None:
         d = (2.0 * g[0, 0] / n) * diff
-        if a.requires_grad:
-            a.accumulate(d)
-        if b.requires_grad:
-            b.accumulate(-d)  # a fresh array: a and b never share d
+        a.accumulate(d)
+        b.accumulate(-d)  # a fresh array: a and b never share d
 
     return t._emit(np.array([[(diff * diff).sum() / n]]), bwd, a, b)
 
@@ -475,12 +460,9 @@ def causal_attention(q: Var, k: Var, v: Var, batch: int, n_heads: int) -> Var:
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= c
-        if q.requires_grad:
-            q.accumulate(merge(ds @ ks))
-        if k.requires_grad:
-            k.accumulate(merge(ds.transpose(0, 1, 3, 2) @ qs))
-        if v.requires_grad:
-            v.accumulate(merge(p.transpose(0, 1, 3, 2) @ gs))
+        q.accumulate(merge(ds @ ks))
+        k.accumulate(merge(ds.transpose(0, 1, 3, 2) @ qs))
+        v.accumulate(merge(p.transpose(0, 1, 3, 2) @ gs))
 
     return t._emit(merge(p @ vs), bwd, q, k, v)
 
@@ -508,9 +490,7 @@ def moe_combine(gates: Var, outs: dict[int, Var], rows: dict[int, np.ndarray]) -
         for e in order:
             idx, o = rows[e], outs[e]
             ge = g[idx]
-            if o.requires_grad:
-                o.accumulate(ge * gates.value[idx, e][:, None])
-            if gates.requires_grad:
-                gates.grad[idx, e] += (ge * o.value).sum(axis=1)
+            o.accumulate(ge * gates.value[idx, e][:, None])
+            gates.grad[idx, e] += (ge * o.value).sum(axis=1)
 
     return t._emit(out, bwd, gates, *outs.values())

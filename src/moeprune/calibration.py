@@ -202,7 +202,7 @@ def count_dispatch(model: MoEModel, cal: CalibrationSet, mode: str) -> tuple[np.
             if mode == "argmax":
                 # argmax counts read the rounded probabilities, not the logits: logits
                 # whose probabilities round equal tie, and the lowest index takes it
-                logits = ag.Tape().const(layer.router_logits)
+                logits = ag.Tape(record=False).var(layer.router_logits)
                 probs = ag.row_softmax(logits, np.ones(logits.value.shape, dtype=bool)).value
                 np.add.at(counts[i], np.argmax(probs, axis=1), 1)
             else:

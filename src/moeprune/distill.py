@@ -92,10 +92,10 @@ def _kd_graph(student: MoEModel, batch: np.ndarray, lam: float | None,
     Returns (total Var, the step's losses {l_ce, l_expert, lambda, total},
     student leaf Vars, which it reads directly (no mask), tape). targets
     are the teacher's forced rows and expert outputs for this batch
-    (_batch_targets).
-    One student forward runs on the tape over the whole batch; each (layer,
-    expert) contributes one MSE over the rows the teacher routed to it
-    anywhere in the batch. lam None takes lambda = l_ce / l_expert from this
+    (_batch_targets). One student forward runs on the tape over the whole
+    batch; each (layer, expert) contributes one MSE over the rows the teacher
+    routed to it anywhere in the batch, against the teacher's outputs as
+    leaves of the tape (their gradients are dropped at hand-over). lam None takes lambda = l_ce / l_expert from this
     batch; a zero l_expert falls back to 1 with a warning.
     """
     dispatch, t_outs = targets
@@ -104,7 +104,7 @@ def _kd_graph(student: MoEModel, batch: np.ndarray, lam: float | None,
     strace = forward_pass(student, batch, leaves, forced_dispatch=dispatch)
     rows, next_tokens = next_token_targets(strace.tokens)
     l_ce = ag.cross_entropy(strace.logits, next_tokens, rows)
-    expert_terms = [ag.mse(strace.forced_outputs[i][e], tape.const(t_out))
+    expert_terms = [ag.mse(strace.forced_outputs[i][e], tape.var(t_out))
                     for i, layer in enumerate(t_outs)
                     for e, t_out in layer.items() if t_out.shape[0]]
 

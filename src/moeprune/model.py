@@ -132,7 +132,7 @@ def _topk_mask(logits: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched forward pass (tape-based; with constant parameters nothing is taped)
+# Batched forward pass (tape-based; on a Tape(record=False) nothing is taped)
 # ---------------------------------------------------------------------------
 
 
@@ -220,8 +220,8 @@ def forward_pass(
 
     pv maps every parameter name to the Var the graph reads: the leaf Vars
     of make_param_vars, read directly (a pruned weight, an exact zero,
-    contributes nothing; its mask acts on the gradient, in optim.Adam), or
-    constants, which record no tape.
+    contributes nothing; its mask acts on the gradient, in optim.Adam). On
+    a Tape(record=False) the pass records nothing.
     The batch is flattened to B*T rows, window-major: logits, MoE inputs and
     every token index (expert_tokens, forced_dispatch) address those rows.
     forced_dispatch: per layer, expert -> increasing row indices; the trace's
@@ -319,12 +319,10 @@ def forward_pass(
 
 
 def model_forward(model: MoEModel, tokens, stop: tuple[int, str] | None = None) -> ForwardResult:
-    """forward_pass with every parameter a constant, so nothing is taped: the
-    causal next-token logits of a (B, T) batch as a constant Var, one row per
-    token, plus the per-layer trace calibration and distillation consume (MoE
+    """forward_pass on a Tape(record=False), so nothing is taped: the causal
+    next-token logits of a (B, T) batch as an untaped Var, one row per token,
+    plus the per-layer trace calibration and distillation consume (MoE
     inputs, gates, per-expert outputs). stop ends the pass early, as in
     forward_pass; only a pass that stops at "hidden" records the experts'
     SwiGLU intermediates."""
-    tape = Tape()
-    return forward_pass(model, tokens, {n: tape.const(p) for n, p in model.params.items()},
-                        stop=stop)
+    return forward_pass(model, tokens, make_param_vars(model, Tape(record=False)), stop=stop)

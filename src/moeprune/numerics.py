@@ -80,7 +80,7 @@ class SeededRng:
     def normal_matrix(self, rows: int, cols: int, std: float = 1.0) -> np.ndarray:
         return self._gen.normal(0.0, std, size=(rows, cols))
 
-    def integers(self, low: int, high: int, size: int | None = None):
+    def integers(self, low: int, high: int, size: int | tuple[int, ...] | None = None):
         return self._gen.integers(low, high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:

@@ -26,7 +26,7 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / (total_steps - 1)))
 
 
-def run_steps(kind: str, opt: Adam, batches: list, base_lr: float, graph) -> list[dict]:
+def run_steps(kind: str, opt: Adam, batches, base_lr: float, graph) -> list[dict]:
     """One Adam step per batch, at the cosine rate over len(batches). graph(batch)
     returns (loss Var, log fields, leaf Vars by name, tape); opt.step runs its
     backward and updates, and a step's graph is gone before the next graph is

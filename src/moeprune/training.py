@@ -36,8 +36,8 @@ class TrainConfig(Section):
     seed: int = 0
 
 
-def batch_ce_graph(model: MoEModel, batch: list[np.ndarray]):
-    """Mean next-token CE over a batch of equal-length windows: one forward
+def batch_ce_graph(model: MoEModel, batch: np.ndarray):
+    """Mean next-token CE over a (B, T) batch of windows: one forward
     and one cross-entropy over every row that has a next token. Returns
     (loss, {"loss": its value}, leaf Vars, tape)."""
     tape = ag.Tape()
@@ -64,11 +64,12 @@ def train_model(
         raise InputError(f"corpus has {toks.size} tokens; need more than seq_len={seq_len}")
     rng = SeededRng(cfg.seed)
     starts = toks.size - seq_len + 1
-    batches = [[toks[o : o + seq_len] for o in rng.integers(0, starts, size=cfg.batch_size)]
-               for _ in range(cfg.steps)]
+    # one row of window offsets per step; a step builds its (B, T) batch from its row
+    offs = rng.integers(0, starts, size=(cfg.steps, cfg.batch_size))
+    span = np.arange(seq_len)
     # a lambda, not a partial: a batch_ce_graph patched on the module still runs
-    log = run_steps("training", Adam(model.params), batches, cfg.learning_rate,
-                    lambda batch: batch_ce_graph(model, batch))
+    log = run_steps("training", Adam(model.params), offs, cfg.learning_rate,
+                    lambda o: batch_ce_graph(model, toks[o[:, None] + span]))
     return model, log
 
 

@@ -256,7 +256,7 @@ def combine(t, gates, outs, rows):
     n, n_experts = gates.value.shape
     total = None
     for e in sorted(outs):
-        gcol = ag.matmul(ag.gather_rows(gates, rows[e]), t.const(np.eye(n_experts)[:, [e]]))
+        gcol = ag.matmul(ag.gather_rows(gates, rows[e]), t.var(np.eye(n_experts)[:, [e]]))
         scattered = ag.scatter_rows(ag.mul(outs[e], gcol), rows[e], n)
         total = scattered if total is None else ag.add(total, scattered)
     return total
@@ -265,17 +265,17 @@ def combine(t, gates, outs, rows):
 def full_layers(model: MoEModel, batch) -> list:
     """The layer traces of a forward that runs to the logits, with each
     routed expert's SwiGLU intermediate (which such a pass leaves empty)
-    rebuilt by ag.swiglu on constants of its routed MoE inputs and its
-    weights: the forward's value bit for bit."""
+    rebuilt by ag.swiglu, on a tape that records nothing, from its routed MoE
+    inputs and its weights: the forward's value bit for bit."""
     res = model_forward(model, batch)
     assert res.logits is not None
-    tape = ag.Tape()
+    tape = ag.Tape(record=False)
     for i, lt in enumerate(res.layers):
         for e, idx in lt.expert_tokens.items():
             if idx.size:
-                w_gate, w_up = (tape.const(model.params[f"layers.{i}.experts.{e}.{part}"])
+                w_gate, w_up = (tape.var(model.params[f"layers.{i}.experts.{e}.{part}"])
                                 for part in ("w_gate", "w_up"))
-                lt.expert_hidden[e] = ag.swiglu(tape.const(lt.moe_input[idx]), w_gate, w_up).value
+                lt.expert_hidden[e] = ag.swiglu(tape.var(lt.moe_input[idx]), w_gate, w_up).value
     return res.layers
 
 

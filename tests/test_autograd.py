@@ -102,6 +102,15 @@ class TestBackward:
         finally:
             gc.enable()
 
+    def test_untaped_graph_records_nothing_and_cannot_be_swept(self):
+        t = ag.Tape(record=False)
+        x = scalar(t, 3.0)
+        loss = ag.mul(x, x)
+        assert loss.value[0, 0] == 9.0 and t.nodes == [] and t._unread == {}
+        with pytest.raises(ContractError, match="records nothing"):
+            t.backward(loss)
+        assert x._grad is None and loss._grad is None
+
     def test_graph_freed_without_cycle_collector(self):
         gc.disable()
         try:
@@ -109,7 +118,7 @@ class TestBackward:
             x = t.var(SeededRng(1).normal_matrix(3, 3))
             hidden = ag.silu(ag.matmul(x, x))
             alive = weakref.ref(hidden.value)
-            t.backward(ag.mse(hidden, t.const(np.zeros((3, 3)))))
+            t.backward(ag.mse(hidden, t.var(np.zeros((3, 3)))))
             del hidden
             assert alive() is None
             assert np.isfinite(x.grad).all()
@@ -118,26 +127,30 @@ class TestBackward:
 
     def test_ready_reports_each_read_leaf_once_its_gradient_is_complete(self):
         values = [SeededRng(2 + i).normal_matrix(3, 3) for i in range(4)]
+        values += [np.eye(3), np.zeros((3, 3))]
 
         def sweep(ready=None):
             t = ag.Tape()
-            x, w, v, unread = leaves = [t.var(a) for a in values]
+            x, w, v, unread, eye, target = leaves = [t.var(a) for a in values]
             y = ag.matmul(x, w)                     # first reads x and w
-            ag.matmul(v, t.const(np.eye(3)))        # reads v; nothing flows back to it
-            t.backward(ag.mse(ag.add(y, ag.scale(x, 2.0)), t.const(np.zeros((3, 3)))), ready)
+            ag.matmul(v, eye)                       # reads v and eye; nothing flows back
+            t.backward(ag.mse(ag.add(y, ag.scale(x, 2.0)), target), ready)
             return leaves
 
         reported = []
-        x, w, v, unread = sweep(lambda leaf: reported.append((leaf, leaf.grad.copy())))
+        x, w, v, unread, eye, target = sweep(
+            lambda leaf: reported.append((leaf, leaf.grad.copy())))
         # in reverse recording order of the first readers, each with the
         # gradient a plain sweep ends with, which the tape then drops
-        assert [leaf for leaf, _ in reported] == [v, x, w]
+        assert [leaf for leaf, _ in reported] == [target, v, eye, x, w]
         assert all(leaf._grad is None for leaf, _ in reported) and unread._grad is None
-        px, pw, pv, _ = sweep()
-        for (_, grad), want in zip(reported, [pv, px, pw]):
+        px, pw, pv, _, peye, ptarget = sweep()
+        for (_, grad), want in zip(reported, [ptarget, pv, peye, px, pw], strict=True):
             assert np.array_equal(grad, want.grad)
-        assert not np.array_equal(reported[1][1], 0.0)
-        assert np.array_equal(reported[0][1], np.zeros((3, 3)))
+        assert not np.array_equal(reported[3][1], 0.0)
+        assert not np.array_equal(reported[0][1], 0.0)
+        assert np.array_equal(reported[1][1], np.zeros((3, 3)))
+        assert np.array_equal(reported[2][1], np.zeros((3, 3)))
 
     def test_unreachable_var_keeps_zero_grad(self):
         t = ag.Tape()
@@ -176,7 +189,7 @@ class TestFirstWriteTakesArray:
         def build():
             t = ag.Tape()
             x, w = t.var(self.X), t.var(self.W)
-            target = t.const(np.ones((4, 3)))
+            target = t.var(np.ones((4, 3)))
             if case == "add_self":
                 return ag.mse(ag.add(x, x), target), [x]
             if case == "two_consumers":
@@ -200,7 +213,7 @@ class TestFirstWriteTakesArray:
     def test_add_x_x_is_twice_the_gradient(self):
         t = ag.Tape()
         x = t.var(self.X)
-        t.backward(ag.mse(ag.add(x, x), t.const(np.zeros((4, 3)))))
+        t.backward(ag.mse(ag.add(x, x), t.var(np.zeros((4, 3)))))
         assert np.allclose(x.grad, 8.0 * self.X / self.X.size, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("join", ["add", "mse"])
@@ -209,7 +222,7 @@ class TestFirstWriteTakesArray:
         a, b = t.var(self.X), t.var(self.X[::-1].copy())
         p, q = ag.scale(a, 2.0), ag.scale(b, 3.0)
         s = ag.add(p, q) if join == "add" else ag.mse(p, q)
-        t.backward(ag.mse(s, t.const(np.zeros(s.value.shape))))
+        t.backward(ag.mse(s, t.var(np.zeros(s.value.shape))))
         held = [a, b, p, q, s]
         for i, u in enumerate(held):
             for v in held[i + 1:]:
@@ -250,7 +263,7 @@ class TestMaskedAssign:
             t = ag.Tape()
             w = t.var(w0)
             out = ag.masked_assign(w, mask)
-            t.backward(ag.mse(out, t.const(target)))
+            t.backward(ag.mse(out, t.var(target)))
             got.append((out.value.tobytes(), w.grad.tobytes()))
         assert got[0] == got[1]
 

@@ -151,7 +151,7 @@ def two_path_kd_graph(teacher, student, batch, lam, masks=None):
     l_ce = ag.cross_entropy(ag.gather_rows(ag.matmul(ag.rmsnorm(h), pv["lm_head"]), rows),
                             targets)
     terms = [ag.mse(expert(i, e, ag.gather_rows(moe_inputs[i], idx)),
-                    tape.const(lt.expert_outputs[e]))
+                    tape.var(lt.expert_outputs[e]))
              for i, lt in enumerate(teacher_trace.layers)
              for e, idx in lt.expert_tokens.items() if idx.size]
     l_expert = terms[0]

@@ -186,28 +186,45 @@ def test_masked_distill_hands_over_each_expert_right_after_its_swiglu(monkeypatc
     # the graph reads masked weights directly, so each expert's three
     # gradients are handed to Adam right after its swiglu backward; a
     # masked_assign recorded before the forward would keep every masked
-    # weight's gradient (and its masked copy's) until the sweep ends
+    # weight's gradient (and its masked copy's) until the sweep ends. The
+    # teacher targets (each mse's second operand) are leaves of the student's
+    # tape: their gradients are dropped at hand-over, before any update
     corpus = synth_corpus(3, 1 << 12)
     teacher, student, masks = masked_pair(SHORT, corpus)
     shapes = {(SHORT.d_model, SHORT.d_ff), (SHORT.d_ff, SHORT.d_model)}
-    grads, alive = [], []
-    accumulate, update = ag.Var.accumulate, Adam.update
+    grads, alive, targets, target_grads, targets_alive = [], [], set(), [], []
+    accumulate, update, mse, step = ag.Var.accumulate, Adam.update, ag.mse, Adam.step
+
+    def watched_mse(a, b):
+        targets.add(id(b))  # b lives until its mse node is swept
+        return mse(a, b)
 
     def watched_accumulate(self, g):
         accumulate(self, g)
         if self.value.shape in shapes:
             grads.append(weakref.ref(self._grad))
+        if id(self) in targets:
+            target_grads.append(weakref.ref(self._grad))
 
     def watched_update(self, *args):
         alive.append(len({id(a) for ref in grads if (a := ref()) is not None}))
+        targets_alive.append(sum(ref() is not None for ref in target_grads))
         return update(self, *args)
 
+    def watched_step(self, *args):
+        step(self, *args)
+        targets.clear()  # the swept targets' ids may be reused by the next graph
+
+    monkeypatch.setattr(ag, "mse", watched_mse)
     monkeypatch.setattr(ag.Var, "accumulate", watched_accumulate)
     monkeypatch.setattr(Adam, "update", watched_update)
+    monkeypatch.setattr(Adam, "step", watched_step)
     res = distill(teacher, student, masks, corpus,
                   KDConfig(epochs=1, samples=6, batch_size=2, lambda_mode=1.0))
     assert len(alive) == len(res.log) * (len(student.params) - SHORT.n_layers)
     assert max(alive) == 3, f"{max(alive)} expert-shaped gradients alive at one update"
+    assert target_grads, "no teacher target took a gradient"
+    assert max(targets_alive) == 0, f"{max(targets_alive)} teacher-target gradients alive"
 
 
 # cli distill's traced peak on a 2-layer d_model 64 model (2 MiB of

@@ -13,6 +13,7 @@ from moeprune.model import (
     ModelConfig,
     MoEModel,
     forward_pass,
+    make_param_vars,
     model_forward,
 )
 from moeprune.numerics import SeededRng
@@ -174,8 +175,8 @@ class TestMoELayerForward:
 
 
 def ce_loss(logits: np.ndarray, targets) -> float:
-    """The cross-entropy op's value on constant logits, as evaluation reads it."""
-    return float(ag.cross_entropy(ag.Tape().const(logits), targets).value[0, 0])
+    """The cross-entropy op's value on untaped logits, as evaluation reads it."""
+    return float(ag.cross_entropy(ag.Tape(record=False).var(logits), targets).value[0, 0])
 
 
 class TestCeLoss:
@@ -355,8 +356,7 @@ class TestBatchedForward:
             other = np.sort((own[1] + 1) % n)
             assert not np.array_equal(other, own[1])
             forced.append({0: own[0], 1: other, 2: own[2][::2], 3: np.arange(n)})
-        tape = ag.Tape()
-        consts = {n: tape.const(p) for n, p in tiny_model.params.items()}
+        consts = make_param_vars(tiny_model, ag.Tape(record=False))
         tr = forward_pass(tiny_model, toks, consts, forced_dispatch=forced)
         assert np.allclose(tr.logits.value, plain.logits.value, rtol=1e-12, atol=1e-14)
         for i, (lt, pl) in enumerate(zip(tr.layers, plain.layers)):
@@ -455,8 +455,7 @@ class TestBatchedForward:
 
     @pytest.mark.parametrize("until", ["router", "hidden"])
     def test_stopped_forward_takes_no_forced_dispatch(self, tiny_model, until):
-        tape = ag.Tape()
-        consts = {n: tape.const(p) for n, p in tiny_model.params.items()}
+        consts = make_param_vars(tiny_model, ag.Tape(record=False))
         forced = [{0: np.arange(2)}] * TINY.n_layers
         with pytest.raises(ContractError, match="forced_dispatch"):
             forward_pass(tiny_model, self.batch(), consts, forced_dispatch=forced, stop=(0, until))

@@ -4,7 +4,10 @@ import tracemalloc
 
 import numpy as np
 
+import moeprune.training as training
+from moeprune.calibration import corpus_tokens
 from moeprune.model import ModelConfig, MoEModel
+from moeprune.numerics import SeededRng
 from moeprune.training import TrainConfig, train_model
 
 from conftest import TINY, synth_corpus
@@ -66,3 +69,22 @@ def test_zero_steps_returns_the_model_untouched():
     out, log = train_model(model, synth_corpus(2, 1 << 12), TrainConfig(steps=0))
     assert out is model and log == []
     assert all(np.array_equal(out.params[n], before[n]) for n in before)
+
+
+def test_each_step_forwards_one_batch_array_of_seeded_windows(monkeypatch):
+    batches, build = [], training.batch_ce_graph
+
+    def watched(model, batch):
+        batches.append(batch)
+        return build(model, batch)
+
+    monkeypatch.setattr(training, "batch_ce_graph", watched)
+    corpus = synth_corpus(2, 1 << 12)
+    train_model(MoEModel.init(TINY), corpus, TrainConfig(steps=3, batch_size=2, seed=1))
+    toks, T = corpus_tokens(corpus), TINY.seq_len
+    offsets = SeededRng(1).integers(0, toks.size - T + 1, size=(3, 2))
+    assert len(batches) == 3
+    for batch, offs in zip(batches, offsets):
+        assert isinstance(batch, np.ndarray) and batch.dtype == np.intp
+        assert batch.shape == (2, T)
+        assert all(np.array_equal(row, toks[o : o + T]) for row, o in zip(batch, offs))
